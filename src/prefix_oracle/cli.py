@@ -19,6 +19,7 @@ from dataclasses import replace
 
 from . import algorithms, analysis, experiments
 from .core import (
+    EnumerationCapError,
     HiddenPathModel,
     LeaderTrieModel,
     UniformModel,
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EnumerationCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
@@ -91,9 +92,16 @@ def _peaked_vector(K: int, peak_token: int, high: float, low: float) -> np.ndarr
     return _freeze(vec)
 
 
+def _dist_entry(vec: np.ndarray) -> tuple:
+    """The (vector, probability tuple, CDF tuple) forms of one distribution."""
+    probs = tuple(float(x) for x in vec)
+    return vec, probs, tuple(itertools.accumulate(probs))
+
+
 class _CachedDistModel:
     """Shared next-token plumbing: models classify a prefix into one of a
-    small number of distribution classes and serve cached vectors."""
+    small number of distribution classes and serve cached vectors. The public
+    lookups validate the prefix; ``_lookup`` trusts it, for internal walks."""
 
     vocab: VocabSpec
 
@@ -111,11 +119,7 @@ class _CachedDistModel:
         key = self._class_key(p)
         entry = cache.get(key)
         if entry is None:
-            vec = self._build(key)
-            probs = tuple(float(x) for x in vec)
-            cdf = tuple(itertools.accumulate(probs))
-            entry = (vec, probs, cdf)
-            cache[key] = entry
+            entry = cache[key] = _dist_entry(self._build(key))
         return entry
 
     def next_dist(self, p: Prefix) -> np.ndarray:
@@ -158,18 +162,11 @@ class CallableModel(_CachedDistModel):
     vocab: VocabSpec
     fn: Callable[[Prefix], object]
 
-    def next_dist(self, p: Prefix) -> np.ndarray:
-        self.vocab.check_prefix(p)
+    def _lookup(self, p: Prefix):
         vec = np.asarray(self.fn(p), dtype=float)
         if vec.shape != (self.vocab.K,):
             raise ValueError(f"distribution at {p} has shape {vec.shape}")
-        return _freeze(vec)
-
-    def next_probs(self, p: Prefix) -> tuple:
-        return tuple(float(x) for x in self.next_dist(p))
-
-    def next_cdf(self, p: Prefix) -> tuple:
-        return tuple(itertools.accumulate(self.next_probs(p)))
+        return _dist_entry(_freeze(vec))
 
 
 def signal_probs(K: int, lam: float) -> tuple:
@@ -550,10 +547,10 @@ def random_bridge_instance(
 
 def trajectory_logprob(model, y: Completion) -> float:
     """log Pr(Y = y): sum of per-step conditional log probabilities."""
-    model.vocab.check_completion(y)
+    model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
     total = 0.0
     for t in range(len(y)):
-        p = model.next_probs(y[:t])[y[t] - 1]
+        p = model._lookup(y[:t])[1][y[t] - 1]
         if p == 0.0:
             return -math.inf
         total += math.log(p)
@@ -564,20 +561,26 @@ def trajectory_prob(model, y: Completion) -> float:
     return math.exp(trajectory_logprob(model, y))
 
 
+def rollout(model, rng: np.random.Generator) -> tuple:
+    """Root-to-leaf rollout ``(y, mus)`` with ``mus[t]`` the probabilities at
+    ``y[:t]``; its prefixes hold sampled tokens, so none is re-checked."""
+    lookup = model._lookup
+    y, mus = (), []
+    for u in rng.random(model.vocab.H).tolist():  # same doubles as H scalar draws
+        _, probs, cdf = lookup(y)
+        mus.append(probs)
+        y = y + (cdf_token(cdf, u),)
+    return y, tuple(mus)
+
+
 def sample_trajectory(model, rng: np.random.Generator) -> Completion:
     """Draw a root-to-leaf rollout; deterministic given the generator state."""
-    y = ()
-    for _ in range(model.vocab.H):
-        y = y + (sample_from_cdf(model.next_cdf(y), rng),)
-    return y
+    return rollout(model, rng)[0]
 
 
-def sample_from_cdf(cdf, rng: np.random.Generator) -> Token:
-    u = rng.random()
-    for i, c in enumerate(cdf):
-        if u < c:
-            return i + 1
-    return len(cdf)
+def cdf_token(cdf, u: float) -> Token:
+    """First token i with u < cdf[i-1]; K if no token below K has one."""
+    return bisect_right(cdf, u, 0, len(cdf) - 1) + 1
 
 
 def completion_distribution(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:

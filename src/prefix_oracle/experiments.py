@@ -94,6 +94,10 @@ class ExperimentConfig:
         object.__setattr__(self, "q", _parse_int_list(self.q))
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if any(q < 0 for q in self.q):
+            raise ValueError(f"query budgets q must be >= 0, got {self.q}")
         if self.K < 2:
             raise ValueError(f"vocabulary size must be >= 2, got {self.K}")
         if any(h < 1 for h in self.H):

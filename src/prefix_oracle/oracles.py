@@ -22,7 +22,8 @@ from .core import (
     LeaderTrieModel,
     Prefix,
     Token,
-    sample_from_cdf,
+    cdf_token,
+    rollout,
     trajectory_logprob,
 )
 
@@ -213,19 +214,10 @@ class OracleSession:
 
     # -- no-reset interfaces ------------------------------------------------
 
-    def _rollout(self, rng: np.random.Generator) -> PathFullReply:
-        model = self.model
-        y = ()
-        mus = []
-        for _ in range(model.vocab.H):
-            mus.append(model.next_probs(y))
-            y = y + (sample_from_cdf(model.next_cdf(y), rng),)
-        return PathFullReply(y, tuple(mus))
-
     def query_no_reset(self, rng: np.random.Generator, post: Callable, kind: str = CUSTOM):
         """Generic no-reset query: one fresh rollout, then an arbitrary
         post-processing of the canonical reply."""
-        reply = self._rollout(rng)
+        reply = PathFullReply(*rollout(self.model, rng))
         out = post(reply)
         led = self.ledger
         led.counts[PATHFULL] += 1
@@ -262,7 +254,7 @@ class OracleSession:
         p = tuple(p)
         cdf = self.model.next_cdf(p)  # validates the prefix
         self._note_prefix(p)
-        tok = sample_from_cdf(cdf, rng)
+        tok = cdf_token(cdf, rng.random())
         led = self.ledger
         led.counts[PREFIX_SAMPLE] += 1
         led.prefix_trail.append(p)

@@ -92,6 +92,24 @@ def test_analyze_certificate_rejects_big_qr(capsys):
     assert "error:" in captured.err
 
 
+def test_analyze_tv_over_enumeration_cap_is_one_error_line(capsys):
+    code = main(["analyze", "tv", "--K", "2", "--H", "21"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error:")
+    assert "exceed cap" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_experiment_rejects_negative_seed_and_q(capsys):
+    for argv, field in [(["no-reset-hardness", "--q", "-1"], "q"),
+                        (["hidden-path-scaling", "--seed", "-1"], "seed")]:
+        assert main(["experiment", *argv, "--trials", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{field} must be >= 0" in err
+        assert "non-negative integer" not in err  # numpy's message
+
+
 def test_recover_trie_logit_record(capsys):
     code, record = _run(capsys, ["recover-trie-logit", "--K", "3", "--H", "3",
                                  "--xi", "0", "--seed", "7"])

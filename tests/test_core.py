@@ -1,10 +1,12 @@
 """Family construction, next-token distributions, trajectory probabilities,
 sampling, and serialization."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefix_oracle.core import (
     ROOT,
@@ -20,6 +22,7 @@ from prefix_oracle.core import (
     VocabSpec,
     HARD,
     EASY,
+    cdf_token,
     completion_distribution,
     leader_trie_params,
     parse_model,
@@ -84,10 +87,24 @@ def test_hidden_path_dist_off_path_uniform():
         assert model.next_probs(p) == pytest.approx((0.25,) * 4)
 
 
-def test_hidden_path_invalid_prefix():
-    model = HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 1, 1))
-    with pytest.raises(InvalidPrefixError):
-        model.next_dist((1, 1, 1))
+def test_public_lookups_reject_invalid_prefix():
+    # internal walks skip validation, so every public lookup of every family
+    # must still reject a caller's bad prefix
+    vocab = VocabSpec(3, 3)
+    rng = RNG(0)
+    inst = random_bridge_instance(3, 1, 1, 1.0, 0.5, 1.0, rng)
+    models = [
+        UniformModel(vocab),
+        HiddenPathModel(vocab, 1.0, (1, 1, 1)),
+        LeaderTrieModel(random_leader_trie(vocab, rng)),
+        inst.hard_model(),
+        CallableModel(vocab, lambda p: [0.2, 0.3, 0.5]),
+    ]
+    for model in models:
+        for lookup in (model.next_dist, model.next_probs, model.next_cdf):
+            for bad in [(1, 1, 1), (4,), (1, 0)]:  # too long, token above K, below 1
+                with pytest.raises(InvalidPrefixError):
+                    lookup(bad)
 
 
 def test_hidden_path_argmax_iff_positive_signal():
@@ -265,6 +282,27 @@ def test_sample_trajectory_point_mass_and_determinism():
     assert sample_trajectory(point, RNG(0)) == (2, 2, 2, 2)
     model = random_hidden_path_model(vocab, 1.0, RNG(1))
     assert sample_trajectory(model, RNG(9)) == sample_trajectory(model, RNG(9))
+
+
+def _linear_scan_token(cdf, u):
+    for i, c in enumerate(cdf):
+        if u < c:
+            return i + 1
+    return len(cdf)
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8),
+    u=st.floats(0.0, 1.0, exclude_max=True),
+    edge=st.one_of(st.none(), st.integers(0, 7)),
+)
+def test_cdf_token_matches_linear_scan(weights, u, edge):
+    # ties (zero weights), totals above and below u, and u on a CDF value
+    cdf = tuple(itertools.accumulate(weights))
+    if edge is not None and cdf[edge % len(cdf)] < 1.0:
+        u = cdf[edge % len(cdf)]
+    assert cdf_token(cdf, u) == _linear_scan_token(cdf, u)
 
 
 def test_sample_trajectory_matches_trajectory_prob():

@@ -38,6 +38,18 @@ def test_config_validation():
     assert cfg.q == (4,)
 
 
+def test_config_rejects_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        ExperimentConfig(name="x", seed=-1)
+    assert ExperimentConfig(name="x", seed=0).seed == 0
+
+
+def test_config_rejects_negative_q():
+    with pytest.raises(ValueError, match="q must be >= 0"):
+        ExperimentConfig(name="x", q="4,-1")
+    assert ExperimentConfig(name="x", q=0).q == (0,)  # a coin flip, ceiling 1/2
+
+
 def test_parse_config_text():
     text = """
     # comment line

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.core import (
     ROOT,
@@ -13,8 +14,10 @@ from prefix_oracle.core import (
     LeaderTrieModel,
     UniformModel,
     VocabSpec,
+    random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
+    sample_trajectory,
     trajectory_prob,
 )
 from prefix_oracle.oracles import (
@@ -76,6 +79,52 @@ def test_pathfull_first_mu_is_root_distribution():
     for _ in range(20):
         reply = session.query_pathfull(rng)
         assert reply.mus[0] == model.next_probs(ROOT)
+
+
+def _prefix_weighted(vocab):
+    def fn(p):
+        w = np.array([1.0 + (7 * sum(p) + 3 * len(p) + i) % 5 for i in range(vocab.K)])
+        return w / w.sum()
+
+    return CallableModel(vocab, fn)
+
+
+ROLLOUT_FAMILIES = {
+    "hidden-path": lambda vocab, rng: random_hidden_path_model(vocab, 1.0, rng),
+    "leader-trie": lambda vocab, rng: LeaderTrieModel(random_leader_trie(vocab, rng)),
+    "bridge-hard": lambda vocab, rng: random_bridge_instance(
+        vocab.K, 1, vocab.H - 2, 1.0, 0.5, 1.0, rng).hard_model(),
+    "callable": lambda vocab, rng: _prefix_weighted(vocab),
+}
+
+
+def _reference_rollout(model, rng):
+    # one scalar draw per step through the validated public lookups
+    y, mus = (), []
+    for _ in range(model.vocab.H):
+        mus.append(model.next_probs(y))
+        u = rng.random()
+        cdf = model.next_cdf(y)
+        y = y + (next((i + 1 for i, c in enumerate(cdf) if u < c), len(cdf)),)
+    return y, tuple(mus)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(ROLLOUT_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 7),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pathfull_matches_scalar_reference_rollout(family, K, H, model_seed, seed):
+    assume(family != "leader-trie" or K >= 3)
+    model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    rng, ref_rng = RNG(seed), RNG(seed)
+    reply = OracleSession(model).query_pathfull(rng)
+    assert (reply.y, reply.mus) == _reference_rollout(model, ref_rng)
+    assert rng.random() == ref_rng.random()  # same generator state afterwards
+    assert sample_trajectory(model, RNG(seed)) == reply.y
 
 
 def test_logprobs_uniform_model():
