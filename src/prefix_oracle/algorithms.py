@@ -72,9 +72,31 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     return math.ceil(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
 
 
-def _majority_token(counts) -> int:
-    # ties go to the smallest token index for reproducibility
-    return counts.index(max(counts)) + 1
+def _ledger_delta(session: OracleSession, kind: str) -> Callable[[], tuple]:
+    """Call before a procedure; the returned function gives the queries of
+    ``kind`` and the prefix trail that the session recorded since."""
+    led = session.ledger
+    c0, t0 = led.count(kind), len(led.prefix_trail)
+    return lambda: (led.count(kind) - c0, tuple(led.prefix_trail[t0:]))
+
+
+def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
+    """Per-token counts of m chosen-prefix samples at ``p``."""
+    counts = [0] * session.vocab.K
+    for _ in range(m):
+        counts[session.query_prefix_sample(p, rng) - 1] += 1
+    return counts
+
+
+def _majority_walk(session: OracleSession, start, stages: int, m: int, rng) -> tuple:
+    """Extend ``start`` by ``stages`` tokens, each the majority of m samples
+    at the prefix built so far (ties go to the smallest token, for
+    reproducibility)."""
+    prefix = start
+    for _ in range(stages):
+        counts = _sample_counts(session, prefix, m, rng)
+        prefix = prefix + (counts.index(max(counts)) + 1,)
+    return prefix
 
 
 def recover_hidden_path(
@@ -87,22 +109,35 @@ def recover_hidden_path(
     where m is the Hoeffding budget for the model's per-step advantage.
     Uses exactly H*m queries and obeys the local-reset discipline.
     """
-    vocab = session.vocab
-    H, K = vocab.H, vocab.K
+    H, K = session.vocab.H, session.vocab.K
     m = majority_budget(session.model.delta, H, K, delta)
-    led = session.ledger
-    c0, t0 = led.count(PREFIX_SAMPLE), len(led.prefix_trail)
-    prefix = ROOT
-    for _ in range(H):
-        counts = [0] * K
-        for _ in range(m):
-            counts[session.query_prefix_sample(prefix, rng) - 1] += 1
-        prefix = prefix + (_majority_token(counts),)
-    return RecoveryResult(
-        recovered=prefix,
-        queries_used=led.count(PREFIX_SAMPLE) - c0,
-        trail=tuple(led.prefix_trail[t0:]),
-    )
+    since = _ledger_delta(session, PREFIX_SAMPLE)
+    path = _majority_walk(session, ROOT, H, m, rng)
+    return RecoveryResult(path, *since())
+
+
+def _walk_trie(session: OracleSession, hidden_children: Callable, limit=None) -> tuple:
+    """Breadth-first leader-trie walk from the root: ``hidden_children(p)``
+    queries prefix p and returns the candidate hidden children. A singleton
+    is kept and both children are expanded; anything else halts p. At most
+    ``limit`` prefixes are processed. Returns (trie, halted prefixes), the
+    trie None when a prefix halted or the limit left prefixes queued."""
+    vocab = session.vocab
+    branch, halted = {}, []
+    queue = deque([ROOT])
+    processed = 0
+    while queue and (limit is None or processed < limit):
+        p = queue.popleft()
+        processed += 1
+        cands = hidden_children(p)
+        if len(cands) == 1:
+            branch[p] = b = cands[0]
+            if len(p) + 1 < vocab.H:
+                queue.extend((p + (1,), p + (b,)))
+        else:
+            halted.append(p)
+    recovered = None if queue or halted else LeaderTrie(vocab, branch)
+    return recovered, tuple(halted)
 
 
 def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResult:
@@ -115,34 +150,16 @@ def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResul
     Exact with one query per internal node whenever the reply noise stays
     below the log-space margin.
     """
-    vocab = session.vocab
-    H, K = vocab.H, vocab.K
-    params = leader_trie_params(K)
-    threshold = math.log(params["gamma0"]) + params["log_margin"]
-    led = session.ledger
-    c0, t0 = led.count(PREFIX_LOGIT), len(led.prefix_trail)
-    branch = {}
-    halted = []
-    queue = deque([ROOT])
-    while queue:
-        p = queue.popleft()
+    K = session.vocab.K
+    threshold = leader_trie_params(K)["log_threshold"]
+    since = _ledger_delta(session, PREFIX_LOGIT)
+
+    def hidden_children(p):
         logits = session.query_prefix_logit(p, rng)
-        cands = [a for a in range(2, K + 1) if logits[a - 1] > threshold]
-        if len(cands) == 1:
-            b = cands[0]
-            branch[p] = b
-            if len(p) + 1 < H:
-                queue.append(p + (1,))
-                queue.append(p + (b,))
-        else:
-            halted.append(p)
-    recovered = LeaderTrie(vocab, branch) if not halted else None
-    return RecoveryResult(
-        recovered=recovered,
-        queries_used=led.count(PREFIX_LOGIT) - c0,
-        trail=tuple(led.prefix_trail[t0:]),
-        halted=tuple(halted),
-    )
+        return [a for a in range(2, K + 1) if logits[a - 1] > threshold]
+
+    recovered, halted = _walk_trie(session, hidden_children)
+    return RecoveryResult(recovered, *since(), halted)
 
 
 def recover_leader_trie_sample(
@@ -156,42 +173,18 @@ def recover_leader_trie_sample(
     (m samples each) and returns failure if the queue is nonempty when that
     budget runs out.
     """
-    vocab = session.vocab
-    H, K = vocab.H, vocab.K
+    K = session.vocab.K
     params = leader_trie_params(K)
     m = trie_sample_budget(params["prob_margin"], K, S, delta)
-    threshold = params["gamma0"] + params["prob_margin"]
-    led = session.ledger
-    c0, t0 = led.count(PREFIX_SAMPLE), len(led.prefix_trail)
-    branch = {}
-    halted = []
-    queue = deque([ROOT])
-    processed = 0
-    while queue and processed < S:
-        p = queue.popleft()
-        processed += 1
-        counts = [0] * K
-        for _ in range(m):
-            counts[session.query_prefix_sample(p, rng) - 1] += 1
-        cands = [a for a in range(2, K + 1) if counts[a - 1] / m > threshold]
-        if len(cands) == 1:
-            b = cands[0]
-            branch[p] = b
-            if len(p) + 1 < H:
-                queue.append(p + (1,))
-                queue.append(p + (b,))
-        else:
-            halted.append(p)
-    if queue or halted:
-        recovered = None
-    else:
-        recovered = LeaderTrie(vocab, branch)
-    return RecoveryResult(
-        recovered=recovered,
-        queries_used=led.count(PREFIX_SAMPLE) - c0,
-        trail=tuple(led.prefix_trail[t0:]),
-        halted=tuple(halted),
-    )
+    threshold = params["prob_threshold"]
+    since = _ledger_delta(session, PREFIX_SAMPLE)
+
+    def hidden_children(p):
+        counts = _sample_counts(session, p, m, rng)
+        return [a for a in range(2, K + 1) if counts[a - 1] / m > threshold]
+
+    recovered, halted = _walk_trie(session, hidden_children, limit=S)
+    return RecoveryResult(recovered, *since(), halted)
 
 
 def constant_suffix_rule(token: int = 1) -> Callable[[int, int], tuple]:
@@ -219,8 +212,7 @@ def recover_hidden_path_seqscore(
     H, K = vocab.H, vocab.K
     if suffix_rule is None:
         suffix_rule = constant_suffix_rule(1)
-    led = session.ledger
-    c0 = led.count(SEQSCORE)
+    since = _ledger_delta(session, SEQSCORE)
     prefix = ROOT
     for t in range(1, H + 1):
         pad = tuple(suffix_rule(t, H - t))
@@ -232,11 +224,7 @@ def recover_hidden_path_seqscore(
             if score > best_score:
                 best_token, best_score = a, score
         prefix = prefix + (best_token,)
-    return RecoveryResult(
-        recovered=prefix,
-        queries_used=led.count(SEQSCORE) - c0,
-        trail=(),
-    )
+    return RecoveryResult(prefix, *since())
 
 
 def bridge_posttrain(
@@ -258,31 +246,18 @@ def bridge_posttrain(
     ``reward_query(prompt, policy, rng)`` must sample a completion from the
     policy at the prompt and return the observed outcome reward.
     """
-    D, L, K = inst.D, inst.L, inst.K
-    m = majority_budget(inst.delta, L, K, delta)
-    led = gen_session.ledger
-    c0, t0 = led.count(PREFIX_SAMPLE), len(led.prefix_trail)
+    D, L = inst.D, inst.L
+    m = majority_budget(inst.delta, L, inst.K, delta)
+    since = _ledger_delta(gen_session, PREFIX_SAMPLE)
     for i in range(D + 1):
         gen_session.query_prefix_sample(inst.scaffold[:i], rng)
-    suffix = ()
-    for _ in range(L):
-        stage_prefix = inst.scaffold + suffix
-        counts = [0] * K
-        for _ in range(m):
-            counts[gen_session.query_prefix_sample(stage_prefix, rng) - 1] += 1
-        suffix = suffix + (_majority_token(counts),)
+    suffix = _majority_walk(gen_session, inst.scaffold, L, m, rng)[D:]
     probe = inst.scaffold + suffix + (inst.tau0,)
     observed = reward_query(HARD, {probe: 1.0}, rng)
     bit = 0 if observed > 0 else 1
-    identified = replace(inst, suffix=suffix, bit=bit)
-    return BridgeOutput(
-        suffix=suffix,
-        bit=bit,
-        policy=gibbs_policy(identified),
-        generator_queries=led.count(PREFIX_SAMPLE) - c0,
-        reward_queries=1,
-        trail=tuple(led.prefix_trail[t0:]),
-    )
+    generator_queries, trail = since()
+    return BridgeOutput(suffix, bit, gibbs_policy(replace(inst, suffix=suffix, bit=bit)),
+                        generator_queries, reward_queries=1, trail=trail)
 
 
 def exact_reward_oracle(inst: BridgeInstance) -> Callable:

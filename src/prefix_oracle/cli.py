@@ -3,7 +3,8 @@
 Subcommands expose the model families, recovery procedures, exact analysis
 computations, and the experiment harness. The result record goes to stdout
 as one JSON object; diagnostics go to stderr. Exit codes: 0 success, 1
-assertion or acceptance failure, 2 usage error.
+assertion or acceptance failure, or rejected input (reported as one
+``error:`` line), 2 usage error.
 
 Float flags accept plain decimals or ``log:X`` for the natural log of X
 (e.g. ``--lambda log:3``).
@@ -25,6 +26,7 @@ from .core import (
     UniformModel,
     VocabSpec,
     completion_distribution,
+    leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
@@ -67,100 +69,64 @@ def _emit(record: dict, out=None) -> None:
                 fh.write(f"{key},{record[key]}\n")
 
 
-def _cmd_recover_hidden_path(args) -> int:
-    vocab = VocabSpec(args.K, args.H)
-    rng = trial_rng(args.seed, 0, 0)
-    model = random_hidden_path_model(vocab, args.lam, rng)
+# Builders for the recover and bridge commands: each runs its procedure on a
+# model drawn from ``rng`` and returns (session, success, record fields).
+
+
+def _hidden_path(args, rng):
+    model = random_hidden_path_model(VocabSpec(args.K, args.H), args.lam, rng)
     session = OracleSession(model)
     result = algorithms.recover_hidden_path(session, args.delta, rng)
-    ok = result.recovered == model.z
-    record = {
-        "command": "recover-hidden-path",
-        "success": ok,
+    return session, result.recovered == model.z, {
         "queries": result.queries_used,
         "discipline_ok": audit_discipline(session.ledger).ok,
         "hidden_path": list(model.z),
         "recovered": list(result.recovered),
     }
-    _emit(record)
-    if args.out:
-        write_ledger_csv(session.ledger, args.out)
-    return 0 if ok else 1
 
 
-def _cmd_recover_trie_logit(args) -> int:
-    vocab = VocabSpec(args.K, args.H)
-    rng = trial_rng(args.seed, 0, 0)
-    trie = random_leader_trie(vocab, rng)
+def _trie_logit(args, rng):
+    trie = random_leader_trie(VocabSpec(args.K, args.H), rng)
     session = OracleSession(LeaderTrieModel(trie), xi=args.xi, noise=args.noise)
     result = algorithms.recover_leader_trie_logit(session, rng)
-    ok = result.recovered == trie
-    record = {
-        "command": "recover-trie-logit",
-        "success": ok,
+    return session, result.recovered == trie, {
         "queries": result.queries_used,
         "internal_nodes": trie.num_internal,
         "halted": [list(p) for p in result.halted],
         "discipline_ok": audit_discipline(session.ledger).ok,
     }
-    _emit(record)
-    if args.out:
-        write_ledger_csv(session.ledger, args.out)
-    return 0 if ok else 1
 
 
-def _cmd_recover_trie_sample(args) -> int:
-    vocab = VocabSpec(args.K, args.H)
-    rng = trial_rng(args.seed, 0, 0)
-    trie = random_leader_trie(vocab, rng)
+def _trie_sample(args, rng):
+    trie = random_leader_trie(VocabSpec(args.K, args.H), rng)
     S = args.S if args.S is not None else trie.num_internal
     session = OracleSession(LeaderTrieModel(trie))
     result = algorithms.recover_leader_trie_sample(session, S, args.delta, rng)
-    ok = result.recovered == trie
-    record = {
-        "command": "recover-trie-sample",
-        "success": ok,
+    margin = leader_trie_params(args.K)["prob_margin"]
+    return session, result.recovered == trie, {
         "queries": result.queries_used,
-        "budget": S * algorithms.trie_sample_budget(
-            LeaderTrieModel(trie).prob_margin, args.K, S, args.delta),
+        "budget": S * algorithms.trie_sample_budget(margin, args.K, S, args.delta),
         "discipline_ok": audit_discipline(session.ledger).ok,
     }
-    _emit(record)
-    if args.out:
-        write_ledger_csv(session.ledger, args.out)
-    return 0 if ok else 1
 
 
-def _cmd_recover_seqscore(args) -> int:
-    vocab = VocabSpec(args.K, args.H)
-    rng = trial_rng(args.seed, 0, 0)
-    model = random_hidden_path_model(vocab, args.lam, rng)
+def _seqscore(args, rng):
+    model = random_hidden_path_model(VocabSpec(args.K, args.H), args.lam, rng)
     session = OracleSession(model)
     result = algorithms.recover_hidden_path_seqscore(session)
-    ok = result.recovered == model.z
-    record = {
-        "command": "recover-seqscore",
-        "success": ok,
+    return session, result.recovered == model.z, {
         "queries": result.queries_used,
         "hidden_path": list(model.z),
         "recovered": list(result.recovered),
     }
-    _emit(record)
-    if args.out:
-        write_ledger_csv(session.ledger, args.out)
-    return 0 if ok else 1
 
 
-def _cmd_bridge(args) -> int:
-    rng = trial_rng(args.seed, 0, 0)
+def _bridge(args, rng):
     inst = random_bridge_instance(args.K, args.D, args.L, args.lam, args.eta, args.beta, rng)
     session = OracleSession(inst.hard_model())
     out = algorithms.bridge_posttrain(
         inst, session, algorithms.exact_reward_oracle(inst), args.delta, rng)
-    ok = out.suffix == inst.suffix and out.bit == inst.bit
-    record = {
-        "command": "bridge",
-        "success": ok,
+    return session, out.suffix == inst.suffix and out.bit == inst.bit, {
         "generator_queries": out.generator_queries,
         "reward_queries": out.reward_queries,
         "suffix": list(out.suffix),
@@ -168,7 +134,12 @@ def _cmd_bridge(args) -> int:
         "gibbs_normalizer": analysis.gibbs_policy(inst).Z,
         "discipline_ok": audit_discipline(session.ledger).ok,
     }
-    _emit(record)
+
+
+def _cmd_run(args) -> int:
+    """Run one recover or bridge command: emit its record, write its ledger."""
+    session, ok, fields = args.build(args, trial_rng(args.seed, 0, 0))
+    _emit({"command": args.command, "success": ok, **fields})
     if args.out:
         write_ledger_csv(session.ledger, args.out)
     return 0 if ok else 1
@@ -252,26 +223,9 @@ def _cmd_experiment(args) -> int:
         with open(args.config) as fh:
             mapping = experiments.parse_config_text(fh.read())
     cfg = config_from_mapping(mapping, name=args.name)
-    overrides = {}
-    for key in ("trials", "K", "S", "D", "L", "qr"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("lam", "delta", "xi", "eta", "beta"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    for key in ("H", "q"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = tuple(int(t) for t in str(value).split(","))
-    if args.noise is not None:
-        overrides["noise"] = args.noise
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out"] = args.out
-    cfg = replace(cfg, **overrides) if overrides else cfg
+    keys = ("trials", "seed", "out", "K", "H", "q", "lam", "delta", "xi", "noise",
+            "S", "D", "L", "eta", "beta", "qr")  # H and q strings parse in the config
+    cfg = replace(cfg, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None})
     report = experiments.run_experiment(cfg)
     record = {
         "command": f"experiment-{cfg.name}",
@@ -317,33 +271,33 @@ def build_parser() -> argparse.ArgumentParser:
     _add_family_flags(sub)
     sub.add_argument("--delta", type=parse_number, default=0.1)
     sub.add_argument("--out", help="write the query ledger CSV here")
-    sub.set_defaults(fn=_cmd_recover_hidden_path)
+    sub.set_defaults(fn=_cmd_run, build=_hidden_path)
 
     sub = subs.add_parser("recover-trie-logit", help="breadth-first trie recovery from logits")
     _add_family_flags(sub, lam=False)
     sub.add_argument("--xi", type=parse_number, default=0.0, help="logit noise radius")
     sub.add_argument("--noise", choices=["random", "adversarial-threshold"], default="random")
     sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_recover_trie_logit, K=3)
+    sub.set_defaults(fn=_cmd_run, build=_trie_logit, K=3)
 
     sub = subs.add_parser("recover-trie-sample", help="breadth-first trie recovery from samples")
     _add_family_flags(sub, lam=False)
     sub.add_argument("--S", type=int, default=None, help="node budget (default |I(T)|)")
     sub.add_argument("--delta", type=parse_number, default=0.1)
     sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_recover_trie_sample, K=3)
+    sub.set_defaults(fn=_cmd_run, build=_trie_sample, K=3)
 
     sub = subs.add_parser("recover-seqscore", help="path recovery from exact sequence scores")
     _add_family_flags(sub)
     sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_recover_seqscore)
+    sub.set_defaults(fn=_cmd_run, build=_seqscore)
 
     sub = subs.add_parser("bridge", help="scaffold-walk post-training procedure")
     _add_family_flags(sub, horizon=False)
     _add_bridge_flags(sub)
     sub.add_argument("--delta", type=parse_number, default=0.1)
     sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_bridge)
+    sub.set_defaults(fn=_cmd_run, build=_bridge)
 
     sub = subs.add_parser("analyze", help="exact analysis computations")
     sub.add_argument("what", choices=["tv", "reach", "gibbs", "objective", "certificate"])

@@ -2,9 +2,9 @@
 
 Tokens are integers 1..K. A prefix is a tuple of tokens of length < H, a
 completion a tuple of length exactly H. Every generator exposes
-``next_dist(prefix)`` returning the next-token distribution as a length-K
-numpy vector (index i holds the probability of token i + 1). Models are
-immutable after construction and safe to share across threads.
+``next_dist(prefix)`` returning the next-token distribution as a fresh
+length-K numpy vector (index i holds the probability of token i + 1). Models
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -80,35 +80,31 @@ class VocabSpec:
         return itertools.product(range(1, self.K + 1), repeat=self.H)
 
 
-def _freeze(vec: np.ndarray) -> np.ndarray:
-    vec = np.asarray(vec, dtype=float)
-    vec.flags.writeable = False
-    return vec
+def _peaked(K: int, token: int, high: float, low: float) -> list:
+    probs = [low] * K
+    probs[token - 1] = high
+    return probs
 
 
-def _peaked_vector(K: int, peak_token: int, high: float, low: float) -> np.ndarray:
-    vec = np.full(K, low)
-    vec[peak_token - 1] = high
-    return _freeze(vec)
-
-
-def _dist_entry(vec: np.ndarray) -> tuple:
-    """The (vector, probability tuple, CDF tuple) forms of one distribution."""
-    probs = tuple(float(x) for x in vec)
-    return vec, probs, tuple(itertools.accumulate(probs))
+def _dist_entry(probs) -> tuple:
+    """The (probability tuple, CDF tuple) forms of one distribution."""
+    probs = tuple(float(x) for x in probs)
+    return probs, tuple(itertools.accumulate(probs))
 
 
 class _CachedDistModel:
     """Shared next-token plumbing: models classify a prefix into one of a
-    small number of distribution classes and serve cached vectors. The public
-    lookups validate the prefix; ``_lookup`` trusts it, for internal walks."""
+    small number of distribution classes and serve cached probability tuples.
+    The public lookups validate the prefix; ``_lookup`` trusts it, for
+    internal walks."""
 
     vocab: VocabSpec
 
     def _class_key(self, p: Prefix):
         raise NotImplementedError
 
-    def _build(self, key) -> np.ndarray:
+    def _build(self, key):
+        """The K probabilities of distribution class ``key``."""
         raise NotImplementedError
 
     def _lookup(self, p: Prefix):
@@ -123,19 +119,19 @@ class _CachedDistModel:
         return entry
 
     def next_dist(self, p: Prefix) -> np.ndarray:
-        """Next-token distribution at prefix ``p`` as a read-only vector."""
+        """Next-token distribution at prefix ``p`` as a fresh vector."""
         self.vocab.check_prefix(p)
-        return self._lookup(p)[0]
+        return np.array(self._lookup(p)[0])
 
     def next_probs(self, p: Prefix) -> tuple:
         """Same distribution as a plain tuple of floats."""
         self.vocab.check_prefix(p)
-        return self._lookup(p)[1]
+        return self._lookup(p)[0]
 
     def next_cdf(self, p: Prefix) -> tuple:
         """Cumulative form used by samplers."""
         self.vocab.check_prefix(p)
-        return self._lookup(p)[2]
+        return self._lookup(p)[1]
 
 
 @dataclass(frozen=True)
@@ -148,7 +144,7 @@ class UniformModel(_CachedDistModel):
         return "uniform"
 
     def _build(self, key):
-        return _freeze(np.full(self.vocab.K, 1.0 / self.vocab.K))
+        return [1.0 / self.vocab.K] * self.vocab.K
 
 
 @dataclass(frozen=True)
@@ -166,13 +162,13 @@ class CallableModel(_CachedDistModel):
         vec = np.asarray(self.fn(p), dtype=float)
         if vec.shape != (self.vocab.K,):
             raise ValueError(f"distribution at {p} has shape {vec.shape}")
-        return _dist_entry(_freeze(vec))
+        return _dist_entry(vec)
 
 
 def signal_probs(K: int, lam: float) -> tuple:
     """The (favored, unfavored) per-step probabilities for signal strength lam."""
-    if lam < 0:
-        raise ValueError(f"signal strength must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"signal strength lambda must be finite and >= 0, got {lam}")
     e = math.exp(lam)
     return e / (e + K - 1), 1.0 / (e + K - 1)
 
@@ -220,8 +216,8 @@ class HiddenPathModel(_CachedDistModel):
     def _build(self, key):
         K = self.vocab.K
         if key == 0:
-            return _freeze(np.full(K, 1.0 / K))
-        return _peaked_vector(K, key, self.p_plus, self.p_minus)
+            return [1.0 / K] * K
+        return _peaked(K, key, self.p_plus, self.p_minus)
 
 
 def twin_hidden_path_models(
@@ -290,7 +286,11 @@ class LeaderTrie:
 
 def random_leader_trie(vocab: VocabSpec, rng: np.random.Generator) -> LeaderTrie:
     """Sample a leader trie by growing breadth-first to depth H with the
-    hidden child drawn uniformly from 2..K at each internal node."""
+    hidden child drawn uniformly from 2..K at each internal node; raises
+    before allocating when its 2^H - 1 nodes exceed the enumeration cap."""
+    n = 2**vocab.H - 1
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(f"{n} leader-trie nodes exceed cap {DEFAULT_ENUMERATION_CAP}")
     branch = {}
     frontier = [ROOT]
     while frontier:
@@ -318,63 +318,41 @@ class LeaderTrieModel(_CachedDistModel):
     def vocab(self) -> VocabSpec:
         return self.trie.vocab
 
-    @property
-    def alpha(self) -> float:
-        return 4.0 / (self.vocab.K + 4)
-
-    @property
-    def beta(self) -> float:
-        return 2.0 / (self.vocab.K + 4)
-
-    @property
-    def gamma(self) -> float:
-        return 1.0 / (self.vocab.K + 4)
-
-    @property
-    def gamma0(self) -> float:
-        return 1.0 / (self.vocab.K + 3)
-
-    @property
-    def off_leader(self) -> float:
-        return 4.0 / (self.vocab.K + 3)
-
-    @property
-    def prob_margin(self) -> float:
-        """Half the probability gap between the hidden child and the off-trie
-        baseline: (beta - gamma0) / 2."""
-        return (self.beta - self.gamma0) / 2.0
-
-    @property
-    def log_margin(self) -> float:
-        """The same margin in log space: (log beta - log gamma0) / 2."""
-        return (math.log(self.beta) - math.log(self.gamma0)) / 2.0
-
     def _class_key(self, p):
         return self.trie.branch.get(p, 0)
 
     def _build(self, key):
-        K = self.vocab.K
+        K, c = self.vocab.K, leader_trie_params(self.vocab.K)
         if key == 0:
-            return _peaked_vector(K, 1, self.off_leader, self.gamma0)
-        vec = np.full(K, self.gamma)
-        vec[0] = self.alpha
-        vec[key - 1] = self.beta
-        return _freeze(vec)
+            return _peaked(K, 1, c["off_leader"], c["gamma0"])
+        probs = _peaked(K, key, c["beta"], c["gamma"])
+        probs[0] = c["alpha"]
+        return probs
 
 
 def leader_trie_params(K: int) -> dict:
-    """Closed-form family constants for vocabulary size K (no trie needed)."""
+    """The leader-trie family constants for vocabulary size K, the one place
+    they are defined. On the trie the leader has ``alpha``, the hidden child
+    ``beta`` and every other token ``gamma``; off the trie the leader has
+    ``off_leader`` and every other token ``gamma0``. The margins are half the
+    gap between ``beta`` and ``gamma0``, in probability and in log space, and
+    the thresholds sit that far above ``gamma0``."""
     if K < 3:
         raise ValueError(f"leader tries need K >= 3, got K={K}")
     beta = 2.0 / (K + 4)
     gamma0 = 1.0 / (K + 3)
+    prob_margin = (beta - gamma0) / 2.0
+    log_margin = (math.log(beta) - math.log(gamma0)) / 2.0
     return {
         "alpha": 4.0 / (K + 4),
         "beta": beta,
         "gamma": 1.0 / (K + 4),
         "gamma0": gamma0,
-        "prob_margin": (beta - gamma0) / 2.0,
-        "log_margin": (math.log(beta) - math.log(gamma0)) / 2.0,
+        "off_leader": 4.0 / (K + 3),
+        "prob_margin": prob_margin,
+        "log_margin": log_margin,
+        "prob_threshold": gamma0 + prob_margin,
+        "log_threshold": math.log(gamma0) + log_margin,
     }
 
 
@@ -397,8 +375,8 @@ class _BridgeHardModel(_CachedDistModel):
     def _build(self, key):
         K = self.vocab.K
         if key == 0:
-            return _freeze(np.full(K, 1.0 / K))
-        return _peaked_vector(K, key, self.inst.p_plus, self.inst.p_minus)
+            return [1.0 / K] * K
+        return _peaked(K, key, self.inst.p_plus, self.inst.p_minus)
 
 
 @dataclass(frozen=True)
@@ -446,8 +424,8 @@ class BridgeInstance:
             raise ValueError(f"reward bit must be 0 or 1, got {self.bit}")
         if not (0.0 < self.eta <= 1.0):
             raise ValueError(f"hard-prompt mass must be in (0, 1], got {self.eta}")
-        if self.beta <= 0:
-            raise ValueError(f"KL coefficient must be positive, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError(f"KL coefficient beta must be finite and positive, got {self.beta}")
         signal_probs(self.K, self.lam)
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
@@ -550,7 +528,7 @@ def trajectory_logprob(model, y: Completion) -> float:
     model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
     total = 0.0
     for t in range(len(y)):
-        p = model._lookup(y[:t])[1][y[t] - 1]
+        p = model._lookup(y[:t])[0][y[t] - 1]
         if p == 0.0:
             return -math.inf
         total += math.log(p)
@@ -567,7 +545,7 @@ def rollout(model, rng: np.random.Generator) -> tuple:
     lookup = model._lookup
     y, mus = (), []
     for u in rng.random(model.vocab.H).tolist():  # same doubles as H scalar draws
-        _, probs, cdf = lookup(y)
+        probs, cdf = lookup(y)
         mus.append(probs)
         y = y + (cdf_token(cdf, u),)
     return y, tuple(mus)

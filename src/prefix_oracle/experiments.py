@@ -41,7 +41,7 @@ from .core import (
     random_leader_trie,
     signal_probs,
 )
-from .oracles import OracleSession, audit_discipline
+from .oracles import NOISE_ADVERSARIAL, NOISE_RANDOM, OracleSession, audit_discipline
 
 ENV_SEED = "PREFIX_ORACLE_SEED"
 
@@ -80,7 +80,7 @@ class ExperimentConfig:
     lam: float = 1.0
     delta: float = 0.1
     xi: float = 0.0
-    noise: str = "random"
+    noise: str = NOISE_RANDOM
     S: Optional[int] = None
     q: tuple = (1,)
     D: Optional[int] = None
@@ -104,8 +104,14 @@ class ExperimentConfig:
             raise ValueError(f"horizons must be >= 1, got {self.H}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"failure budget must be in (0, 1), got {self.delta}")
-        if self.xi < 0:
-            raise ValueError(f"noise radius must be >= 0, got {self.xi}")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError(f"noise radius xi must be finite and >= 0, got {self.xi}")
+        if self.noise not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
+            raise ValueError(f"unknown noise mode {self.noise!r}")
+        if self.S is not None and self.S < 1:
+            raise ValueError(f"node budget S must be >= 1, got {self.S}")
+        if self.qr < 0:
+            raise ValueError(f"reward-query budget qr must be >= 0, got {self.qr}")
 
 
 _FLOAT_KEYS = {"lam", "delta", "xi", "eta", "beta"}
@@ -259,7 +265,18 @@ def emit_report(report: ExperimentReport, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Runners.
+# Runners. Each writes its trial loop out in full, and reaches trial_rng,
+# OracleSession, audit_discipline, the algorithms and the model builders
+# through this module's globals, where perfbench/tracer.py patches them.
+
+
+def _check_floor(rows, param: str, cfg: ExperimentConfig, violations: list) -> None:
+    """Flag ``param`` when its success rate is below 1 - delta less the
+    three-sigma margin."""
+    rate = sum(r.success for r in rows if r.param == param) / cfg.trials
+    floor = 1.0 - cfg.delta - binomial_margin(1.0 - cfg.delta, cfg.trials)
+    if rate < floor:
+        violations.append(f"{param}: success rate {rate} below floor {floor}")
 
 
 def run_hidden_path_scaling(cfg: ExperimentConfig) -> ExperimentReport:
@@ -289,10 +306,7 @@ def run_hidden_path_scaling(cfg: ExperimentConfig) -> ExperimentReport:
                 violations.append(f"{param} trial={trial}: discipline violation")
             rows.append(TrialRow(trial, cfg.seed, param, ok, result.queries_used, 0,
                                  object_digest(result.recovered)))
-        rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-        floor = 1.0 - cfg.delta - binomial_margin(1.0 - cfg.delta, cfg.trials)
-        if rate < floor:
-            violations.append(f"{param}: success rate {rate} below floor {floor}")
+        _check_floor(rows, param, cfg, violations)
     return ExperimentReport("hidden-path-scaling", cfg, tuple(rows), theory, tuple(violations))
 
 
@@ -409,10 +423,7 @@ def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
             violations.append(f"{param} trial={trial}: discipline violation")
         rows.append(TrialRow(trial, cfg.seed, param, ok, result.queries_used, 0,
                              object_digest(result.recovered)))
-    rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-    floor = 1.0 - cfg.delta - binomial_margin(1.0 - cfg.delta, cfg.trials)
-    if rate < floor:
-        violations.append(f"{param}: success rate {rate} below floor {floor}")
+    _check_floor(rows, param, cfg, violations)
     return ExperimentReport("leader-trie-matrix", cfg, tuple(rows), theory, tuple(violations))
 
 
@@ -428,14 +439,14 @@ def run_bridge_separation(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     theory = {}
     violations = []
+    p_plus, p_minus = signal_probs(cfg.K, cfg.lam)
     for H in cfg.H:
         D = cfg.D if cfg.D is not None else (H - 1) // 2
         L = cfg.L if cfg.L is not None else H - D - 1
         if D + L + 1 != H:
             raise ValueError(f"D={D}, L={L} incompatible with H={H}")
         param = f"H={H}"
-        m = majority_budget(signal_probs(cfg.K, cfg.lam)[0] - signal_probs(cfg.K, cfg.lam)[1],
-                            L, cfg.K, cfg.delta)
+        m = majority_budget(p_plus - p_minus, L, cfg.K, cfg.delta)
         budget = (D + 1) + L * m
         theory[f"m({param})"] = float(m)
         theory[f"budget({param})"] = float(budget)
@@ -462,10 +473,7 @@ def run_bridge_separation(cfg: ExperimentConfig) -> ExperimentReport:
                         f"{param} trial={trial}: objective {value} != optimal {expect}")
             rows.append(TrialRow(trial, cfg.seed, param, ok, out.generator_queries,
                                  out.reward_queries, object_digest(out.suffix)))
-        rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-        floor = 1.0 - cfg.delta - binomial_margin(1.0 - cfg.delta, cfg.trials)
-        if rate < floor:
-            violations.append(f"{param}: success rate {rate} below floor {floor}")
+        _check_floor(rows, param, cfg, violations)
         # side B: certificate values at polynomial generator budgets
         ref = BridgeInstance(K=cfg.K, D=D, L=L, scaffold=(1,) * D, suffix=(1,) * L,
                              bit=0, lam=cfg.lam, eta=cfg.eta, beta=cfg.beta)

@@ -23,6 +23,7 @@ from .core import (
     Prefix,
     Token,
     cdf_token,
+    leader_trie_params,
     rollout,
     trajectory_logprob,
 )
@@ -85,8 +86,8 @@ class NoisePolicy:
     target: Optional[float] = None
 
     def __post_init__(self):
-        if self.xi < 0:
-            raise ValueError(f"noise radius must be >= 0, got {self.xi}")
+        if not 0.0 <= self.xi < math.inf:
+            raise ValueError(f"noise radius xi must be finite and >= 0, got {self.xi}")
         if self.mode not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if self.mode == NOISE_ADVERSARIAL and self.xi > 0 and self.target is None:
@@ -192,7 +193,7 @@ class OracleSession:
     ):
         if noise == NOISE_ADVERSARIAL and noise_target is None and xi > 0:
             if isinstance(model, LeaderTrieModel):
-                noise_target = math.log(model.gamma0) + model.log_margin
+                noise_target = leader_trie_params(model.vocab.K)["log_threshold"]
             else:
                 raise ValueError("adversarial noise needs an explicit target for this model")
         self.model = model

@@ -144,6 +144,14 @@ def test_recover_hidden_path_relabeling_equivariance():
     assert clean_cases >= 8
 
 
+def test_majority_vote_tie_goes_to_smallest_token():
+    model = HiddenPathModel(VocabSpec(3, 1), 1.0, (3,))
+    m = majority_budget(model.delta, 1, 3, 0.1)
+    half = m // 2
+    replay = _ReplaySession(model, [3] * half + [2] * half + [1] * (m - 2 * half))
+    assert recover_hidden_path(replay, 0.1, RNG(0)).recovered == (2,)
+
+
 def test_recover_trie_logit_exact_and_deterministic():
     vocab = VocabSpec(3, 4)
     trie = random_leader_trie(vocab, RNG(3))
@@ -190,6 +198,19 @@ def test_recover_trie_sample_success_and_budget():
     assert result.recovered == trie
     assert result.queries_used <= S * m
     assert audit_discipline(session.ledger).ok
+
+
+def test_recover_trie_sample_node_budget_boundary():
+    # S = |I(T)| processes every internal node; one fewer leaves the last queued
+    vocab = VocabSpec(3, 3)
+    trie = random_leader_trie(vocab, RNG(5))
+    n = trie.num_internal
+    for S, expected in ((n, trie), (n - 1, None)):
+        m = trie_sample_budget(leader_trie_params(3)["prob_margin"], 3, S, 0.1)
+        result = recover_leader_trie_sample(OracleSession(LeaderTrieModel(trie)), S, 0.1, RNG(6))
+        assert result.recovered == expected
+        assert result.halted == ()
+        assert result.queries_used == S * m
 
 
 def test_recover_trie_sample_budget_exhaustion_returns_failure():

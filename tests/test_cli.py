@@ -110,6 +110,31 @@ def test_experiment_rejects_negative_seed_and_q(capsys):
         assert "non-negative integer" not in err  # numpy's message
 
 
+@pytest.mark.parametrize("argv, field", [
+    (["recover-trie-logit", "--xi", "inf"], "xi"),
+    (["recover-trie-logit", "--xi", "nan"], "xi"),
+    (["analyze", "gibbs", "--beta", "nan"], "beta"),
+    (["analyze", "gibbs", "--beta", "inf"], "beta"),
+    (["recover-hidden-path", "--lambda", "nan"], "lambda"),
+    (["bridge", "--lambda", "inf"], "lambda"),
+    (["experiment", "leader-trie-matrix", "--K", "3", "--xi", "nan"], "xi"),
+])
+def test_non_finite_floats_are_one_error_line(capsys, argv, field):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and field in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_recover_trie_over_node_cap_is_one_error_line(capsys):
+    assert main(["recover-trie-logit", "--H", "30"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "exceed cap" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_recover_trie_logit_record(capsys):
     code, record = _run(capsys, ["recover-trie-logit", "--K", "3", "--H", "3",
                                  "--xi", "0", "--seed", "7"])

@@ -36,6 +36,7 @@ from prefix_oracle.core import (
     trajectory_prob,
     twin_hidden_path_models,
 )
+from prefix_oracle.oracles import NoisePolicy
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -200,6 +201,14 @@ def test_random_leader_trie_structure():
             assert len(p) < H
 
 
+def test_random_leader_trie_caps_size_before_drawing():
+    rng = RNG(12)
+    state = rng.bit_generator.state
+    with pytest.raises(EnumerationCapError, match="exceed cap"):
+        random_leader_trie(VocabSpec(3, 20), rng)  # 2^20 - 1 > 10^6 nodes
+    assert rng.bit_generator.state == state  # raised before the first draw
+
+
 def test_bridge_dist_piecewise():
     inst = BridgeInstance(K=2, D=2, L=2, scaffold=(1, 2), suffix=(2, 2), bit=0,
                           lam=1.0, eta=0.5, beta=1.0)
@@ -243,6 +252,19 @@ def test_bridge_instance_validation():
     with pytest.raises(ValueError):
         BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
                        lam=1.0, eta=0.5, beta=1.0, tau0=2, tau1=2)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_floats_rejected_naming_the_field(bad):
+    with pytest.raises(ValueError, match="lambda"):
+        signal_probs(3, bad)
+    with pytest.raises(ValueError, match="lambda"):
+        HiddenPathModel(VocabSpec(2, 2), bad, (1, 2))
+    with pytest.raises(ValueError, match="xi"):
+        NoisePolicy(bad)
+    with pytest.raises(ValueError, match="beta"):
+        BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
+                       lam=1.0, eta=0.5, beta=bad)
 
 
 def test_trajectory_prob_hidden_path():

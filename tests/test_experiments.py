@@ -36,6 +36,14 @@ def test_config_validation():
     cfg = ExperimentConfig(name="x", H="5,10", q=4)
     assert cfg.H == (5, 10)
     assert cfg.q == (4,)
+    # rejected before any trial runs
+    for bad, message in [(dict(S=0), "S must be >= 1"), (dict(qr=-1), "qr must be >= 0"),
+                         (dict(noise="bogus"), "unknown noise mode"),
+                         (dict(xi=math.nan), "xi must be finite")]:
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(name="x", **bad)
+    edge = ExperimentConfig(name="x", S=1, qr=0, noise="adversarial-threshold")
+    assert (edge.S, edge.qr, edge.noise) == (1, 0, "adversarial-threshold")
 
 
 def test_config_rejects_negative_seed():

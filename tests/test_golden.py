@@ -1,0 +1,101 @@
+"""Golden digests: sha256 of report CSVs, CLI records and ledger CSVs at
+fixed small configs, so any change to RNG draw order or output bytes fails
+loudly.
+
+The digests hold for the Python and numpy versions they were computed under
+(float formatting and numpy's generator streams may differ elsewhere); on
+other versions the tests skip and name both versions.
+"""
+
+import hashlib
+import platform
+
+import numpy as np
+import pytest
+
+from prefix_oracle.cli import main
+from prefix_oracle.experiments import ENV_SEED, ExperimentConfig, report_to_csv, run_experiment
+
+PINNED_VERSIONS = ("3.11.7", "2.4.6")  # (python, numpy)
+
+RUNNER_CASES = {
+    "hidden-path-scaling": (
+        dict(K=3, H="3,5", lam=1.0, delta=0.1, trials=30, seed=0),
+        "4b898beadf3dda1c9270de57d8f595ec201bee9e6ecb0cb0fd375a4100340192",
+    ),
+    # 20 trials put cell H=4,q=1 above its ceiling margin at seed 0, so this
+    # digest also pins how violations are reported
+    "no-reset-hardness": (
+        dict(K=2, H="4,6", q="1,4", lam=1.0, trials=20, seed=0),
+        "5816e75cc8c7cc4b6644ef3172f78d39aa2ef401687ee4f53fb6e3145b4c1946",
+    ),
+    "leader-trie-matrix": (
+        dict(K=3, H=3, xi=0.1, delta=0.1, trials=8, seed=0),
+        "9423a2ecdcd7db0053796e25881701ec2fed61f3b6eb40f9eb9669975323eea9",
+    ),
+    "bridge-separation": (
+        dict(K=2, H="4,5", lam=1.0, delta=0.1, eta=0.5, beta=1.0, qr=1, trials=10, seed=0),
+        "84d20e8886509ebdfc5b4225ebac484cfe1d18fe30b3a2bb7105da43a6c9f95c",
+    ),
+}
+
+# argv -> (exit code, stdout digest, ledger CSV digest)
+COMMAND_CASES = {
+    "recover-hidden-path": (
+        ["--K", "3", "--H", "4", "--lambda", "1", "--delta", "0.1", "--seed", "3"],
+        (0, "4320d28b4a19cd1a62aac7e7094bc96c3ad9a68c07e176bab8b6fda98063f3a0",
+         "e5f456548efa720357c4b7ea015a9811d196908b2b50c9cc3791f520ad38c405"),
+    ),
+    "recover-trie-logit": (
+        ["--K", "3", "--H", "3", "--xi", "0.3", "--noise", "adversarial-threshold",
+         "--seed", "7"],
+        (1, "49c07883cca0af125d9af4e2dd4fcdc2febc4afca5ec530b72682baa4d327625",
+         "d24c93c8923459bfe50249f4945360eda45c81b90bd331d1221fcb9fe6543362"),
+    ),
+    "recover-trie-sample": (
+        ["--K", "3", "--H", "2", "--delta", "0.1", "--seed", "5"],
+        (0, "3f8ce4eb9e90f7753e621878ccd46f5c73ef1f7a853184d8ce32c196b0e3fcfb",
+         "4f75b0f38cf2396ebb0eed422f0ebb38807f3a3bfda6f9c37d5c8bec2c0464af"),
+    ),
+    "recover-seqscore": (
+        ["--K", "3", "--H", "4", "--seed", "2"],
+        (0, "452d2a66c79bc17158ef169fe3af60db20e11a1b0469fc04532ccb605cb95dfb",
+         "b84dadcfe2ab1b2249b81256f39edc1af793979e636ce3ba9c362c2621245b59"),
+    ),
+    "bridge": (
+        ["--K", "2", "--D", "2", "--L", "2", "--lambda", "1.5", "--seed", "4"],
+        (0, "5902d60fbefa8f47aef6af341c0a0d7ed2cf16743450db63c9a3ae27bf5b90e7",
+         "e18288d31e502e250306b74e23d1124779de1fffb803312a78fbee8366ae4a5b"),
+    ),
+}
+
+
+def _sha(data) -> str:
+    if isinstance(data, str):
+        data = data.encode()
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(autouse=True)
+def _pinned_versions(monkeypatch):
+    versions = (platform.python_version(), np.__version__)
+    if versions != PINNED_VERSIONS:
+        pytest.skip(f"digests pinned for Python {PINNED_VERSIONS[0]} and numpy "
+                    f"{PINNED_VERSIONS[1]}, not {versions[0]} and {versions[1]}")
+    monkeypatch.delenv(ENV_SEED, raising=False)
+
+
+@pytest.mark.parametrize("name", sorted(RUNNER_CASES))
+def test_report_digest(name):
+    config, digest = RUNNER_CASES[name]
+    report = run_experiment(ExperimentConfig(name=name, **config))
+    assert _sha(report_to_csv(report)) == digest
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_CASES))
+def test_command_digests(command, tmp_path, capsys):
+    argv, expected = COMMAND_CASES[command]
+    ledger = tmp_path / "ledger.csv"
+    code = main([command, *argv, "--out", str(ledger)])
+    stdout = capsys.readouterr().out
+    assert (code, _sha(stdout), _sha(ledger.read_bytes())) == expected

@@ -14,6 +14,7 @@ from prefix_oracle.core import (
     LeaderTrieModel,
     UniformModel,
     VocabSpec,
+    leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
@@ -227,9 +228,10 @@ def test_prefix_logit_exact_values():
     trie = random_leader_trie(VocabSpec(4, 2), RNG(4))
     model = LeaderTrieModel(trie)
     logits = OracleSession(model).query_prefix_logit(ROOT)
+    params = leader_trie_params(4)
     expected = sorted(
-        [math.log(model.alpha), math.log(model.beta)]
-        + [math.log(model.gamma)] * (vocab.K - 2)
+        [math.log(params["alpha"]), math.log(params["beta"])]
+        + [math.log(params["gamma"])] * (vocab.K - 2)
     )
     assert sorted(logits) == pytest.approx(expected, abs=1e-12)
 
