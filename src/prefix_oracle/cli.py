@@ -6,15 +6,15 @@ as one JSON object; diagnostics go to stderr. Exit codes: 0 success, 1
 assertion or acceptance failure, or rejected input (reported as one
 ``error:`` line), 2 usage error.
 
-Float flags accept plain decimals or ``log:X`` for the natural log of X
-(e.g. ``--lambda log:3``).
+Float flags, like float keys in experiment config files, accept plain
+decimals or ``log:X`` for the natural log of X (e.g. ``--lambda log:3``).
+The ``experiment`` command has one flag per config key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -32,15 +32,8 @@ from .core import (
     random_leader_trie,
     serialize_model,
 )
-from .experiments import config_from_mapping, trial_rng
+from .experiments import CONFIG_KEYS, KEY_ALIASES, config_from_mapping, parse_number, trial_rng
 from .oracles import OracleSession, audit_discipline, write_ledger_csv
-
-
-def parse_number(text: str) -> float:
-    """Decimal or log:X literal."""
-    if text.startswith("log:"):
-        return math.log(float(text[4:]))
-    return float(text)
 
 
 def parse_prefix_set(text: str, z=None):
@@ -223,9 +216,7 @@ def _cmd_experiment(args) -> int:
         with open(args.config) as fh:
             mapping = experiments.parse_config_text(fh.read())
     cfg = config_from_mapping(mapping, name=args.name)
-    keys = ("trials", "seed", "out", "K", "H", "q", "lam", "delta", "xi", "noise",
-            "S", "D", "L", "eta", "beta", "qr")  # H and q strings parse in the config
-    cfg = replace(cfg, **{k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    cfg = replace(cfg, **{k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k) is not None})
     report = experiments.run_experiment(cfg)
     record = {
         "command": f"experiment-{cfg.name}",
@@ -315,22 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("experiment", help="run a named experiment")
     sub.add_argument("name", choices=sorted(experiments.RUNNERS))
     sub.add_argument("--config", help="key=value config file")
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--seed", type=int)
-    sub.add_argument("--out")
-    sub.add_argument("--K", type=int)
-    sub.add_argument("--H", help="horizon or comma-separated sweep")
-    sub.add_argument("--q", help="rollout budget or comma-separated sweep")
-    sub.add_argument("--lambda", dest="lam", type=parse_number)
-    sub.add_argument("--delta", type=parse_number)
-    sub.add_argument("--xi", type=parse_number)
-    sub.add_argument("--noise", choices=["random", "adversarial-threshold"])
-    sub.add_argument("--S", type=int)
-    sub.add_argument("--D", type=int)
-    sub.add_argument("--L", type=int)
-    sub.add_argument("--eta", type=parse_number)
-    sub.add_argument("--beta", type=parse_number)
-    sub.add_argument("--qr", type=int)
+    flags = {key: flag for flag, key in KEY_ALIASES.items()}
+    for key, parse in CONFIG_KEYS.items():
+        if key != "name":  # the positional argument
+            sub.add_argument(f"--{flags.get(key, key)}", dest=key, type=parse)
     sub.set_defaults(fn=_cmd_experiment)
 
     return parser

@@ -174,27 +174,23 @@ def signal_probs(K: int, lam: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class HiddenPathModel(_CachedDistModel):
-    """Generator that mildly favors one secret token chain.
+class _ChainModel(_CachedDistModel):
+    """Generator that mildly favors one token chain ``z`` of length at most H.
 
-    At a prefix of the hidden path the next path token has probability
-    ``p_plus`` and every rival ``p_minus``; off the path the distribution is
-    uniform. ``lam == 0`` degenerates to the uniform model and is allowed only
-    so the boundary case can be exercised; recovery guarantees need lam > 0.
+    At a proper prefix of ``z`` the next chain token has probability
+    ``p_plus`` and every rival ``p_minus``; everywhere else the distribution
+    is uniform.
     """
 
     vocab: VocabSpec
     lam: float
-    z: Completion
+    z: tuple
 
     _on_path: frozenset = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        self.vocab.check_completion(self.z)
         signal_probs(self.vocab.K, self.lam)  # validates lam
-        object.__setattr__(
-            self, "_on_path", frozenset(self.z[:t] for t in range(self.vocab.H))
-        )
+        object.__setattr__(self, "_on_path", frozenset(self.z[:t] for t in range(len(self.z))))
 
     @property
     def p_plus(self) -> float:
@@ -218,6 +214,19 @@ class HiddenPathModel(_CachedDistModel):
         if key == 0:
             return [1.0 / K] * K
         return _peaked(K, key, self.p_plus, self.p_minus)
+
+
+@dataclass(frozen=True)
+class HiddenPathModel(_ChainModel):
+    """Generator that mildly favors one secret completion ``z``: a chain of
+    length H. ``lam == 0`` degenerates to the uniform model and is allowed
+    only so the boundary case can be exercised; recovery guarantees need
+    lam > 0.
+    """
+
+    def __post_init__(self):
+        self.vocab.check_completion(self.z)
+        super().__post_init__()
 
 
 def twin_hidden_path_models(
@@ -272,16 +281,10 @@ class LeaderTrie:
         if extra:
             raise ValueError(f"branch entries not reachable from the root: {sorted(extra)}")
 
-    def internal_nodes(self) -> frozenset:
-        return frozenset(self.branch)
-
     @property
     def num_internal(self) -> int:
         # every internal node has exactly two children, so this is 2^H - 1
         return len(self.branch)
-
-    def hidden_child(self, p: Prefix) -> int:
-        return self.branch[p]
 
 
 def random_leader_trie(vocab: VocabSpec, rng: np.random.Generator) -> LeaderTrie:
@@ -354,29 +357,6 @@ def leader_trie_params(K: int) -> dict:
         "prob_threshold": gamma0 + prob_margin,
         "log_threshold": math.log(gamma0) + log_margin,
     }
-
-
-@dataclass(frozen=True)
-class _BridgeHardModel(_CachedDistModel):
-    """Fixed-prompt view of a bridge instance at the hard prompt."""
-
-    inst: "BridgeInstance"
-
-    @property
-    def vocab(self) -> VocabSpec:
-        return self.inst.vocab
-
-    def _class_key(self, p):
-        inst = self.inst
-        if len(p) < inst.D + inst.L and p == inst.path[: len(p)]:
-            return inst.path[len(p)]
-        return 0
-
-    def _build(self, key):
-        K = self.vocab.K
-        if key == 0:
-            return [1.0 / K] * K
-        return _peaked(K, key, self.inst.p_plus, self.inst.p_minus)
 
 
 @dataclass(frozen=True)
@@ -481,10 +461,11 @@ class BridgeInstance:
             return self.R
         return 0.0
 
-    def hard_model(self) -> _BridgeHardModel:
+    def hard_model(self) -> _ChainModel:
+        """The hard-prompt generator: the favored chain scaffold+suffix."""
         cached = self.__dict__.get("_hard_model")
         if cached is None:
-            cached = _BridgeHardModel(self)
+            cached = _ChainModel(self.vocab, self.lam, self.path)
             object.__setattr__(self, "_hard_model", cached)
         return cached
 

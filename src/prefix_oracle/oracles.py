@@ -140,18 +140,22 @@ class QueryLedger:
         return self.counts[PATHFULL]
 
 
-def audit_discipline(ledger: QueryLedger) -> DisciplineAudit:
-    """Check the ordered prefix trail against the local-reset discipline: the
+def _reset_legal(seen: set, p: Prefix) -> bool:
+    """The local-reset rule, given the set of prefixes queried so far: the
     first query is the root and every later query is a previously queried
-    prefix or a one-token extension of one. An empty trail is vacuously ok."""
+    prefix or a one-token extension of one."""
+    return (p in seen or p[:-1] in seen) if seen else p == ROOT
+
+
+def audit_discipline(ledger: QueryLedger) -> DisciplineAudit:
+    """Check the ordered prefix trail against the local-reset discipline. An
+    empty trail is vacuously ok."""
     seen = set()
     for i, p in enumerate(ledger.prefix_trail, start=1):
-        if i == 1:
-            if p != ROOT:
-                return DisciplineAudit(False, 1)
-        elif p not in seen and p[:-1] not in seen:
-            return DisciplineAudit(False, i)
-        seen.add(p)
+        if p not in seen:  # a revisit is always legal
+            if not _reset_legal(seen, p):
+                return DisciplineAudit(False, i)
+            seen.add(p)
     return DisciplineAudit(True, None)
 
 
@@ -180,7 +184,8 @@ class OracleSession:
     Noise applies to PrefixLogit and SeqScore replies. With adversarial noise
     the threshold target defaults to the leader-trie decision threshold when
     the wrapped model is a leader-trie generator. ``strict_discipline``
-    raises at the violating prefix query instead of merely recording it.
+    refuses a prefix query that breaks the local-reset rule: it raises before
+    the query is answered, recorded or draws from its stream.
     """
 
     def __init__(
@@ -200,7 +205,7 @@ class OracleSession:
         self.noise = NoisePolicy(xi, noise, noise_target)
         self.strict_discipline = strict_discipline
         self.ledger = QueryLedger()
-        self._seen = set()
+        self._seen = set() if strict_discipline else None
 
     @property
     def vocab(self):
@@ -210,9 +215,6 @@ class OracleSession:
     def xi(self) -> float:
         return self.noise.xi
 
-    def audit(self) -> DisciplineAudit:
-        return audit_discipline(self.ledger)
-
     # -- no-reset interfaces ------------------------------------------------
 
     def query_no_reset(self, rng: np.random.Generator, post: Callable, kind: str = CUSTOM):
@@ -220,11 +222,9 @@ class OracleSession:
         post-processing of the canonical reply."""
         reply = PathFullReply(*rollout(self.model, rng))
         out = post(reply)
-        led = self.ledger
-        led.counts[PATHFULL] += 1
         if kind != PATHFULL:
-            led.counts[kind] += 1
-        led.records.append((kind, None, out))
+            self.ledger.counts[PATHFULL] += 1
+        self._log(kind, None, out)
         return out
 
     def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
@@ -243,38 +243,41 @@ class OracleSession:
 
     # -- chosen-prefix interfaces -------------------------------------------
 
-    def _note_prefix(self, p: Prefix) -> None:
-        seen = self._seen
-        if self.strict_discipline:
-            legal = (p == ROOT) if not seen else (p in seen or p[:-1] in seen)
-            if not legal:
-                raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
-        seen.add(p)
+    def _log(self, kind: str, payload, reply, trail: Optional[list] = None) -> None:
+        """Count and record one answered query, appending its payload to
+        ``trail`` when given."""
+        led = self.ledger
+        led.counts[kind] += 1
+        if trail is not None:
+            trail.append(payload)
+        led.records.append((kind, payload, reply))
+
+    def _enforce_reset(self, p: Prefix) -> None:
+        """Strict mode: refuse ``p`` unless the local-reset rule allows it."""
+        if not _reset_legal(self._seen, p):
+            raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
+        self._seen.add(p)
 
     def query_prefix_sample(self, p: Prefix, rng: np.random.Generator) -> Token:
         p = tuple(p)
         cdf = self.model.next_cdf(p)  # validates the prefix
-        self._note_prefix(p)
+        if self.strict_discipline:
+            self._enforce_reset(p)
         tok = cdf_token(cdf, rng.random())
-        led = self.ledger
-        led.counts[PREFIX_SAMPLE] += 1
-        led.prefix_trail.append(p)
-        led.records.append((PREFIX_SAMPLE, p, tok))
+        self._log(PREFIX_SAMPLE, p, tok, self.ledger.prefix_trail)
         return tok
 
     def query_prefix_top(self, p: Prefix) -> Optional[Token]:
         """Unique most likely next token, or None when tied within tolerance."""
         p = tuple(p)
         probs = self.model.next_probs(p)
-        self._note_prefix(p)
+        if self.strict_discipline:
+            self._enforce_reset(p)
         m = max(probs)
         cutoff = m - m * TOP_TIE_RTOL
         winners = [i for i, q in enumerate(probs) if q >= cutoff]
         tok = winners[0] + 1 if len(winners) == 1 else None
-        led = self.ledger
-        led.counts[PREFIX_TOP] += 1
-        led.prefix_trail.append(p)
-        led.records.append((PREFIX_TOP, p, tok))
+        self._log(PREFIX_TOP, p, tok, self.ledger.prefix_trail)
         return tok
 
     def query_prefix_logit(self, p: Prefix, rng=None) -> tuple:
@@ -283,14 +286,12 @@ class OracleSession:
         exempt from the noise contract."""
         p = tuple(p)
         dist = self.model.next_dist(p)
-        self._note_prefix(p)
+        if self.strict_discipline:
+            self._enforce_reset(p)
         with np.errstate(divide="ignore"):
             exact = np.log(dist)
         out = tuple(float(v) for v in self.noise.perturb_logits(exact, rng))
-        led = self.ledger
-        led.counts[PREFIX_LOGIT] += 1
-        led.prefix_trail.append(p)
-        led.records.append((PREFIX_LOGIT, p, out))
+        self._log(PREFIX_LOGIT, p, out, self.ledger.prefix_trail)
         return out
 
     # -- chosen-completion interface ----------------------------------------
@@ -299,10 +300,7 @@ class OracleSession:
         y = tuple(y)
         exact = trajectory_logprob(self.model, y)
         out = self.noise.perturb_score(exact, rng)
-        led = self.ledger
-        led.counts[SEQSCORE] += 1
-        led.completion_trail.append(y)
-        led.records.append((SEQSCORE, y, out))
+        self._log(SEQSCORE, y, out, self.ledger.completion_trail)
         return out
 
 

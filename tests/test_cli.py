@@ -6,8 +6,9 @@ import math
 
 import pytest
 
+from prefix_oracle import experiments
 from prefix_oracle.cli import main, parse_number, parse_prefix_set
-from prefix_oracle.experiments import ENV_SEED
+from prefix_oracle.experiments import CONFIG_KEYS, ENV_SEED, ExperimentConfig, ExperimentReport
 
 
 def _run(capsys, argv):
@@ -230,3 +231,64 @@ def test_experiment_stdout_record(capsys):
     assert code == 0
     assert record["violations"] == []
     assert record["success_rates"]["iface=logit"] == 1.0
+
+
+# one value per config key, each different from the default
+CONFIG_VALUES = {
+    "trials": "3", "seed": "5", "out": "report.csv", "K": "3", "H": "2,3", "q": "1,4",
+    "lam": "log:3", "delta": "0.2", "xi": "0.1", "noise": "adversarial-threshold",
+    "S": "2", "D": "2", "L": "3", "eta": "0.25", "beta": "2", "qr": "2",
+}
+
+
+@pytest.mark.parametrize("key", sorted(set(CONFIG_KEYS) - {"name"}))
+def test_experiment_flag_and_config_key_agree(key, tmp_path, capsys, monkeypatch):
+    configs = []
+
+    def capture(cfg):
+        configs.append(cfg)
+        return ExperimentReport(cfg.name, cfg, ())
+
+    monkeypatch.setattr(experiments, "run_experiment", capture)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    name, value = {"lam": "lambda"}.get(key, key), CONFIG_VALUES[key]
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"{name}={value}\n")
+    assert main(["experiment", "hidden-path-scaling", f"--{name}", value]) == 0
+    assert main(["experiment", "hidden-path-scaling", "--config", str(config)]) == 0
+    capsys.readouterr()
+    flag_cfg, file_cfg = configs
+    assert flag_cfg == file_cfg != ExperimentConfig(name="hidden-path-scaling")
+    if key == "lam":
+        assert flag_cfg.lam == math.log(3)
+
+
+def test_experiment_bad_noise_is_one_error_line(capsys):
+    assert main(["experiment", "leader-trie-matrix", "--K", "3", "--noise", "bogus"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown noise mode 'bogus'\n"
+
+
+def test_leader_trie_matrix_sweep_is_one_error_line(capsys):
+    argv = ["experiment", "leader-trie-matrix", "--K", "3", "--H", "2,3", "--trials", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "one horizon" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--H", "4", "--qr", "99"], "reward budget 99 must be below N = 8"),
+    (["--H", "4,6", "--D", "1", "--L", "2"], "D=1, L=2 incompatible with H=6"),
+    (["--H", "4,2"], "lengths must be >= 1"),
+])
+def test_bridge_separation_validates_every_horizon_first(argv, message, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "bridge_posttrain", lambda *a, **k: calls.append(a))
+    assert main(["experiment", "bridge-separation", *argv, "--trials", "3"]) == 1
+    captured = capsys.readouterr()
+    assert calls == []
+    assert captured.err.startswith("error:") and message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1

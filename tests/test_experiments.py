@@ -182,6 +182,27 @@ def test_no_reset_hardness_respects_ceiling():
     assert rate <= ceiling + binomial_margin(rate, cfg.trials)
 
 
+def test_no_reset_hardness_checks_the_exact_rate(monkeypatch):
+    from prefix_oracle import experiments as exp
+
+    cfg = ExperimentConfig(name="no-reset-hardness", trials=200, H=(3,), q=(2,), seed=1)
+    p_plus = signal_probs(2, 1.0)[0]
+    exact = 0.5 + (1 - (1 - p_plus**2) ** 2) / 2
+    report = run_no_reset_hardness(cfg)
+    assert report.violations == ()
+    assert abs(report.success_rate("H=3,q=2") - exact) <= binomial_margin(exact, cfg.trials)
+    # at lambda = 0 the tester cannot tell the twins apart: a coin flip
+    assert run_no_reset_hardness(ExperimentConfig(
+        name="no-reset-hardness", trials=200, H=(3,), q=(2,), lam=0.0, seed=1)).violations == ()
+    # the check is two-sided: an always-right and an always-wrong tester both fail it
+    for rate, wrong in ((1.0, 0), (0.0, 1)):
+        monkeypatch.setattr(exp, "distinguish_no_reset_baseline",
+                            lambda session, a, b, q, rng: int(session.model is not a) ^ wrong)
+        (violation,) = run_no_reset_hardness(cfg).violations
+        assert violation.startswith(f"H=3,q=2: success {rate} not within ")
+        assert violation.endswith(f" of exact {exact!r}")
+
+
 def test_leader_trie_matrix_runner():
     cfg = ExperimentConfig(name="leader-trie-matrix", trials=40, K=3, H=(3,), seed=4)
     report = run_leader_trie_matrix(cfg)

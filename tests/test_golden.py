@@ -23,11 +23,10 @@ RUNNER_CASES = {
         dict(K=3, H="3,5", lam=1.0, delta=0.1, trials=30, seed=0),
         "4b898beadf3dda1c9270de57d8f595ec201bee9e6ecb0cb0fd375a4100340192",
     ),
-    # 20 trials put cell H=4,q=1 above its ceiling margin at seed 0, so this
-    # digest also pins how violations are reported
+    # every cell lies within its margin of the exact success rate at seed 0
     "no-reset-hardness": (
         dict(K=2, H="4,6", q="1,4", lam=1.0, trials=20, seed=0),
-        "5816e75cc8c7cc4b6644ef3172f78d39aa2ef401687ee4f53fb6e3145b4c1946",
+        "0aa03c7ba371606ab69f4efba2775bee6fb55531e189b13a531b10915ffef41a",
     ),
     "leader-trie-matrix": (
         dict(K=3, H=3, xi=0.1, delta=0.1, trials=8, seed=0),
@@ -38,6 +37,13 @@ RUNNER_CASES = {
         "84d20e8886509ebdfc5b4225ebac484cfe1d18fe30b3a2bb7105da43a6c9f95c",
     ),
 }
+
+# S=2 stops sample recovery after two of the seven internal nodes, so every
+# sample trial fails and this digest pins how a violation is reported
+VIOLATION_CASE = (
+    dict(name="leader-trie-matrix", K=3, H=3, S=2, xi=0.1, delta=0.1, trials=8, seed=0),
+    "249e46ff113d26e4a5f18d8f123f48059e33274c2e1e5616e5bf37fa3c7ae72c",
+)
 
 # argv -> (exit code, stdout digest, ledger CSV digest)
 COMMAND_CASES = {
@@ -89,6 +95,13 @@ def _pinned_versions(monkeypatch):
 def test_report_digest(name):
     config, digest = RUNNER_CASES[name]
     report = run_experiment(ExperimentConfig(name=name, **config))
+    assert _sha(report_to_csv(report)) == digest
+
+
+def test_violation_report_digest():
+    config, digest = VIOLATION_CASE
+    report = run_experiment(ExperimentConfig(**config))
+    assert report.violations == ("iface=sample: success rate 0.0 below floor 0.5818019484660537",)
     assert _sha(report_to_csv(report)) == digest
 
 

@@ -316,6 +316,34 @@ def test_strict_discipline_mode():
         bad_start.query_prefix_sample((1,), rng)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(1, 2), max_size=3).map(tuple), max_size=12))
+def test_strict_refusal_matches_audit(trail):
+    """A strict session refuses at exactly the index that audit_discipline
+    reports for the same trail, and a refused query is neither answered,
+    recorded nor drawn for."""
+    model = random_hidden_path_model(VocabSpec(2, 4), 1.0, RNG(0))
+    loose = OracleSession(model)
+    for p in trail:
+        loose.query_prefix_sample(p, RNG(1))
+    expected = audit_discipline(loose.ledger).offending_index
+    strict = OracleSession(model, strict_discipline=True)
+    rng = RNG(2)
+    refused = None
+    for i, p in enumerate(trail, start=1):
+        state = rng.bit_generator.state
+        try:
+            strict.query_prefix_sample(p, rng)
+        except DisciplineViolationError:
+            refused = i
+            assert rng.bit_generator.state == state
+            break
+    assert refused == expected
+    answered = len(trail) if refused is None else refused - 1
+    assert strict.ledger.prefix_trail == list(trail[:answered])
+    assert len(strict.ledger.records) == strict.ledger.count(PREFIX_SAMPLE) == answered
+
+
 def test_noise_policy_validation():
     with pytest.raises(ValueError):
         NoisePolicy(-0.1)
