@@ -152,7 +152,9 @@ class CallableModel(_CachedDistModel):
     """Generator defined by an arbitrary prefix -> probabilities function.
 
     Intended for tests and user-supplied models; distributions are not cached
-    because the callable may distinguish every prefix.
+    because the callable may distinguish every prefix. ``fn`` must be a pure
+    function of the prefix: an oracle session calls it once per distinct
+    prefix and reuses the answer.
     """
 
     vocab: VocabSpec

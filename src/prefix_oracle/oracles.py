@@ -185,7 +185,9 @@ class OracleSession:
     the threshold target defaults to the leader-trie decision threshold when
     the wrapped model is a leader-trie generator. ``strict_discipline``
     refuses a prefix query that breaks the local-reset rule: it raises before
-    the query is answered, recorded or draws from its stream.
+    the query is answered, recorded or draws from its stream. Chosen-prefix
+    queries check and look up each distinct prefix once per session; since
+    the model is immutable, later queries reuse its ``(probs, cdf)`` entry.
     """
 
     def __init__(
@@ -206,6 +208,7 @@ class OracleSession:
         self.strict_discipline = strict_discipline
         self.ledger = QueryLedger()
         self._seen = set() if strict_discipline else None
+        self._entries = {}  # prefix -> the model's (probs, cdf) entry
 
     @property
     def vocab(self):
@@ -252,6 +255,15 @@ class OracleSession:
             trail.append(payload)
         led.records.append((kind, payload, reply))
 
+    def _entry(self, p: Prefix) -> tuple:
+        """The model's ``(probs, cdf)`` at ``p``, checked on first ask; an
+        invalid prefix is never stored, so it raises every time."""
+        entry = self._entries.get(p)
+        if entry is None:
+            self.model.vocab.check_prefix(p)
+            entry = self._entries[p] = self.model._lookup(p)
+        return entry
+
     def _enforce_reset(self, p: Prefix) -> None:
         """Strict mode: refuse ``p`` unless the local-reset rule allows it."""
         if not _reset_legal(self._seen, p):
@@ -260,7 +272,7 @@ class OracleSession:
 
     def query_prefix_sample(self, p: Prefix, rng: np.random.Generator) -> Token:
         p = tuple(p)
-        cdf = self.model.next_cdf(p)  # validates the prefix
+        cdf = self._entry(p)[1]
         if self.strict_discipline:
             self._enforce_reset(p)
         tok = cdf_token(cdf, rng.random())
@@ -270,7 +282,7 @@ class OracleSession:
     def query_prefix_top(self, p: Prefix) -> Optional[Token]:
         """Unique most likely next token, or None when tied within tolerance."""
         p = tuple(p)
-        probs = self.model.next_probs(p)
+        probs = self._entry(p)[0]
         if self.strict_discipline:
             self._enforce_reset(p)
         m = max(probs)
@@ -285,7 +297,7 @@ class OracleSession:
         the L-infinity ball. Zero-probability entries surface as -inf and are
         exempt from the noise contract."""
         p = tuple(p)
-        dist = self.model.next_dist(p)
+        dist = np.array(self._entry(p)[0])
         if self.strict_discipline:
             self._enforce_reset(p)
         with np.errstate(divide="ignore"):

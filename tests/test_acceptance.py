@@ -397,6 +397,25 @@ def test_criterion_09_separation_table(tmp_path):
             f"{certificate:.3f} target <1/3", elapsed, 30.0)
 
 
+def test_separation_visible_beyond_crossover():
+    """Criterion 9's separation at a horizon past the certificate's
+    crossover: at H=101 side A still recovers with its exact polynomial
+    budget (D+1)+L*m = 51+50*59 = 3001 and clean audits, while the no-reset
+    ceiling at q_g = H^3 is ~0.162, below 1/3."""
+    cfg = ExperimentConfig(name="bridge-separation", trials=100, seed=0,
+                           K=2, H=(101,), lam=1.0, delta=0.1, eta=0.5, beta=1.0, qr=1)
+    report = run_bridge_separation(cfg)
+    budget = (50 + 1) + 50 * 59
+    assert report.violations == ()
+    assert report.theory["m(H=101)"] == 59.0
+    assert report.theory["budget(H=101)"] == float(budget) == 3001.0
+    assert all(row.generator_queries == budget for row in report.rows)
+    assert report.success_rate("H=101") >= 0.9 - 3 * math.sqrt(0.09 / 100)
+    certificate = report.theory["certificate(H=101,qg=H^3,qr=1)"]
+    assert certificate == pytest.approx(0.162, abs=5e-4)
+    assert certificate < 1.0 / 3.0
+
+
 # -- criterion 10: byte-identical reports under a fixed master seed -----------
 
 

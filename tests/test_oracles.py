@@ -11,6 +11,7 @@ from prefix_oracle.core import (
     ROOT,
     CallableModel,
     HiddenPathModel,
+    InvalidPrefixError,
     LeaderTrieModel,
     UniformModel,
     VocabSpec,
@@ -25,7 +26,10 @@ from prefix_oracle.oracles import (
     OUTPUT_LOGPROBS,
     OUTPUT_ONLY,
     PATHFULL,
+    PREFIX_LOGIT,
     PREFIX_SAMPLE,
+    PREFIX_TOP,
+    TOP_TIE_RTOL,
     DisciplineViolationError,
     NoisePolicy,
     OracleSession,
@@ -342,6 +346,132 @@ def test_strict_refusal_matches_audit(trail):
     answered = len(trail) if refused is None else refused - 1
     assert strict.ledger.prefix_trail == list(trail[:answered])
     assert len(strict.ledger.records) == strict.ledger.count(PREFIX_SAMPLE) == answered
+
+
+def _reference_prefix_query(model, noise, kind, p, rng):
+    """One chosen-prefix reply through the validated public lookups, with no
+    session state: the answer a session must give whatever it has seen."""
+    if kind == PREFIX_SAMPLE:
+        cdf = model.next_cdf(p)
+        u = rng.random()
+        return next((i + 1 for i, c in enumerate(cdf) if u < c), len(cdf))
+    if kind == PREFIX_TOP:
+        probs = model.next_probs(p)
+        m = max(probs)
+        cutoff = m - m * TOP_TIE_RTOL
+        winners = [i + 1 for i, q in enumerate(probs) if q >= cutoff]
+        return winners[0] if len(winners) == 1 else None
+    with np.errstate(divide="ignore"):
+        exact = np.log(model.next_dist(p))
+    return tuple(float(v) for v in noise.perturb_logits(exact, rng))
+
+
+def _ask(session, kind, p, rng):
+    if kind == PREFIX_SAMPLE:
+        return session.query_prefix_sample(p, rng)
+    if kind == PREFIX_TOP:
+        return session.query_prefix_top(p)
+    return session.query_prefix_logit(p, rng)
+
+
+def _chosen_prefix(vocab, how, seed, asked):
+    """A prefix to query: fresh, a repeat of an earlier one (valid or not),
+    one token too long or more, or holding token 0 or K+1."""
+    r = np.random.default_rng(seed)
+    if how == "repeat" and asked:
+        return asked[seed % len(asked)]
+    if how == "long":
+        n = vocab.H + int(r.integers(0, 2))
+    else:
+        n = int(r.integers(0 if how in ("fresh", "repeat") else 1, vocab.H))
+    p = [int(a) for a in r.integers(1, vocab.K + 1, size=n)]
+    if how in ("zero", "over"):
+        p[int(r.integers(0, n))] = 0 if how == "zero" else vocab.K + 1
+    return tuple(p)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(ROLLOUT_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 5),
+    xi=st.sampled_from([0.0, 0.1]),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from([PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT]),
+            st.sampled_from(["fresh", "repeat", "repeat", "long", "zero", "over"]),
+            st.integers(0, 2**32 - 1),
+        ),
+        max_size=30,
+    ),
+)
+def test_prefix_memo_changes_no_answer(family, K, H, xi, model_seed, seed, ops):
+    """Replies, records, trail and stream state of a session equal those of
+    a stateless reference, and an invalid prefix is refused on every ask
+    without touching the ledger or the stream."""
+    assume(family != "leader-trie" or K >= 3)
+    model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    session = OracleSession(model, xi=xi)
+    rng, ref_rng = RNG(seed), RNG(seed)
+    records, asked = [], []
+    for kind, how, op_seed in ops:
+        p = _chosen_prefix(model.vocab, how, op_seed, asked)
+        asked.append(p)
+        try:
+            expected = _reference_prefix_query(model, session.noise, kind, p, ref_rng)
+        except InvalidPrefixError:
+            state = rng.bit_generator.state
+            with pytest.raises(InvalidPrefixError):
+                _ask(session, kind, p, rng)
+            assert rng.bit_generator.state == state
+        else:
+            assert _ask(session, kind, p, rng) == expected
+            records.append((kind, p, expected))
+        assert session.ledger.records == records
+    assert session.ledger.prefix_trail == [p for _, p, _ in records]
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_one_model_call_per_distinct_prefix_per_session():
+    vocab = VocabSpec(3, 4)
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        return [0.2, 0.3, 0.5]
+
+    model = CallableModel(vocab, fn)
+    session = OracleSession(model)
+    rng = RNG(0)
+    for _ in range(50):
+        session.query_prefix_sample((1, 2), rng)
+    assert calls == [(1, 2)]
+    session.query_prefix_top((1, 2))
+    session.query_prefix_logit((1, 2))
+    assert calls == [(1, 2)]
+    assert session.ledger.count(PREFIX_SAMPLE) == len(session.ledger.records) - 2 == 50
+    session.query_prefix_sample((1, 3), rng)
+    assert calls == [(1, 2), (1, 3)]
+    OracleSession(model).query_prefix_sample((1, 2), rng)  # a fresh session asks again
+    assert calls == [(1, 2), (1, 3), (1, 2)]
+
+
+def test_strict_session_refuses_invalid_prefix_before_discipline():
+    model = UniformModel(VocabSpec(2, 3))
+    session = OracleSession(model, strict_discipline=True)
+    rng = RNG(0)
+    for _ in range(2):  # also on a repeat: an invalid prefix is never stored
+        for bad in [(0,), (3,), (1, 1, 1), (2, 2, 2, 2)]:
+            with pytest.raises(InvalidPrefixError):
+                session.query_prefix_sample(bad, rng)
+    session.query_prefix_sample(ROOT, rng)
+    with pytest.raises(InvalidPrefixError):
+        session.query_prefix_top((1, 0))
+    with pytest.raises(DisciplineViolationError):
+        session.query_prefix_top((1, 1))
+    assert session.ledger.prefix_trail == [ROOT]
 
 
 def test_noise_policy_validation():
