@@ -228,14 +228,18 @@ class GibbsPolicy:
         """The optimal objective value eta * beta * log Z."""
         return self.inst.eta * self.inst.beta * math.log(self.Z)
 
-    def prob_hard(self, y: Completion) -> float:
-        inst = self.inst
-        base = trajectory_prob(inst.hard_model(), tuple(y))
-        boost = math.exp(inst.R / inst.beta) if tuple(y) == inst.target else 1.0
-        return base * boost / self.Z
-
     def hard_dist(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-        return {y: self.prob_hard(y) for y in self.inst.vocab.completions(cap)}
+        """Exact hard-prompt law: base probability times the target's boost,
+        over Z."""
+        inst = self.inst
+        model, target, Z = inst.hard_model(), inst.target, self.Z
+        target_boost = math.exp(inst.R / inst.beta)
+        out = {}
+        for y in inst.vocab.completions(cap):
+            base = trajectory_prob(model, y)
+            boost = target_boost if y == target else 1.0
+            out[y] = base * boost / Z
+        return out
 
     def as_policy(self, cap: int = DEFAULT_ENUMERATION_CAP) -> PromptPolicy:
         return PromptPolicy(hard=self.hard_dist(cap), easy=None)

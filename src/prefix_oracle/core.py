@@ -13,6 +13,7 @@ import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -58,14 +59,25 @@ class VocabSpec:
     def check_prefix(self, p: Prefix) -> None:
         if len(p) >= self.H:
             raise InvalidPrefixError(f"prefix of length {len(p)} with horizon {self.H}")
-        if any(not (1 <= a <= self.K) for a in p):
-            raise InvalidPrefixError(f"prefix {p} has tokens outside 1..{self.K}")
+        if not self._all_tokens(p):
+            raise InvalidPrefixError(f"prefix {p} has tokens that are not integers in 1..{self.K}")
 
     def check_completion(self, y: Completion) -> None:
         if len(y) != self.H:
             raise InvalidCompletionError(f"completion of length {len(y)}, expected {self.H}")
-        if any(not (1 <= a <= self.K) for a in y):
-            raise InvalidCompletionError(f"completion {y} has tokens outside 1..{self.K}")
+        if not self._all_tokens(y):
+            raise InvalidCompletionError(
+                f"completion {y} has tokens that are not integers in 1..{self.K}")
+
+    def _all_tokens(self, seq) -> bool:
+        """Every entry is an int or numpy integer in 1..K; bools and floats
+        are not tokens. A plain loop, which is faster than a generator here:
+        it runs once per scored completion."""
+        K = self.K
+        for a in seq:
+            if not ((type(a) is int or isinstance(a, np.integer)) and 1 <= a <= K):
+                return False
+        return True
 
     def prefixes(self) -> Iterator[Prefix]:
         """All prefixes of length 0..H-1, shortest first."""
@@ -92,11 +104,28 @@ def _dist_entry(probs) -> tuple:
     return probs, tuple(itertools.accumulate(probs))
 
 
+class _DistCache(dict):
+    """Class key -> ``(probs, cdf)`` entry, built on first use; the one
+    place a model's cache is filled."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        entry = self[key] = _dist_entry(self.build(key))
+        return entry
+
+
 class _CachedDistModel:
     """Shared next-token plumbing: models classify a prefix into one of a
     small number of distribution classes and serve cached probability tuples.
     The public lookups validate the prefix; ``_lookup`` trusts it, for
-    internal walks."""
+    internal walks.
+
+    Class key 0 means "off the model's structure", and every extension of a
+    key-0 prefix has key 0 too; walks rely on this to stop classifying once
+    they read the off entry."""
 
     vocab: VocabSpec
 
@@ -107,16 +136,16 @@ class _CachedDistModel:
         """The K probabilities of distribution class ``key``."""
         raise NotImplementedError
 
+    @cached_property
+    def _dist_cache(self) -> _DistCache:
+        return _DistCache(self._build)
+
     def _lookup(self, p: Prefix):
-        cache = self.__dict__.get("_dist_cache")
-        if cache is None:
-            cache = {}
-            object.__setattr__(self, "_dist_cache", cache)
-        key = self._class_key(p)
-        entry = cache.get(key)
-        if entry is None:
-            entry = cache[key] = _dist_entry(self._build(key))
-        return entry
+        return self._dist_cache[self._class_key(p)]
+
+    def _off_entry(self):
+        """The entry of every prefix off the model's structure (key 0)."""
+        return self._dist_cache[0]
 
     def next_dist(self, p: Prefix) -> np.ndarray:
         """Next-token distribution at prefix ``p`` as a fresh vector."""
@@ -141,7 +170,7 @@ class UniformModel(_CachedDistModel):
     vocab: VocabSpec
 
     def _class_key(self, p):
-        return "uniform"
+        return 0
 
     def _build(self, key):
         return [1.0 / self.vocab.K] * self.vocab.K
@@ -165,6 +194,9 @@ class CallableModel(_CachedDistModel):
         if vec.shape != (self.vocab.K,):
             raise ValueError(f"distribution at {p} has shape {vec.shape}")
         return _dist_entry(vec)
+
+    def _off_entry(self):
+        return None  # the callable may tell every prefix apart
 
 
 def signal_probs(K: int, lam: float) -> tuple:
@@ -507,15 +539,20 @@ def random_bridge_instance(
 
 
 def trajectory_logprob(model, y: Completion) -> float:
-    """log Pr(Y = y): sum of per-step conditional log probabilities."""
+    """log Pr(Y = y): sum of per-step conditional log probabilities. Once y
+    reaches the off entry, every later step reads it without a lookup."""
     model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
-    total = 0.0
-    for t in range(len(y)):
-        p = model._lookup(y[:t])[0][y[t] - 1]
+    lookup, off = model._lookup, model._off_entry()
+    entry, total = None, 0.0
+    for t, a in enumerate(y):
+        if t == 0 or entry is not off:
+            entry = lookup(y[:t])
+        p = entry[0][a - 1]
         if p == 0.0:
             return -math.inf
         total += math.log(p)
     return total
+
 
 def trajectory_prob(model, y: Completion) -> float:
     """Pr(Y = y): product of the conditional probabilities along y."""
@@ -524,13 +561,21 @@ def trajectory_prob(model, y: Completion) -> float:
 
 def rollout(model, rng: np.random.Generator) -> tuple:
     """Root-to-leaf rollout ``(y, mus)`` with ``mus[t]`` the probabilities at
-    ``y[:t]``; its prefixes hold sampled tokens, so none is re-checked."""
-    lookup = model._lookup
+    ``y[:t]``; its prefixes hold sampled tokens, so none is re-checked. Once
+    y reaches the off entry, the remaining draws are mapped through it in one
+    pass."""
+    lookup, off = model._lookup, model._off_entry()
+    draws = rng.random(model.vocab.H).tolist()  # same doubles as H scalar draws
     y, mus = (), []
-    for u in rng.random(model.vocab.H).tolist():  # same doubles as H scalar draws
-        probs, cdf = lookup(y)
+    for u in draws:
+        entry = lookup(y)
+        probs, cdf = entry
+        if entry is off:
+            t = len(y)
+            mus.extend((probs,) * (len(draws) - t))
+            return y + tuple([cdf_token(cdf, v) for v in draws[t:]]), tuple(mus)
         mus.append(probs)
-        y = y + (cdf_token(cdf, u),)
+        y += (cdf_token(cdf, u),)
     return y, tuple(mus)
 
 

@@ -186,8 +186,9 @@ class OracleSession:
     the wrapped model is a leader-trie generator. ``strict_discipline``
     refuses a prefix query that breaks the local-reset rule: it raises before
     the query is answered, recorded or draws from its stream. Chosen-prefix
-    queries check and look up each distinct prefix once per session; since
-    the model is immutable, later queries reuse its ``(probs, cdf)`` entry.
+    queries look up each distinct prefix once per session, and check a prefix
+    unless the previous query used the same tuple; since the model is
+    immutable, later queries reuse its ``(probs, cdf)`` entry.
     """
 
     def __init__(
@@ -209,6 +210,7 @@ class OracleSession:
         self.ledger = QueryLedger()
         self._seen = set() if strict_discipline else None
         self._entries = {}  # prefix -> the model's (probs, cdf) entry
+        self._last_prefix = self._last_entry = None  # the last checked tuple
 
     @property
     def vocab(self):
@@ -256,13 +258,18 @@ class OracleSession:
         led.records.append((kind, payload, reply))
 
     def _entry(self, p: Prefix) -> tuple:
-        """The model's ``(probs, cdf)`` at ``p``, checked on first ask; an
-        invalid prefix is never stored, so it raises every time."""
-        entry = self._entries.get(p)
-        if entry is None:
+        """The model's ``(probs, cdf)`` at ``p``. A prefix is looked up on its
+        first ask and checked unless it is the very tuple the previous query
+        used: an equal tuple such as ``(1.0,)`` for ``(1,)`` would find the
+        same memo entry. An invalid prefix is never stored, so it raises every
+        time."""
+        if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
-            entry = self._entries[p] = self.model._lookup(p)
-        return entry
+            entry = self._entries.get(p)
+            if entry is None:
+                entry = self._entries[p] = self.model._lookup(p)
+            self._last_prefix, self._last_entry = p, entry
+        return self._last_entry
 
     def _enforce_reset(self, p: Prefix) -> None:
         """Strict mode: refuse ``p`` unless the local-reset rule allows it."""

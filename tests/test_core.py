@@ -103,9 +103,24 @@ def test_public_lookups_reject_invalid_prefix():
     ]
     for model in models:
         for lookup in (model.next_dist, model.next_probs, model.next_cdf):
-            for bad in [(1, 1, 1), (4,), (1, 0)]:  # too long, token above K, below 1
+            # too long, token above K, below 1, not an integer
+            for bad in [(1, 1, 1), (4,), (1, 0), (1.5,), (True,), (1, 2.0), (np.float64(1.0),)]:
                 with pytest.raises(InvalidPrefixError):
                     lookup(bad)
+
+
+@pytest.mark.parametrize("y", [(1.0, 2, 1), (True, 2, 1), (1, 2, 1.5), (1, np.float64(2.0), 1)])
+def test_trajectory_logprob_rejects_non_integer_tokens(y):
+    model = HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1))
+    with pytest.raises(InvalidCompletionError):
+        trajectory_logprob(model, y)
+
+
+def test_numpy_integer_tokens_accepted():
+    model = HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1))
+    y = (np.int64(1), np.int32(2), np.uint8(1))
+    assert trajectory_logprob(model, y) == trajectory_logprob(model, (1, 2, 1))
+    assert model.next_probs(y[:2]) == model.next_probs((1, 2))
 
 
 def test_hidden_path_argmax_iff_positive_signal():

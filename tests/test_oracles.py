@@ -11,6 +11,7 @@ from prefix_oracle.core import (
     ROOT,
     CallableModel,
     HiddenPathModel,
+    InvalidCompletionError,
     InvalidPrefixError,
     LeaderTrieModel,
     UniformModel,
@@ -20,6 +21,7 @@ from prefix_oracle.core import (
     random_hidden_path_model,
     random_leader_trie,
     sample_trajectory,
+    trajectory_logprob,
     trajectory_prob,
 )
 from prefix_oracle.oracles import (
@@ -100,6 +102,7 @@ ROLLOUT_FAMILIES = {
     "bridge-hard": lambda vocab, rng: random_bridge_instance(
         vocab.K, 1, vocab.H - 2, 1.0, 0.5, 1.0, rng).hard_model(),
     "callable": lambda vocab, rng: _prefix_weighted(vocab),
+    "uniform": lambda vocab, rng: UniformModel(vocab),
 }
 
 
@@ -130,6 +133,101 @@ def test_pathfull_matches_scalar_reference_rollout(family, K, H, model_seed, see
     assert (reply.y, reply.mus) == _reference_rollout(model, ref_rng)
     assert rng.random() == ref_rng.random()  # same generator state afterwards
     assert sample_trajectory(model, RNG(seed)) == reply.y
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(set(ROLLOUT_FAMILIES) - {"callable"})),
+    K=st.integers(2, 4),
+    H=st.integers(3, 6),
+    model_seed=st.integers(0, 2**32 - 1),
+)
+def test_key_zero_is_absorbing(family, K, H, model_seed):
+    """Rollouts and trajectory_logprob stop classifying at the off entry, so
+    every cached family must keep key 0 under extension and serve key 0, and
+    only key 0, as the off entry."""
+    assume(family != "leader-trie" or K >= 3)
+    vocab = VocabSpec(K, H)
+    model = ROLLOUT_FAMILIES[family](vocab, RNG(model_seed))
+    off, keys = model._off_entry(), set()
+    for p in vocab.prefixes():
+        key = model._class_key(p)
+        keys.add(key)
+        assert (model._lookup(p) is off) == (key == 0)
+        if key == 0 and len(p) < H - 1:
+            assert all(model._class_key(p + (a,)) == 0 for a in range(1, K + 1))
+    assert 0 in keys  # every family has prefixes off its structure
+    assert _prefix_weighted(vocab)._off_entry() is None
+
+
+def _zero_entries(vocab):
+    # token len(p) % K + 1 has probability 0, the others share the mass
+    def fn(p):
+        w = np.ones(vocab.K)
+        w[len(p) % vocab.K] = 0.0
+        return w / w.sum()
+
+    return CallableModel(vocab, fn)
+
+
+LOGPROB_FAMILIES = {**ROLLOUT_FAMILIES, "callable-zero": lambda vocab, rng: _zero_entries(vocab)}
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(LOGPROB_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 7),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    edits=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=3),
+)
+def test_trajectory_logprob_matches_reference_sum(family, K, H, model_seed, seed, edits):
+    """trajectory_logprob equals, bit for bit, the left-to-right sum of
+    math.log over the public next_probs along y; -inf at a zero entry. y is a
+    model rollout with a few tokens replaced, so it leaves the structure at
+    varied steps."""
+    assume(family != "leader-trie" or K >= 3)
+    model = LOGPROB_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    y = list(sample_trajectory(model, RNG(seed)))
+    for i, a in edits:
+        if i < H and a <= K:
+            y[i] = a
+    y = tuple(y)
+    expected = 0.0
+    for t in range(H):
+        p = model.next_probs(y[:t])[y[t] - 1]
+        if p == 0.0:
+            expected = -math.inf
+            break
+        expected += math.log(p)
+    assert trajectory_logprob(model, y) == expected
+
+
+@pytest.mark.parametrize("bad", [(1.5,), (True,), (1, 2.0), (np.float64(1.0),)])
+def test_refused_non_integer_prefix_leaves_session_untouched(bad):
+    # (1,) and (1, 2) are answered first, so an equal non-integer prefix
+    # finds their memo entry and must still be refused
+    model = HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1))
+    session = OracleSession(model)
+    rng, ref_rng = RNG(0), RNG(0)
+    for p in [(1,), (1, 2)]:
+        assert session.query_prefix_sample(p, rng) == _reference_prefix_query(
+            model, session.noise, PREFIX_SAMPLE, p, ref_rng)
+    records = list(session.ledger.records)
+    for query in (lambda: session.query_prefix_sample(bad, rng),
+                  lambda: session.query_prefix_top(bad),
+                  lambda: session.query_prefix_logit(bad, rng)):
+        with pytest.raises(InvalidPrefixError):
+            query()
+    with pytest.raises(InvalidCompletionError):
+        session.query_seqscore((1.0, 2, 1))
+    assert session.ledger.records == records
+    assert session.ledger.prefix_trail == [(1,), (1, 2)]
+    assert session.ledger.completion_trail == []
+    assert dict(session.ledger.counts) == {PREFIX_SAMPLE: 2}
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert session.query_prefix_top((np.int64(1), np.int32(2))) == session.query_prefix_top((1, 2))
 
 
 def test_logprobs_uniform_model():
