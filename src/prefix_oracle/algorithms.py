@@ -23,7 +23,7 @@ from .core import (
     LeaderTrie,
     leader_trie_params,
 )
-from .oracles import PREFIX_LOGIT, PREFIX_SAMPLE, SEQSCORE, OracleSession
+from .oracles import PREFIX_LOGIT, PREFIX_SAMPLE, SEQSCORE, OracleSession, QueryLedger
 
 
 @dataclass(frozen=True)
@@ -75,9 +75,14 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
 def _ledger_delta(session: OracleSession, kind: str) -> Callable[[], tuple]:
     """Call before a procedure; the returned function gives the queries of
     ``kind`` and the prefix trail that the session recorded since."""
-    led = session.ledger
-    c0, t0 = led.count(kind), len(led.prefix_trail)
-    return lambda: (led.count(kind) - c0, tuple(led.prefix_trail[t0:]))
+    records = session.ledger.records
+    start = len(records)
+
+    def since() -> tuple:
+        new = QueryLedger(records[start:])
+        return new.count(kind), tuple(new.prefix_trail)
+
+    return since
 
 
 def _sample_counts(session: OracleSession, p, m: int, rng) -> list:

@@ -3,7 +3,7 @@ KL divergences, Gibbs optimizers, objective values, and the no-reset
 success-probability certificate.
 
 Everything here is exact up to floating point: probabilities of finite
-trajectory spaces are enumerated directly (under a configurable cap), and
+trajectory spaces are enumerated directly (under an enumeration cap), and
 closed forms are used where they exist.
 """
 
@@ -15,6 +15,7 @@ from typing import Mapping, Optional
 
 from .core import (
     DEFAULT_ENUMERATION_CAP,
+    PROB_ATOL,
     BridgeInstance,
     Completion,
     EnumerationCapError,
@@ -56,34 +57,34 @@ def reachability(model, U) -> float:
     return total
 
 
-def reachability_by_enumeration(model, U, cap: int = DEFAULT_ENUMERATION_CAP) -> float:
+def reachability_by_enumeration(model, U) -> float:
     """Independent route: one minus the total probability of U-avoiding
     trajectories, by full enumeration."""
     U = _as_prefix_set(model, U)
     H = model.vocab.H
     avoid = 0.0
-    for y in model.vocab.completions(cap):
+    for y in model.vocab.completions():
         if all(y[:t] not in U for t in range(H)):
             avoid += trajectory_prob(model, y)
     return 1.0 - avoid
 
 
-def models_agree_outside(model_a, model_b, U, atol: float = 1e-12,
-                         cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-    """Whether the two generators have identical next-token distributions at
-    every prefix not in U, checked exhaustively."""
+def models_agree_outside(model_a, model_b, U) -> bool:
+    """Whether the two generators have the same next-token distributions, up
+    to PROB_ATOL, at every prefix not in U, checked exhaustively."""
     if model_a.vocab != model_b.vocab:
         return False
     vocab = model_a.vocab
     n_prefixes = sum(vocab.K**t for t in range(vocab.H))
-    if n_prefixes > cap:
-        raise EnumerationCapError(f"{n_prefixes} prefixes exceed cap {cap}")
+    if n_prefixes > DEFAULT_ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"{n_prefixes} prefixes exceed cap {DEFAULT_ENUMERATION_CAP}")
     U = frozenset(tuple(p) for p in U)
     for p in vocab.prefixes():
         if p in U:
             continue
         pa, pb = model_a.next_probs(p), model_b.next_probs(p)
-        if any(abs(x - y) > atol for x, y in zip(pa, pb)):
+        if any(abs(x - y) > PROB_ATOL for x, y in zip(pa, pb)):
             return False
     return True
 
@@ -95,7 +96,7 @@ class ReachabilityAgreement:
 
     @property
     def equal(self) -> bool:
-        return abs(self.reach_a - self.reach_b) <= 1e-12
+        return abs(self.reach_a - self.reach_b) <= PROB_ATOL
 
 
 def reachability_equal_outside_agreement(model_a, model_b, U) -> ReachabilityAgreement:
@@ -228,21 +229,17 @@ class GibbsPolicy:
         """The optimal objective value eta * beta * log Z."""
         return self.inst.eta * self.inst.beta * math.log(self.Z)
 
-    def hard_dist(self, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+    def hard_dist(self) -> dict:
         """Exact hard-prompt law: base probability times the target's boost,
         over Z."""
-        inst = self.inst
-        model, target, Z = inst.hard_model(), inst.target, self.Z
-        target_boost = math.exp(inst.R / inst.beta)
-        out = {}
-        for y in inst.vocab.completions(cap):
-            base = trajectory_prob(model, y)
-            boost = target_boost if y == target else 1.0
-            out[y] = base * boost / Z
+        inst, Z = self.inst, self.Z
+        base = completion_distribution(inst.hard_model())
+        out = {y: p / Z for y, p in base.items()}
+        out[inst.target] = base[inst.target] * math.exp(inst.R / inst.beta) / Z
         return out
 
-    def as_policy(self, cap: int = DEFAULT_ENUMERATION_CAP) -> PromptPolicy:
-        return PromptPolicy(hard=self.hard_dist(cap), easy=None)
+    def as_policy(self) -> PromptPolicy:
+        return PromptPolicy(hard=self.hard_dist(), easy=None)
 
 
 def gibbs_policy(inst: BridgeInstance) -> GibbsPolicy:

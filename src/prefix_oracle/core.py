@@ -429,9 +429,9 @@ class BridgeInstance:
             raise ValueError(f"scaffold length {len(self.scaffold)} != {self.D}")
         if len(self.suffix) != self.L:
             raise ValueError(f"suffix length {len(self.suffix)} != {self.L}")
-        for tok in (*self.scaffold, *self.suffix, self.tau0, self.tau1):
-            if not (1 <= tok <= self.K):
-                raise ValueError(f"token {tok} outside 1..{self.K}")
+        tokens = (*self.scaffold, *self.suffix, self.tau0, self.tau1)
+        if not vocab._all_tokens(tokens):
+            raise ValueError(f"tokens {tokens} are not all integers in 1..{self.K}")
         if self.tau0 == self.tau1:
             raise ValueError("terminal tokens must be distinct")
         if self.bit not in (0, 1):

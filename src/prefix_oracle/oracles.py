@@ -1,16 +1,16 @@
 """Access-model layer: stateful oracle sessions over a fixed-prompt generator.
 
-A session enforces one access regime, counts queries in a ledger, and keeps
-the ordered prefix trail needed to audit the local-reset discipline. All
+A session enforces one access regime and logs every answered query, in
+order, as one record of its ledger. Per-kind counts, rollouts and the prefix
+trail needed to audit the local-reset discipline are views of that log. All
 root-start (no-reset) interfaces are implemented as post-processings of a
-single canonical rollout reply, so their ledger entries each consume exactly
+single canonical rollout reply, so their ledger records each consume exactly
 one rollout.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -36,8 +36,8 @@ PREFIX_SAMPLE = "PrefixSample"
 PREFIX_TOP = "PrefixTop"
 PREFIX_LOGIT = "PrefixLogit"
 SEQSCORE = "SeqScore"
-CUSTOM = "Custom"
 
+NO_RESET_KINDS = frozenset({PATHFULL, OUTPUT_ONLY, OUTPUT_LOGPROBS, OUTPUT_TOPK})
 PREFIX_KINDS = frozenset({PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT})
 
 TOP_TIE_RTOL = 1e-12
@@ -117,27 +117,34 @@ class NoisePolicy:
         return exact - self.xi
 
 
-def _new_counts():
-    return defaultdict(int)
-
-
 @dataclass
 class QueryLedger:
-    """Query accounting for one session: per-kind counts, the ordered prefix
-    and completion trails, and one record per query for CSV export."""
+    """The queries one session answered: one ``(kind, payload, reply)`` record
+    per query, in order. The payload is the prefix of a chosen-prefix query,
+    the completion of a SeqScore query and None for a no-reset query. Counts
+    and trails are views of the records; a refused query is in none of them."""
 
-    counts: defaultdict = field(default_factory=_new_counts)
-    prefix_trail: list = field(default_factory=list)
-    completion_trail: list = field(default_factory=list)
-    records: list = field(default_factory=list)  # (kind, payload, reply)
+    records: list = field(default_factory=list)
 
     def count(self, kind: str) -> int:
-        return self.counts[kind]
+        """Queries of ``kind``; PathFull counts every no-reset query."""
+        kinds = NO_RESET_KINDS if kind == PATHFULL else (kind,)
+        return sum(1 for k, _, _ in self.records if k in kinds)
 
     @property
     def rollouts(self) -> int:
         """Rollouts consumed by no-reset queries of any richness."""
-        return self.counts[PATHFULL]
+        return self.count(PATHFULL)
+
+    @property
+    def prefix_trail(self) -> list:
+        """The prefixes of the chosen-prefix queries, in order."""
+        return [p for k, p, _ in self.records if k in PREFIX_KINDS]
+
+    @property
+    def completion_trail(self) -> list:
+        """The completions of the SeqScore queries, in order."""
+        return [y for k, y, _ in self.records if k == SEQSCORE]
 
 
 def _reset_legal(seen: set, p: Prefix) -> bool:
@@ -181,11 +188,11 @@ def postprocess_topk(reply: PathFullReply, k: int):
 class OracleSession:
     """Single-owner mutable access channel over an immutable generator.
 
-    Noise applies to PrefixLogit and SeqScore replies. With adversarial noise
-    the threshold target defaults to the leader-trie decision threshold when
-    the wrapped model is a leader-trie generator. ``strict_discipline``
-    refuses a prefix query that breaks the local-reset rule: it raises before
-    the query is answered, recorded or draws from its stream. Chosen-prefix
+    Noise applies to PrefixLogit and SeqScore replies. Adversarial noise
+    aims at the leader-trie decision threshold, so with ``xi > 0`` it needs a
+    leader-trie generator. ``strict_discipline`` refuses a prefix query that
+    breaks the local-reset rule: it raises before the query is answered,
+    recorded or draws from its stream. Chosen-prefix
     queries look up each distinct prefix once per session, and check a prefix
     unless the previous query used the same tuple; since the model is
     immutable, later queries reuse its ``(probs, cdf)`` entry.
@@ -196,16 +203,15 @@ class OracleSession:
         model,
         xi: float = 0.0,
         noise: str = NOISE_RANDOM,
-        noise_target: Optional[float] = None,
         strict_discipline: bool = False,
     ):
-        if noise == NOISE_ADVERSARIAL and noise_target is None and xi > 0:
-            if isinstance(model, LeaderTrieModel):
-                noise_target = leader_trie_params(model.vocab.K)["log_threshold"]
-            else:
-                raise ValueError("adversarial noise needs an explicit target for this model")
+        target = None
+        if noise == NOISE_ADVERSARIAL and xi > 0:
+            if not isinstance(model, LeaderTrieModel):
+                raise ValueError("adversarial noise needs a leader-trie model")
+            target = leader_trie_params(model.vocab.K)["log_threshold"]
         self.model = model
-        self.noise = NoisePolicy(xi, noise, noise_target)
+        self.noise = NoisePolicy(xi, noise, target)
         self.strict_discipline = strict_discipline
         self.ledger = QueryLedger()
         self._seen = set() if strict_discipline else None
@@ -222,14 +228,11 @@ class OracleSession:
 
     # -- no-reset interfaces ------------------------------------------------
 
-    def query_no_reset(self, rng: np.random.Generator, post: Callable, kind: str = CUSTOM):
-        """Generic no-reset query: one fresh rollout, then an arbitrary
+    def query_no_reset(self, rng: np.random.Generator, post: Callable, kind: str):
+        """Generic no-reset query of ``kind``: one fresh rollout, then a
         post-processing of the canonical reply."""
-        reply = PathFullReply(*rollout(self.model, rng))
-        out = post(reply)
-        if kind != PATHFULL:
-            self.ledger.counts[PATHFULL] += 1
-        self._log(kind, None, out)
+        out = post(PathFullReply(*rollout(self.model, rng)))
+        self.ledger.records.append((kind, None, out))
         return out
 
     def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
@@ -247,15 +250,6 @@ class OracleSession:
         return self.query_no_reset(rng, lambda r: postprocess_topk(r, k), OUTPUT_TOPK)
 
     # -- chosen-prefix interfaces -------------------------------------------
-
-    def _log(self, kind: str, payload, reply, trail: Optional[list] = None) -> None:
-        """Count and record one answered query, appending its payload to
-        ``trail`` when given."""
-        led = self.ledger
-        led.counts[kind] += 1
-        if trail is not None:
-            trail.append(payload)
-        led.records.append((kind, payload, reply))
 
     def _entry(self, p: Prefix) -> tuple:
         """The model's ``(probs, cdf)`` at ``p``. A prefix is looked up on its
@@ -283,7 +277,7 @@ class OracleSession:
         if self.strict_discipline:
             self._enforce_reset(p)
         tok = cdf_token(cdf, rng.random())
-        self._log(PREFIX_SAMPLE, p, tok, self.ledger.prefix_trail)
+        self.ledger.records.append((PREFIX_SAMPLE, p, tok))
         return tok
 
     def query_prefix_top(self, p: Prefix) -> Optional[Token]:
@@ -296,7 +290,7 @@ class OracleSession:
         cutoff = m - m * TOP_TIE_RTOL
         winners = [i for i, q in enumerate(probs) if q >= cutoff]
         tok = winners[0] + 1 if len(winners) == 1 else None
-        self._log(PREFIX_TOP, p, tok, self.ledger.prefix_trail)
+        self.ledger.records.append((PREFIX_TOP, p, tok))
         return tok
 
     def query_prefix_logit(self, p: Prefix, rng=None) -> tuple:
@@ -310,7 +304,7 @@ class OracleSession:
         with np.errstate(divide="ignore"):
             exact = np.log(dist)
         out = tuple(float(v) for v in self.noise.perturb_logits(exact, rng))
-        self._log(PREFIX_LOGIT, p, out, self.ledger.prefix_trail)
+        self.ledger.records.append((PREFIX_LOGIT, p, out))
         return out
 
     # -- chosen-completion interface ----------------------------------------
@@ -319,7 +313,7 @@ class OracleSession:
         y = tuple(y)
         exact = trajectory_logprob(self.model, y)
         out = self.noise.perturb_score(exact, rng)
-        self._log(SEQSCORE, y, out, self.ledger.completion_trail)
+        self.ledger.records.append((SEQSCORE, y, out))
         return out
 
 

@@ -109,8 +109,7 @@ class _ReplaySession:
 
     def query_prefix_sample(self, p, rng):
         tok = self._replies.pop(0)
-        self.ledger.counts[PREFIX_SAMPLE] += 1
-        self.ledger.prefix_trail.append(tuple(p))
+        self.ledger.records.append((PREFIX_SAMPLE, tuple(p), tok))
         return tok
 
 

@@ -267,6 +267,13 @@ def test_bridge_instance_validation():
     with pytest.raises(ValueError):
         BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
                        lam=1.0, eta=0.5, beta=1.0, tau0=2, tau1=2)
+    # a float, bool or out-of-range token is refused before any model is built
+    for bad in [dict(scaffold=(1.0,), suffix=(True,)), dict(scaffold=(1.0,)),
+                dict(suffix=(True,)), dict(tau0=np.float64(1.0)), dict(tau1=2.0),
+                dict(scaffold=(3,)), dict(tau0=0)]:
+        with pytest.raises(ValueError, match="not all integers"):
+            BridgeInstance(**{**dict(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
+                                     lam=1.0, eta=0.5, beta=1.0), **bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

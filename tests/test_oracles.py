@@ -27,14 +27,17 @@ from prefix_oracle.core import (
 from prefix_oracle.oracles import (
     OUTPUT_LOGPROBS,
     OUTPUT_ONLY,
+    OUTPUT_TOPK,
     PATHFULL,
     PREFIX_LOGIT,
     PREFIX_SAMPLE,
     PREFIX_TOP,
+    SEQSCORE,
     TOP_TIE_RTOL,
     DisciplineViolationError,
     NoisePolicy,
     OracleSession,
+    PathFullReply,
     QueryLedger,
     audit_discipline,
     ledger_to_csv,
@@ -44,6 +47,9 @@ from prefix_oracle.oracles import (
 )
 
 RNG = lambda s: np.random.default_rng(s)
+
+NO_RESET_KINDS = (PATHFULL, OUTPUT_ONLY, OUTPUT_LOGPROBS, OUTPUT_TOPK)
+KINDS = NO_RESET_KINDS + (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT, SEQSCORE)
 
 
 def _point_mass_model(vocab, token):
@@ -170,6 +176,18 @@ def _zero_entries(vocab):
     return CallableModel(vocab, fn)
 
 
+def _reference_logprob(model, y):
+    """Left-to-right sum of math.log over the public next_probs along y;
+    -inf at a zero entry."""
+    total = 0.0
+    for t in range(len(y)):
+        p = model.next_probs(y[:t])[y[t] - 1]
+        if p == 0.0:
+            return -math.inf
+        total += math.log(p)
+    return total
+
+
 LOGPROB_FAMILIES = {**ROLLOUT_FAMILIES, "callable-zero": lambda vocab, rng: _zero_entries(vocab)}
 
 
@@ -194,14 +212,7 @@ def test_trajectory_logprob_matches_reference_sum(family, K, H, model_seed, seed
         if i < H and a <= K:
             y[i] = a
     y = tuple(y)
-    expected = 0.0
-    for t in range(H):
-        p = model.next_probs(y[:t])[y[t] - 1]
-        if p == 0.0:
-            expected = -math.inf
-            break
-        expected += math.log(p)
-    assert trajectory_logprob(model, y) == expected
+    assert trajectory_logprob(model, y) == _reference_logprob(model, y)
 
 
 @pytest.mark.parametrize("bad", [(1.5,), (True,), (1, 2.0), (np.float64(1.0),)])
@@ -225,7 +236,8 @@ def test_refused_non_integer_prefix_leaves_session_untouched(bad):
     assert session.ledger.records == records
     assert session.ledger.prefix_trail == [(1,), (1, 2)]
     assert session.ledger.completion_trail == []
-    assert dict(session.ledger.counts) == {PREFIX_SAMPLE: 2}
+    assert {k: session.ledger.count(k) for k in KINDS} == {**dict.fromkeys(KINDS, 0),
+                                                           PREFIX_SAMPLE: 2}
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     assert session.query_prefix_top((np.int64(1), np.int32(2))) == session.query_prefix_top((1, 2))
 
@@ -386,19 +398,20 @@ def test_seqscore_depends_only_on_deviation_point():
         assert len(values) == 1, f"deviation step {dev} gave {values}"
 
 
+def _trail_ledger(trail) -> QueryLedger:
+    """A ledger whose prefix trail is ``trail``, behind a SeqScore record that
+    the audit must skip."""
+    return QueryLedger([(SEQSCORE, (2, 2), -1.0)] + [(PREFIX_SAMPLE, p, 1) for p in trail])
+
+
 def test_audit_discipline_examples():
-    led = QueryLedger()
-    led.prefix_trail = [ROOT]
-    assert audit_discipline(led).ok
-    led.prefix_trail = [ROOT, (1,), (1, 2), (1,)]
-    assert audit_discipline(led).ok  # revisits allowed
-    led.prefix_trail = [ROOT, (1, 2)]
-    audit = audit_discipline(led)
+    assert audit_discipline(_trail_ledger([ROOT])).ok
+    assert audit_discipline(_trail_ledger([ROOT, (1,), (1, 2), (1,)])).ok  # revisits allowed
+    audit = audit_discipline(_trail_ledger([ROOT, (1, 2)]))
     assert not audit.ok
     assert audit.offending_index == 2
     assert audit.verdict == "violation"
-    led.prefix_trail = [(1,)]
-    assert audit_discipline(led).offending_index == 1
+    assert audit_discipline(_trail_ledger([(1,)])).offending_index == 1
     assert audit_discipline(QueryLedger()).ok  # empty trail is vacuously fine
 
 
@@ -464,12 +477,37 @@ def _reference_prefix_query(model, noise, kind, p, rng):
     return tuple(float(v) for v in noise.perturb_logits(exact, rng))
 
 
-def _ask(session, kind, p, rng):
+def _reference_reply(model, noise, kind, payload, rng, k):
+    """The reply to any query, from the stateless references above."""
+    if kind == SEQSCORE:
+        model.vocab.check_completion(payload)
+        return noise.perturb_score(_reference_logprob(model, payload), rng)
+    if kind not in NO_RESET_KINDS:
+        return _reference_prefix_query(model, noise, kind, payload, rng)
+    reply = PathFullReply(*_reference_rollout(model, rng))
+    if kind == OUTPUT_ONLY:
+        return postprocess_output_only(reply)
+    if kind == OUTPUT_LOGPROBS:
+        return postprocess_logprobs(reply)
+    return postprocess_topk(reply, k) if kind == OUTPUT_TOPK else reply
+
+
+def _ask(session, kind, payload, rng, k):
+    if kind == PATHFULL:
+        return session.query_pathfull(rng)
+    if kind == OUTPUT_ONLY:
+        return session.query_output_only(rng)
+    if kind == OUTPUT_LOGPROBS:
+        return session.query_output_with_logprobs(rng)
+    if kind == OUTPUT_TOPK:
+        return session.query_output_with_topk(rng, k)
+    if kind == SEQSCORE:
+        return session.query_seqscore(payload, rng)
     if kind == PREFIX_SAMPLE:
-        return session.query_prefix_sample(p, rng)
+        return session.query_prefix_sample(payload, rng)
     if kind == PREFIX_TOP:
-        return session.query_prefix_top(p)
-    return session.query_prefix_logit(p, rng)
+        return session.query_prefix_top(payload)
+    return session.query_prefix_logit(payload, rng)
 
 
 def _chosen_prefix(vocab, how, seed, asked):
@@ -488,6 +526,19 @@ def _chosen_prefix(vocab, how, seed, asked):
     return tuple(p)
 
 
+def _chosen_completion(vocab, how, seed, scored):
+    """A completion to score: fresh, a repeat of an earlier one (valid or
+    not), one token too short or too long, or holding token 0 or K+1."""
+    r = np.random.default_rng(seed)
+    if how == "repeat" and scored:
+        return scored[seed % len(scored)]
+    n = vocab.H + (int(r.choice([-1, 1])) if how == "long" else 0)
+    y = [int(a) for a in r.integers(1, vocab.K + 1, size=n)]
+    if how in ("zero", "over"):
+        y[int(r.integers(0, n))] = 0 if how == "zero" else vocab.K + 1
+    return tuple(y)
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(
     family=st.sampled_from(sorted(ROLLOUT_FAMILIES)),
@@ -498,7 +549,7 @@ def _chosen_prefix(vocab, how, seed, asked):
     seed=st.integers(0, 2**32 - 1),
     ops=st.lists(
         st.tuples(
-            st.sampled_from([PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT]),
+            st.sampled_from(KINDS),
             st.sampled_from(["fresh", "repeat", "repeat", "long", "zero", "over"]),
             st.integers(0, 2**32 - 1),
         ),
@@ -506,29 +557,49 @@ def _chosen_prefix(vocab, how, seed, asked):
     ),
 )
 def test_prefix_memo_changes_no_answer(family, K, H, xi, model_seed, seed, ops):
-    """Replies, records, trail and stream state of a session equal those of
-    a stateless reference, and an invalid prefix is refused on every ask
-    without touching the ledger or the stream."""
+    """Replies, records and stream state of a session equal those of a
+    stateless reference, and an invalid prefix or completion is refused on
+    every ask without touching the ledger or the stream. After every query,
+    refused or not, the ledger's counts, rollouts and trails equal tallies
+    kept here."""
     assume(family != "leader-trie" or K >= 3)
     model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     session = OracleSession(model, xi=xi)
+    led = session.ledger
     rng, ref_rng = RNG(seed), RNG(seed)
-    records, asked = [], []
+    records, asked, scored = [], [], []
+    counts, rollouts, prefix_trail, completion_trail = dict.fromkeys(KINDS, 0), 0, [], []
     for kind, how, op_seed in ops:
-        p = _chosen_prefix(model.vocab, how, op_seed, asked)
-        asked.append(p)
+        k = 1 + op_seed % K
+        payload = None
+        if kind == SEQSCORE:
+            payload = _chosen_completion(model.vocab, how, op_seed, scored)
+            scored.append(payload)
+        elif kind not in NO_RESET_KINDS:
+            payload = _chosen_prefix(model.vocab, how, op_seed, asked)
+            asked.append(payload)
         try:
-            expected = _reference_prefix_query(model, session.noise, kind, p, ref_rng)
-        except InvalidPrefixError:
+            expected = _reference_reply(model, session.noise, kind, payload, ref_rng, k)
+        except (InvalidPrefixError, InvalidCompletionError) as err:
             state = rng.bit_generator.state
-            with pytest.raises(InvalidPrefixError):
-                _ask(session, kind, p, rng)
+            with pytest.raises(type(err)):
+                _ask(session, kind, payload, rng, k)
             assert rng.bit_generator.state == state
         else:
-            assert _ask(session, kind, p, rng) == expected
-            records.append((kind, p, expected))
-        assert session.ledger.records == records
-    assert session.ledger.prefix_trail == [p for _, p, _ in records]
+            assert _ask(session, kind, payload, rng, k) == expected
+            records.append((kind, payload, expected))
+            counts[kind] += 1
+            if kind in NO_RESET_KINDS:
+                rollouts += 1
+            elif kind == SEQSCORE:
+                completion_trail.append(payload)
+            else:
+                prefix_trail.append(payload)
+        assert led.records == records
+        assert {kd: led.count(kd) for kd in KINDS} == {**counts, PATHFULL: rollouts}
+        assert led.rollouts == rollouts
+        assert led.prefix_trail == prefix_trail
+        assert led.completion_trail == completion_trail
     assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
