@@ -7,6 +7,7 @@ come from the Hoeffding-style budgets below.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
@@ -23,7 +24,14 @@ from .core import (
     LeaderTrie,
     leader_trie_params,
 )
-from .oracles import PREFIX_LOGIT, PREFIX_SAMPLE, SEQSCORE, OracleSession, QueryLedger
+from .oracles import (
+    PREFIX_KINDS,
+    PREFIX_LOGIT,
+    PREFIX_SAMPLE,
+    SEQSCORE,
+    OracleSession,
+    counted_kinds,
+)
 
 
 @dataclass(frozen=True)
@@ -77,10 +85,16 @@ def _ledger_delta(session: OracleSession, kind: str) -> Callable[[], tuple]:
     ``kind`` and the prefix trail that the session recorded since."""
     records = session.ledger.records
     start = len(records)
+    kinds = counted_kinds(kind)
 
     def since() -> tuple:
-        new = QueryLedger(records[start:])
-        return new.count(kind), tuple(new.prefix_trail)
+        count, trail = 0, []
+        for k, p, _ in itertools.islice(records, start, None):
+            if k in kinds:
+                count += 1
+            if k in PREFIX_KINDS:
+                trail.append(p)
+        return count, tuple(trail)
 
     return since
 
@@ -88,8 +102,9 @@ def _ledger_delta(session: OracleSession, kind: str) -> Callable[[], tuple]:
 def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
     """Per-token counts of m chosen-prefix samples at ``p``."""
     counts = [0] * session.vocab.K
+    sample = session.query_prefix_sample
     for _ in range(m):
-        counts[session.query_prefix_sample(p, rng) - 1] += 1
+        counts[sample(p, rng) - 1] += 1
     return counts
 
 

@@ -14,6 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -99,13 +100,17 @@ def _peaked(K: int, token: int, high: float, low: float) -> list:
 
 
 def _dist_entry(probs) -> tuple:
-    """The (probability tuple, CDF tuple) forms of one distribution."""
+    """The ``(probs, edges)`` forms of one distribution: the probability
+    tuple and the token edges ``(0.0, c_1, ..., c_{K-1})``, where ``c_i`` are
+    the partial sums of ``probs``. A draw u in [0, 1) picks token
+    ``bisect_right(edges, u)``: the first token i with u < c_i, or K if no
+    token below K has one."""
     probs = tuple(float(x) for x in probs)
-    return probs, tuple(itertools.accumulate(probs))
+    return probs, (0.0, *itertools.accumulate(probs[:-1]))
 
 
 class _DistCache(dict):
-    """Class key -> ``(probs, cdf)`` entry, built on first use; the one
+    """Class key -> ``(probs, edges)`` entry, built on first use; the one
     place a model's cache is filled."""
 
     def __init__(self, build):
@@ -123,14 +128,16 @@ class _CachedDistModel:
     The public lookups validate the prefix; ``_lookup`` trusts it, for
     internal walks.
 
-    Class key 0 means "off the model's structure", and every extension of a
-    key-0 prefix has key 0 too; walks rely on this to stop classifying once
-    they read the off entry."""
+    Each family holds its structure as one mapping ``_keys`` from prefix to
+    class key; a prefix it does not hold has key 0, which means "off the
+    model's structure". Every extension of a key-0 prefix has key 0 too;
+    walks rely on this to stop classifying once they read the off entry."""
 
     vocab: VocabSpec
+    _keys: Mapping
 
     def _class_key(self, p: Prefix):
-        raise NotImplementedError
+        return self._keys.get(p, 0)
 
     def _build(self, key):
         """The K probabilities of distribution class ``key``."""
@@ -141,7 +148,7 @@ class _CachedDistModel:
         return _DistCache(self._build)
 
     def _lookup(self, p: Prefix):
-        return self._dist_cache[self._class_key(p)]
+        return self._dist_cache[self._keys.get(p, 0)]  # _class_key, inlined
 
     def _off_entry(self):
         """The entry of every prefix off the model's structure (key 0)."""
@@ -158,9 +165,9 @@ class _CachedDistModel:
         return self._lookup(p)[0]
 
     def next_cdf(self, p: Prefix) -> tuple:
-        """Cumulative form used by samplers."""
+        """Cumulative form: the partial sums of ``next_probs``."""
         self.vocab.check_prefix(p)
-        return self._lookup(p)[1]
+        return tuple(itertools.accumulate(self._lookup(p)[0]))
 
 
 @dataclass(frozen=True)
@@ -169,8 +176,7 @@ class UniformModel(_CachedDistModel):
 
     vocab: VocabSpec
 
-    def _class_key(self, p):
-        return 0
+    _keys = MappingProxyType({})  # every prefix is off the structure
 
     def _build(self, key):
         return [1.0 / self.vocab.K] * self.vocab.K
@@ -193,6 +199,8 @@ class CallableModel(_CachedDistModel):
         vec = np.asarray(self.fn(p), dtype=float)
         if vec.shape != (self.vocab.K,):
             raise ValueError(f"distribution at {p} has shape {vec.shape}")
+        if not (np.isfinite(vec).all() and (vec >= 0.0).all()):
+            raise ValueError(f"distribution at {p} has negative or non-finite probabilities")
         return _dist_entry(vec)
 
     def _off_entry(self):
@@ -220,11 +228,12 @@ class _ChainModel(_CachedDistModel):
     lam: float
     z: tuple
 
-    _on_path: frozenset = field(init=False, repr=False, compare=False, default=None)
+    _keys: dict = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         signal_probs(self.vocab.K, self.lam)  # validates lam
-        object.__setattr__(self, "_on_path", frozenset(self.z[:t] for t in range(len(self.z))))
+        # a proper prefix of z is keyed by the chain token that follows it
+        object.__setattr__(self, "_keys", {self.z[:t]: self.z[t] for t in range(len(self.z))})
 
     @property
     def p_plus(self) -> float:
@@ -237,11 +246,6 @@ class _ChainModel(_CachedDistModel):
     @property
     def delta(self) -> float:
         return self.p_plus - self.p_minus
-
-    def _class_key(self, p):
-        if p in self._on_path:
-            return self.z[len(p)]
-        return 0
 
     def _build(self, key):
         K = self.vocab.K
@@ -351,12 +355,14 @@ class LeaderTrieModel(_CachedDistModel):
 
     trie: LeaderTrie
 
+    _keys: dict = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_keys", self.trie.branch)  # internal node -> hidden child
+
     @property
     def vocab(self) -> VocabSpec:
         return self.trie.vocab
-
-    def _class_key(self, p):
-        return self.trie.branch.get(p, 0)
 
     def _build(self, key):
         K, c = self.vocab.K, leader_trie_params(self.vocab.K)
@@ -561,32 +567,29 @@ def trajectory_prob(model, y: Completion) -> float:
 
 def rollout(model, rng: np.random.Generator) -> tuple:
     """Root-to-leaf rollout ``(y, mus)`` with ``mus[t]`` the probabilities at
-    ``y[:t]``; its prefixes hold sampled tokens, so none is re-checked. Once
-    y reaches the off entry, the remaining draws are mapped through it in one
-    pass."""
+    ``y[:t]``; its prefixes hold sampled tokens, so none is re-checked. Each
+    draw u picks token ``bisect_right(edges, u)``. Once y reaches the off
+    entry, the remaining draws are mapped through it in one pass."""
     lookup, off = model._lookup, model._off_entry()
     draws = rng.random(model.vocab.H).tolist()  # same doubles as H scalar draws
     y, mus = (), []
     for u in draws:
         entry = lookup(y)
-        probs, cdf = entry
+        probs, edges = entry
         if entry is off:
             t = len(y)
             mus.extend((probs,) * (len(draws) - t))
-            return y + tuple([cdf_token(cdf, v) for v in draws[t:]]), tuple(mus)
+            # through a list: a bare tuple(map(...)) raised the peak RSS
+            tail = list(map(bisect_right, itertools.repeat(edges), draws[t:]))
+            return y + tuple(tail), tuple(mus)
         mus.append(probs)
-        y += (cdf_token(cdf, u),)
+        y += (bisect_right(edges, u),)
     return y, tuple(mus)
 
 
 def sample_trajectory(model, rng: np.random.Generator) -> Completion:
     """Draw a root-to-leaf rollout; deterministic given the generator state."""
     return rollout(model, rng)[0]
-
-
-def cdf_token(cdf, u: float) -> Token:
-    """First token i with u < cdf[i-1]; K if no token below K has one."""
-    return bisect_right(cdf, u, 0, len(cdf) - 1) + 1
 
 
 def completion_distribution(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:

@@ -11,6 +11,7 @@ one rollout.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -22,7 +23,6 @@ from .core import (
     LeaderTrieModel,
     Prefix,
     Token,
-    cdf_token,
     leader_trie_params,
     rollout,
     trajectory_logprob,
@@ -117,6 +117,12 @@ class NoisePolicy:
         return exact - self.xi
 
 
+def counted_kinds(kind: str) -> frozenset:
+    """The record kinds that count as queries of ``kind``: PathFull counts
+    every no-reset query."""
+    return NO_RESET_KINDS if kind == PATHFULL else frozenset((kind,))
+
+
 @dataclass
 class QueryLedger:
     """The queries one session answered: one ``(kind, payload, reply)`` record
@@ -128,7 +134,7 @@ class QueryLedger:
 
     def count(self, kind: str) -> int:
         """Queries of ``kind``; PathFull counts every no-reset query."""
-        kinds = NO_RESET_KINDS if kind == PATHFULL else (kind,)
+        kinds = counted_kinds(kind)
         return sum(1 for k, _, _ in self.records if k in kinds)
 
     @property
@@ -155,14 +161,17 @@ def _reset_legal(seen: set, p: Prefix) -> bool:
 
 
 def audit_discipline(ledger: QueryLedger) -> DisciplineAudit:
-    """Check the ordered prefix trail against the local-reset discipline. An
-    empty trail is vacuously ok."""
+    """Check the ordered prefix trail against the local-reset discipline, in
+    one walk over the records. An empty trail is vacuously ok."""
     seen = set()
-    for i, p in enumerate(ledger.prefix_trail, start=1):
-        if p not in seen:  # a revisit is always legal
-            if not _reset_legal(seen, p):
-                return DisciplineAudit(False, i)
-            seen.add(p)
+    i = 0  # position in the prefix trail
+    for kind, p, _ in ledger.records:
+        if kind in PREFIX_KINDS:
+            i += 1
+            if p not in seen:  # a revisit is always legal
+                if not _reset_legal(seen, p):
+                    return DisciplineAudit(False, i)
+                seen.add(p)
     return DisciplineAudit(True, None)
 
 
@@ -195,7 +204,7 @@ class OracleSession:
     recorded or draws from its stream. Chosen-prefix
     queries look up each distinct prefix once per session, and check a prefix
     unless the previous query used the same tuple; since the model is
-    immutable, later queries reuse its ``(probs, cdf)`` entry.
+    immutable, later queries reuse its ``(probs, edges)`` entry.
     """
 
     def __init__(
@@ -215,7 +224,7 @@ class OracleSession:
         self.strict_discipline = strict_discipline
         self.ledger = QueryLedger()
         self._seen = set() if strict_discipline else None
-        self._entries = {}  # prefix -> the model's (probs, cdf) entry
+        self._entries = {}  # prefix -> the model's (probs, edges) entry
         self._last_prefix = self._last_entry = None  # the last checked tuple
 
     @property
@@ -252,7 +261,7 @@ class OracleSession:
     # -- chosen-prefix interfaces -------------------------------------------
 
     def _entry(self, p: Prefix) -> tuple:
-        """The model's ``(probs, cdf)`` at ``p``. A prefix is looked up on its
+        """The model's ``(probs, edges)`` at ``p``. A prefix is looked up on its
         first ask and checked unless it is the very tuple the previous query
         used: an equal tuple such as ``(1.0,)`` for ``(1,)`` would find the
         same memo entry. An invalid prefix is never stored, so it raises every
@@ -273,10 +282,11 @@ class OracleSession:
 
     def query_prefix_sample(self, p: Prefix, rng: np.random.Generator) -> Token:
         p = tuple(p)
-        cdf = self._entry(p)[1]
+        # the memo's same-tuple path of _entry, taken without the call
+        entry = self._last_entry if p is self._last_prefix else self._entry(p)
         if self.strict_discipline:
             self._enforce_reset(p)
-        tok = cdf_token(cdf, rng.random())
+        tok = bisect_right(entry[1], rng.random())
         self.ledger.records.append((PREFIX_SAMPLE, p, tok))
         return tok
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prefix_oracle.algorithms import (
+    _ledger_delta,
     bridge_posttrain,
     constant_suffix_rule,
     distinguish_no_reset_baseline,
@@ -31,13 +32,38 @@ from prefix_oracle.core import (
     twin_hidden_path_models,
 )
 from prefix_oracle.oracles import (
+    OUTPUT_ONLY,
+    PATHFULL,
+    PREFIX_LOGIT,
     PREFIX_SAMPLE,
+    PREFIX_TOP,
+    SEQSCORE,
     OracleSession,
     QueryLedger,
     audit_discipline,
 )
 
 RNG = lambda s: np.random.default_rng(s)
+
+
+def test_ledger_delta_matches_the_views_of_the_new_records():
+    # the one-pass delta must read what count(kind) and prefix_trail read
+    # from the records appended since it was taken, for every kind
+    session = OracleSession(random_hidden_path_model(VocabSpec(3, 3), 1.0, RNG(0)))
+    rng = RNG(1)
+    session.query_prefix_sample(ROOT, rng)  # before the delta
+    kinds = (PATHFULL, OUTPUT_ONLY, PREFIX_SAMPLE, PREFIX_LOGIT, PREFIX_TOP, SEQSCORE)
+    deltas = {kind: _ledger_delta(session, kind) for kind in kinds}
+    session.query_output_only(rng)
+    session.query_prefix_sample((1,), rng)
+    session.query_prefix_logit((1,))
+    session.query_prefix_top(ROOT)
+    session.query_seqscore((1, 2, 3))
+    session.query_pathfull(rng)
+    new = QueryLedger(session.ledger.records[1:])
+    for kind, since in deltas.items():
+        assert since() == (new.count(kind), tuple(new.prefix_trail))
+    assert deltas[PATHFULL]() == (2, ((1,), (1,), ROOT))
 
 
 def test_majority_budget_independent_arithmetic():

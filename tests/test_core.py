@@ -3,10 +3,11 @@ sampling, and serialization."""
 
 import itertools
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.core import (
     ROOT,
@@ -22,7 +23,7 @@ from prefix_oracle.core import (
     VocabSpec,
     HARD,
     EASY,
-    cdf_token,
+    _dist_entry,
     completion_distribution,
     leader_trie_params,
     parse_model,
@@ -341,12 +342,65 @@ def _linear_scan_token(cdf, u):
     u=st.floats(0.0, 1.0, exclude_max=True),
     edge=st.one_of(st.none(), st.integers(0, 7)),
 )
-def test_cdf_token_matches_linear_scan(weights, u, edge):
-    # ties (zero weights), totals above and below u, and u on a CDF value
+def test_edges_token_matches_linear_scan(weights, u, edge):
+    # ties (zero weights), totals above and below u, and u on a partial sum
     cdf = tuple(itertools.accumulate(weights))
     if edge is not None and cdf[edge % len(cdf)] < 1.0:
         u = cdf[edge % len(cdf)]
-    assert cdf_token(cdf, u) == _linear_scan_token(cdf, u)
+    assert bisect_right(_dist_entry(weights)[1], u) == _linear_scan_token(cdf, u)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(["hidden-path", "bridge-hard", "leader-trie", "uniform"]),
+    K=st.integers(2, 4),
+    H=st.integers(1, 6),
+    D=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_class_key_matches_each_family_rule(family, K, H, D, seed):
+    """The one-mapping class key equals each family's own rule on every
+    prefix, with int or numpy-integer tokens, and the lookup serves that
+    key's entry."""
+    assume(family != "leader-trie" or K >= 3)
+    assume(family != "bridge-hard" or D <= H - 2)
+    vocab, rng = VocabSpec(K, H), RNG(seed)
+    if family in ("hidden-path", "bridge-hard"):
+        if family == "hidden-path":
+            model = random_hidden_path_model(vocab, 1.0, rng)
+            z = model.z
+        else:
+            inst = random_bridge_instance(K, D, H - 1 - D, 1.0, 0.5, 1.0, rng)
+            model, z = inst.hard_model(), inst.path
+
+        def rule(p):
+            return z[len(p)] if len(p) < len(z) and p == z[:len(p)] else 0
+    elif family == "leader-trie":
+        trie = random_leader_trie(vocab, rng)
+        model = LeaderTrieModel(trie)
+
+        def rule(p):
+            return trie.branch.get(p, 0)
+    else:
+        model = UniformModel(vocab)
+
+        def rule(p):
+            return 0
+    for p in vocab.prefixes():
+        for q in (p, tuple(np.int64(a) for a in p)):
+            assert model._class_key(q) == rule(p)
+            assert model._lookup(q) is model._dist_cache[rule(p)]
+
+
+@pytest.mark.parametrize("probs", [
+    [0.6, -0.1, 0.5], [0.5, math.nan, 0.5], [0.0, math.inf, 0.0], [-math.inf, 1.0, 1.0],
+])
+def test_callable_model_refuses_negative_or_non_finite_probabilities(probs):
+    model = CallableModel(VocabSpec(3, 2), lambda p: probs)
+    with pytest.raises(ValueError, match=r"distribution at \(2,\) has negative or non-finite"):
+        model.next_probs((2,))
+    with pytest.raises(ValueError, match="negative or non-finite"):
+        sample_trajectory(model, RNG(0))
 
 
 def test_sample_trajectory_matches_trajectory_prob():

@@ -31,9 +31,14 @@ def _patchable_state() -> dict:
     return state
 
 
+# the runners that audit the local-reset discipline of their sessions
+AUDITING = {"leader-trie-matrix", "bridge-separation"}
+
+
 @pytest.mark.parametrize("cfg", [
     ExperimentConfig("leader-trie-matrix", trials=2, K=3, H=3, xi=0.1),
     ExperimentConfig("bridge-separation", trials=2, K=2, H=5),
+    ExperimentConfig("no-reset-hardness", trials=2, K=2, H=4, q=(1, 3)),
 ], ids=lambda cfg: cfg.name)
 def test_traced_experiment_counts_every_query_and_restores(tracer_module, cfg):
     before = _patchable_state()
@@ -43,7 +48,11 @@ def test_traced_experiment_counts_every_query_and_restores(tracer_module, cfg):
         report = experiments.run_experiment(cfg)
     assert _patchable_state() == before
     counts = tracer.counts()
-    assert counts["oracles.queries"] == sum(row.generator_queries for row in report.rows) > 0
-    assert counts["oracles.audit.calls"] > 0
-    assert counts["oracles.audit.trail_entries"] > 0
+    reported = sum(row.generator_queries for row in report.rows)
+    assert counts["oracles.queries"] == reported > 0
+    # every root-start query is one rollout, and only no-reset-hardness runs them
+    assert counts["oracles.queries.pathfull"] == (reported if cfg.name == "no-reset-hardness" else 0)
     assert counts["oracles.ledger.max_records"] > 0
+    if cfg.name in AUDITING:
+        assert counts["oracles.audit.calls"] > 0
+        assert counts["oracles.audit.trail_entries"] > 0
