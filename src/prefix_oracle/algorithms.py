@@ -7,10 +7,11 @@ come from the Hoeffding-style budgets below.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from itertools import groupby, islice
+from operator import countOf
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,6 +26,8 @@ from .core import (
     leader_trie_params,
 )
 from .oracles import (
+    _KIND,
+    _PAYLOAD,
     PREFIX_KINDS,
     PREFIX_LOGIT,
     PREFIX_SAMPLE,
@@ -88,23 +91,45 @@ def _ledger_delta(session: OracleSession, kind: str) -> Callable[[], tuple]:
     kinds = counted_kinds(kind)
 
     def since() -> tuple:
+        # runs of equal kind (a vote stage is one run), each read in C
         count, trail = 0, []
-        for k, p, _ in itertools.islice(records, start, None):
-            if k in kinds:
-                count += 1
+        for k, run in groupby(islice(records, start, None), _KIND):
             if k in PREFIX_KINDS:
-                trail.append(p)
+                n = len(trail)
+                trail.extend(map(_PAYLOAD, run))
+                n = len(trail) - n
+            else:
+                n = countOf(map(_KIND, run), k)
+            if k in kinds:
+                count += n
         return count, tuple(trail)
 
     return since
 
 
+class _Uniforms:
+    """Serves pre-drawn doubles in order through ``random()``, the one draw
+    ``query_prefix_sample`` makes; a draw past the last one raises
+    StopIteration."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, draws: list):
+        self.random = iter(draws).__next__
+
+
 def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
-    """Per-token counts of m chosen-prefix samples at ``p``."""
+    """Per-token counts of m >= 1 chosen-prefix samples at ``p``, one query
+    each. The first query draws from ``rng`` itself, so an invalid or refused
+    prefix raises before any draw; the other m - 1 doubles come from one
+    ``rng.random(m - 1)`` call, the same doubles and end state as m - 1
+    scalar draws."""
     counts = [0] * session.vocab.K
     sample = session.query_prefix_sample
-    for _ in range(m):
-        counts[sample(p, rng) - 1] += 1
+    counts[sample(p, rng) - 1] += 1
+    draws = _Uniforms(rng.random(m - 1).tolist())
+    for _ in range(m - 1):
+        counts[sample(p, draws) - 1] += 1
     return counts
 
 

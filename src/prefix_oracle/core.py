@@ -201,6 +201,9 @@ class CallableModel(_CachedDistModel):
             raise ValueError(f"distribution at {p} has shape {vec.shape}")
         if not (np.isfinite(vec).all() and (vec >= 0.0).all()):
             raise ValueError(f"distribution at {p} has negative or non-finite probabilities")
+        total = float(vec.sum())
+        if abs(total - 1.0) > self.vocab.K * PROB_ATOL:
+            raise ValueError(f"distribution at {p} sums to {total!r}, not 1")
         return _dist_entry(vec)
 
     def _off_entry(self):

@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, groupby
+from operator import countOf, indexOf, itemgetter
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,6 +125,15 @@ def counted_kinds(kind: str) -> frozenset:
     return NO_RESET_KINDS if kind == PATHFULL else frozenset((kind,))
 
 
+_KIND, _PAYLOAD = itemgetter(0), itemgetter(1)  # of a ledger record
+
+
+def _payloads(records: list, kinds: frozenset):
+    """An iterator over the payloads of the records whose kind is in
+    ``kinds``, in order, read in C; it builds no list of its own."""
+    return compress(map(_PAYLOAD, records), map(kinds.__contains__, map(_KIND, records)))
+
+
 @dataclass
 class QueryLedger:
     """The queries one session answered: one ``(kind, payload, reply)`` record
@@ -135,7 +146,7 @@ class QueryLedger:
     def count(self, kind: str) -> int:
         """Queries of ``kind``; PathFull counts every no-reset query."""
         kinds = counted_kinds(kind)
-        return sum(1 for k, _, _ in self.records if k in kinds)
+        return countOf(map(kinds.__contains__, map(_KIND, self.records)), True)
 
     @property
     def rollouts(self) -> int:
@@ -145,12 +156,12 @@ class QueryLedger:
     @property
     def prefix_trail(self) -> list:
         """The prefixes of the chosen-prefix queries, in order."""
-        return [p for k, p, _ in self.records if k in PREFIX_KINDS]
+        return list(_payloads(self.records, PREFIX_KINDS))
 
     @property
     def completion_trail(self) -> list:
         """The completions of the SeqScore queries, in order."""
-        return [y for k, y, _ in self.records if k == SEQSCORE]
+        return list(_payloads(self.records, counted_kinds(SEQSCORE)))
 
 
 def _reset_legal(seen: set, p: Prefix) -> bool:
@@ -161,17 +172,20 @@ def _reset_legal(seen: set, p: Prefix) -> bool:
 
 
 def audit_discipline(ledger: QueryLedger) -> DisciplineAudit:
-    """Check the ordered prefix trail against the local-reset discipline, in
-    one walk over the records. An empty trail is vacuously ok."""
+    """Check the ordered prefix trail against the local-reset discipline. A
+    revisit is always legal, so only first visits are checked, in order. The
+    records are read in runs of equal payload (a vote stage is one run), and
+    the offending index is located only once a violation is found. An empty
+    trail is vacuously ok."""
+    records = ledger.records
     seen = set()
-    i = 0  # position in the prefix trail
-    for kind, p, _ in ledger.records:
-        if kind in PREFIX_KINDS:
-            i += 1
-            if p not in seen:  # a revisit is always legal
-                if not _reset_legal(seen, p):
-                    return DisciplineAudit(False, i)
-                seen.add(p)
+    for p, run in groupby(records, _PAYLOAD):
+        if p in seen or not any(map(PREFIX_KINDS.__contains__, map(_KIND, run))):
+            continue  # a revisit, or no chosen-prefix query in the run
+        if not _reset_legal(seen, p):
+            # the violation is p's first visit: its 1-based trail position
+            return DisciplineAudit(False, indexOf(_payloads(records, PREFIX_KINDS), p) + 1)
+        seen.add(p)
     return DisciplineAudit(True, None)
 
 
@@ -280,7 +294,11 @@ class OracleSession:
             raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
         self._seen.add(p)
 
-    def query_prefix_sample(self, p: Prefix, rng: np.random.Generator) -> Token:
+    def query_prefix_sample(self, p: Prefix, rng) -> Token:
+        """One next-token sample at ``p``. ``rng`` is a numpy Generator or any
+        object whose ``random()`` returns the next double in [0, 1); the
+        sample draws exactly one, after ``p`` is checked and, in strict mode,
+        allowed."""
         p = tuple(p)
         # the memo's same-tuple path of _entry, taken without the call
         entry = self._last_entry if p is self._last_prefix else self._entry(p)

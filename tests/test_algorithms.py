@@ -5,9 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.algorithms import (
     _ledger_delta,
+    _sample_counts,
+    _Uniforms,
     bridge_posttrain,
     constant_suffix_rule,
     distinguish_no_reset_baseline,
@@ -22,8 +25,11 @@ from prefix_oracle.algorithms import (
 from prefix_oracle.core import (
     ROOT,
     BridgeInstance,
+    CallableModel,
     HiddenPathModel,
+    InvalidPrefixError,
     LeaderTrieModel,
+    UniformModel,
     VocabSpec,
     leader_trie_params,
     random_bridge_instance,
@@ -38,6 +44,7 @@ from prefix_oracle.oracles import (
     PREFIX_SAMPLE,
     PREFIX_TOP,
     SEQSCORE,
+    DisciplineViolationError,
     OracleSession,
     QueryLedger,
     audit_discipline,
@@ -64,6 +71,108 @@ def test_ledger_delta_matches_the_views_of_the_new_records():
     for kind, since in deltas.items():
         assert since() == (new.count(kind), tuple(new.prefix_trail))
     assert deltas[PATHFULL]() == (2, ((1,), (1,), ROOT))
+
+
+def _prefix_weighted(vocab):
+    # a normalized distribution that differs with the prefix's length and sum
+    def fn(p):
+        w = np.arange(1.0, vocab.K + 1) + len(p) + 2 * sum(int(a) for a in p) % vocab.K
+        return w / w.sum()
+
+    return CallableModel(vocab, fn)
+
+
+SAMPLE_FAMILIES = {
+    "hidden-path": lambda vocab, rng: random_hidden_path_model(vocab, 1.0, rng),
+    "leader-trie": lambda vocab, rng: LeaderTrieModel(random_leader_trie(vocab, rng)),
+    "bridge-hard": lambda vocab, rng: random_bridge_instance(
+        vocab.K, 1, vocab.H - 2, 1.0, 0.5, 1.0, rng).hard_model(),
+    "uniform": lambda vocab, rng: UniformModel(vocab),
+    "callable": lambda vocab, rng: _prefix_weighted(vocab),
+}
+
+
+class _CountingSession:
+    """Passes chosen-prefix samples on to a session and counts the calls."""
+
+    def __init__(self, session):
+        self.session, self.vocab, self.calls = session, session.vocab, 0
+
+    def query_prefix_sample(self, p, rng):
+        self.calls += 1
+        return self.session.query_prefix_sample(p, rng)
+
+
+def _scalar_counts(session, p, m, rng):
+    # m chosen-prefix queries, each drawing from the stream itself
+    counts = [0] * session.vocab.K
+    for _ in range(m):
+        counts[session.query_prefix_sample(p, rng) - 1] += 1
+    return counts
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(SAMPLE_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 5),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    tokens=st.lists(st.integers(1, 4), max_size=4),
+    numpy_tokens=st.booleans(),
+    strict=st.booleans(),
+    stages=st.lists(st.integers(1, 300), min_size=1, max_size=3),
+)
+def test_sample_counts_equal_m_scalar_queries(
+        family, K, H, model_seed, seed, tokens, numpy_tokens, strict, stages):
+    """One vote stage of m samples asks m queries and gives the counts,
+    ledger records, prefix trail and stream state of m scalar queries."""
+    assume(family != "leader-trie" or K >= 3)
+    vocab = VocabSpec(K, H)
+    model = SAMPLE_FAMILIES[family](vocab, RNG(model_seed))
+    p = tuple((np.int64 if numpy_tokens else int)(min(a, K)) for a in tokens[: H - 1])
+    sessions = [OracleSession(model, strict_discipline=strict) for _ in range(2)]
+    rngs = [RNG(seed), RNG(seed)]
+    for session, rng in zip(sessions, rngs):  # walk down to p, legal in strict mode
+        for t in range(len(p)):
+            session.query_prefix_sample(p[:t], rng)
+    counting = _CountingSession(sessions[0])
+    for m in stages:  # repeated stages at p reuse the session's entry
+        counting.calls = 0
+        counts = _sample_counts(counting, p, m, rngs[0])
+        assert counting.calls == m  # the tracer counts one query per sample
+        assert counts == _scalar_counts(sessions[1], p, m, rngs[1])
+        assert sum(counts) == m
+        assert sessions[0].ledger.records == sessions[1].ledger.records
+        assert sessions[0].ledger.prefix_trail == sessions[1].ledger.prefix_trail
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+
+@pytest.mark.parametrize("bad", [(0,), (3,), (1, 1, 1), (1.0,), (True,)])
+def test_sample_counts_refuse_an_invalid_prefix_before_any_draw(bad):
+    session, rng = OracleSession(UniformModel(VocabSpec(2, 3))), RNG(0)
+    state = rng.bit_generator.state
+    with pytest.raises(InvalidPrefixError):
+        _sample_counts(session, bad, 50, rng)
+    assert session.ledger.records == []
+    assert rng.bit_generator.state == state
+
+
+def test_sample_counts_refuse_an_illegal_first_query_before_any_draw():
+    session = OracleSession(UniformModel(VocabSpec(2, 3)), strict_discipline=True)
+    rng = RNG(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DisciplineViolationError):
+        _sample_counts(session, (1,), 50, rng)
+    assert session.ledger.records == []
+    assert rng.bit_generator.state == state
+
+
+def test_uniforms_serve_each_draw_once():
+    draws = _Uniforms([0.25, 0.5])
+    assert (draws.random(), draws.random()) == (0.25, 0.5)
+    with pytest.raises(StopIteration):
+        draws.random()
 
 
 def test_majority_budget_independent_arithmetic():

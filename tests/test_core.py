@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.core import (
+    PROB_ATOL,
     ROOT,
     BridgeInstance,
     CallableModel,
@@ -30,6 +31,7 @@ from prefix_oracle.core import (
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
+    rollout,
     sample_trajectory,
     serialize_model,
     signal_probs,
@@ -37,7 +39,7 @@ from prefix_oracle.core import (
     trajectory_prob,
     twin_hidden_path_models,
 )
-from prefix_oracle.oracles import NoisePolicy
+from prefix_oracle.oracles import NoisePolicy, OracleSession
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -401,6 +403,32 @@ def test_callable_model_refuses_negative_or_non_finite_probabilities(probs):
         model.next_probs((2,))
     with pytest.raises(ValueError, match="negative or non-finite"):
         sample_trajectory(model, RNG(0))
+
+
+@pytest.mark.parametrize("probs", [
+    [0.1, 0.1, 0.0], [0.5, 0.5, 0.5], [0.0, 0.0, 0.0], [1.0, 1e-9, 0.0], [0.5, 0.5 - 1e-10, 0.0],
+])
+def test_callable_model_refuses_probabilities_off_one(probs):
+    # every draw above the last edge would pick token K whatever its weight
+    model = CallableModel(VocabSpec(3, 2), lambda p: probs)
+    with pytest.raises(ValueError, match=r"distribution at \(2,\) sums to .*, not 1"):
+        model.next_probs((2,))
+    with pytest.raises(ValueError, match=r"distribution at \(\) sums to"):
+        rollout(model, RNG(0))
+    session, rng = OracleSession(model), RNG(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"distribution at \(1,\) sums to"):
+        session.query_prefix_sample((1,), rng)
+    assert rng.bit_generator.state == state and session.ledger.records == []
+
+
+def test_callable_model_accepts_totals_within_tolerance():
+    # a normalized vector is off 1 by rounding only; K * PROB_ATOL allows it
+    w = np.array([1.0, 3.0, 7.0])
+    model = CallableModel(VocabSpec(3, 2), lambda p: w / w.sum())
+    assert model.next_probs(()) == tuple(w / w.sum())
+    off = 1.0 - 3 * PROB_ATOL / 2  # inside the tolerance for K = 3
+    assert CallableModel(VocabSpec(3, 2), lambda p: [off, 0.0, 0.0]).next_probs(())[0] == off
 
 
 def test_sample_trajectory_matches_trajectory_prob():

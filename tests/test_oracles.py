@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+
+from prefix_oracle.algorithms import _ledger_delta
 
 from prefix_oracle.core import (
     ROOT,
@@ -34,6 +36,7 @@ from prefix_oracle.oracles import (
     PREFIX_TOP,
     SEQSCORE,
     TOP_TIE_RTOL,
+    DisciplineAudit,
     DisciplineViolationError,
     NoisePolicy,
     OracleSession,
@@ -412,6 +415,9 @@ def test_audit_discipline_examples():
     assert audit.offending_index == 2
     assert audit.verdict == "violation"
     assert audit_discipline(_trail_ledger([(1,)])).offending_index == 1
+    # after revisits, and with a numpy-integer prefix equal to an int one
+    revisits = [ROOT, (np.int64(1),), ROOT, (1,), (1, 2), (1,), (2, 1)]
+    assert audit_discipline(_trail_ledger(revisits)).offending_index == 7
     assert audit_discipline(QueryLedger()).ok  # empty trail is vacuously fine
 
 
@@ -672,6 +678,87 @@ def test_ledger_counts_match_trail_lengths():
     prefix_count = led.count("PrefixSample") + led.count("PrefixTop") + led.count("PrefixLogit")
     assert prefix_count == len(led.prefix_trail) == 9
     assert led.count("SeqScore") == len(led.completion_trail) == 2
+
+
+# Reference loops: the per-record ledger passes the views replaced, kept
+# here as the specification of what each view reads.
+
+def _reference_kinds(kind):
+    return NO_RESET_KINDS if kind == PATHFULL else (kind,)
+
+
+def _reference_count(records, kind):
+    kinds = _reference_kinds(kind)
+    return sum(1 for k, _, _ in records if k in kinds)
+
+
+def _reference_audit(records):
+    seen = set()
+    i = 0  # position in the prefix trail
+    for kind, p, _ in records:
+        if kind in (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT):
+            i += 1
+            if p not in seen:  # a revisit is always legal
+                legal = (p in seen or p[:-1] in seen) if seen else p == ROOT
+                if not legal:
+                    return DisciplineAudit(False, i)
+                seen.add(p)
+    return DisciplineAudit(True, None)
+
+
+def _reference_delta(records, start, kind):
+    count, trail = 0, []
+    for k, p, _ in records[start:]:
+        if k in _reference_kinds(kind):
+            count += 1
+        if k in (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT):
+            trail.append(p)
+    return count, tuple(trail)
+
+
+_short_prefix = st.lists(st.integers(1, 2), max_size=3).map(tuple)
+
+
+@st.composite
+def _record(draw):
+    """A record of any of the eight kinds; a prefix may hold numpy integers
+    equal to the int tokens of another."""
+    kind = draw(st.sampled_from(KINDS))
+    if kind in NO_RESET_KINDS:
+        return kind, None, draw(st.integers(1, 2))
+    payload = draw(_short_prefix)  # a SeqScore payload may equal a prefix
+    if draw(st.booleans()):
+        payload = tuple(np.int64(a) for a in payload)
+    return kind, payload, 1
+
+
+def _records_of(trail):
+    return [(PREFIX_SAMPLE, p, 1) for p in trail]
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(records=st.lists(_record(), max_size=40), start=st.integers(0, 45))
+@example(records=_records_of([ROOT, (1,), ROOT, (1,), (1, 2), (1,), (2, 2)]), start=0)
+@example(records=_records_of([ROOT, (np.int64(1),), (1,), ROOT, (2, 1)]), start=2)
+@example(records=[(SEQSCORE, (1, 1, 1), 1.0)] + _records_of([(1,), ROOT]), start=1)
+@example(records=_records_of([ROOT]) + [(SEQSCORE, (2, 2), 1.0)] + _records_of([(2, 2)]), start=0)
+def test_ledger_passes_equal_reference_loops(records, start):
+    """The audit, the ledger delta and every ledger view read the records as
+    the per-record reference loops do, offending index included."""
+    led = QueryLedger(records)
+    assert audit_discipline(led) == _reference_audit(records)
+    for kind in KINDS:
+        assert led.count(kind) == _reference_count(records, kind)
+    assert led.rollouts == _reference_count(records, PATHFULL)
+    prefix_kinds = (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT)
+    assert led.prefix_trail == [p for k, p, _ in records if k in prefix_kinds]
+    assert led.completion_trail == [y for k, y, _ in records if k == SEQSCORE]
+    session = OracleSession(UniformModel(VocabSpec(2, 4)))
+    session.ledger.records.extend(records[:start])
+    deltas = {kind: _ledger_delta(session, kind) for kind in KINDS}
+    session.ledger.records.extend(records[start:])
+    for kind, since in deltas.items():
+        assert since() == _reference_delta(records, start, kind)
 
 
 def test_ledger_csv_export():
