@@ -1,8 +1,9 @@
 """Recovery and post-training procedures, each consuming only its permitted
-oracle interface and leaving an auditable prefix trail.
+oracle interface and leaving an auditable prefix trail in the session ledger.
 
-Every procedure reports its exact query usage; majority-vote sample sizes
-come from the Hoeffding-style budgets below.
+Every procedure asks queries of one kind and reports its exact query usage:
+the number of ledger records it appended. Majority-vote sample sizes come
+from the Hoeffding-style budgets below.
 """
 
 from __future__ import annotations
@@ -10,8 +11,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from itertools import groupby, islice
-from operator import countOf
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,41 +24,33 @@ from .core import (
     LeaderTrie,
     leader_trie_params,
 )
-from .oracles import (
-    _KIND,
-    _PAYLOAD,
-    PREFIX_KINDS,
-    PREFIX_LOGIT,
-    PREFIX_SAMPLE,
-    SEQSCORE,
-    OracleSession,
-    counted_kinds,
-)
+from .oracles import OracleSession
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Outcome of a recovery run: the recovered object (None marks failure),
-    the exact ledger delta, and the prefix trail for discipline audits.
-    ``halted`` lists prefixes whose expansion stopped on a non-singleton
-    candidate set (possible only with super-threshold noise)."""
+    """Outcome of a recovery run: the recovered object (None marks failure)
+    and ``queries_used``, the number of records the run appended to the
+    session ledger, which holds its prefix trail. ``halted`` lists prefixes whose expansion
+    stopped on a non-singleton candidate set (possible only with
+    super-threshold noise)."""
 
     recovered: object
     queries_used: int
-    trail: tuple
     halted: tuple = ()
 
 
 @dataclass(frozen=True)
 class BridgeOutput:
-    """Result of the scaffold-walk post-training procedure."""
+    """Result of the scaffold-walk post-training procedure;
+    ``generator_queries`` is the number of records it appended to the
+    generator session's ledger, which holds its prefix trail."""
 
     suffix: tuple
     bit: int
     policy: GibbsPolicy
     generator_queries: int
     reward_queries: int
-    trail: tuple
 
 
 def majority_budget(gap: float, rounds: int, K: int, delta: float) -> int:
@@ -81,30 +72,6 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     if S < 1:
         raise ValueError(f"node budget must be >= 1, got {S}")
     return math.ceil(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
-
-
-def _ledger_delta(session: OracleSession, kind: str) -> Callable[[], tuple]:
-    """Call before a procedure; the returned function gives the queries of
-    ``kind`` and the prefix trail that the session recorded since."""
-    records = session.ledger.records
-    start = len(records)
-    kinds = counted_kinds(kind)
-
-    def since() -> tuple:
-        # runs of equal kind (a vote stage is one run), each read in C
-        count, trail = 0, []
-        for k, run in groupby(islice(records, start, None), _KIND):
-            if k in PREFIX_KINDS:
-                n = len(trail)
-                trail.extend(map(_PAYLOAD, run))
-                n = len(trail) - n
-            else:
-                n = countOf(map(_KIND, run), k)
-            if k in kinds:
-                count += n
-        return count, tuple(trail)
-
-    return since
 
 
 class _Uniforms:
@@ -156,9 +123,9 @@ def recover_hidden_path(
     """
     H, K = session.vocab.H, session.vocab.K
     m = majority_budget(session.model.delta, H, K, delta)
-    since = _ledger_delta(session, PREFIX_SAMPLE)
+    start = len(session.ledger.records)
     path = _majority_walk(session, ROOT, H, m, rng)
-    return RecoveryResult(path, *since())
+    return RecoveryResult(path, len(session.ledger.records) - start)
 
 
 def _walk_trie(session: OracleSession, hidden_children: Callable, limit=None) -> tuple:
@@ -197,14 +164,14 @@ def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResul
     """
     K = session.vocab.K
     threshold = leader_trie_params(K)["log_threshold"]
-    since = _ledger_delta(session, PREFIX_LOGIT)
+    start = len(session.ledger.records)
 
     def hidden_children(p):
         logits = session.query_prefix_logit(p, rng)
         return [a for a in range(2, K + 1) if logits[a - 1] > threshold]
 
     recovered, halted = _walk_trie(session, hidden_children)
-    return RecoveryResult(recovered, *since(), halted)
+    return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
 
 
 def recover_leader_trie_sample(
@@ -222,14 +189,14 @@ def recover_leader_trie_sample(
     params = leader_trie_params(K)
     m = trie_sample_budget(params["prob_margin"], K, S, delta)
     threshold = params["prob_threshold"]
-    since = _ledger_delta(session, PREFIX_SAMPLE)
+    start = len(session.ledger.records)
 
     def hidden_children(p):
         counts = _sample_counts(session, p, m, rng)
         return [a for a in range(2, K + 1) if counts[a - 1] / m > threshold]
 
     recovered, halted = _walk_trie(session, hidden_children, limit=S)
-    return RecoveryResult(recovered, *since(), halted)
+    return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
 
 
 def constant_suffix_rule(token: int = 1) -> Callable[[int, int], tuple]:
@@ -257,7 +224,7 @@ def recover_hidden_path_seqscore(
     H, K = vocab.H, vocab.K
     if suffix_rule is None:
         suffix_rule = constant_suffix_rule(1)
-    since = _ledger_delta(session, SEQSCORE)
+    start = len(session.ledger.records)
     prefix = ROOT
     for t in range(1, H + 1):
         pad = tuple(suffix_rule(t, H - t))
@@ -269,7 +236,7 @@ def recover_hidden_path_seqscore(
             if score > best_score:
                 best_token, best_score = a, score
         prefix = prefix + (best_token,)
-    return RecoveryResult(prefix, *since())
+    return RecoveryResult(prefix, len(session.ledger.records) - start)
 
 
 def bridge_posttrain(
@@ -293,16 +260,16 @@ def bridge_posttrain(
     """
     D, L = inst.D, inst.L
     m = majority_budget(inst.delta, L, inst.K, delta)
-    since = _ledger_delta(gen_session, PREFIX_SAMPLE)
+    start = len(gen_session.ledger.records)
     for i in range(D + 1):
         gen_session.query_prefix_sample(inst.scaffold[:i], rng)
     suffix = _majority_walk(gen_session, inst.scaffold, L, m, rng)[D:]
+    generator_queries = len(gen_session.ledger.records) - start
     probe = inst.scaffold + suffix + (inst.tau0,)
     observed = reward_query(HARD, {probe: 1.0}, rng)
     bit = 0 if observed > 0 else 1
-    generator_queries, trail = since()
     return BridgeOutput(suffix, bit, gibbs_policy(replace(inst, suffix=suffix, bit=bit)),
-                        generator_queries, reward_queries=1, trail=trail)
+                        generator_queries, reward_queries=1)
 
 
 def exact_reward_oracle(inst: BridgeInstance) -> Callable:

@@ -110,8 +110,8 @@ def _dist_entry(probs) -> tuple:
 
 
 class _DistCache(dict):
-    """Class key -> ``(probs, edges)`` entry, built on first use; the one
-    place a model's cache is filled."""
+    """Class key (a ``CallableModel``'s prefix) -> ``(probs, edges)`` entry,
+    built on first use; the one place a model's cache is filled."""
 
     def __init__(self, build):
         super().__init__()
@@ -186,16 +186,16 @@ class UniformModel(_CachedDistModel):
 class CallableModel(_CachedDistModel):
     """Generator defined by an arbitrary prefix -> probabilities function.
 
-    Intended for tests and user-supplied models; distributions are not cached
-    because the callable may distinguish every prefix. ``fn`` must be a pure
-    function of the prefix: an oracle session calls it once per distinct
-    prefix and reuses the answer.
+    Intended for tests and user-supplied models. The callable may tell every
+    prefix apart, so the cache is keyed by the prefix itself. ``fn`` must be
+    a pure function of the prefix: the model calls it once per distinct
+    prefix and reuses the answer; an invalid answer is never stored.
     """
 
     vocab: VocabSpec
     fn: Callable[[Prefix], object]
 
-    def _lookup(self, p: Prefix):
+    def _build(self, p: Prefix):
         vec = np.asarray(self.fn(p), dtype=float)
         if vec.shape != (self.vocab.K,):
             raise ValueError(f"distribution at {p} has shape {vec.shape}")
@@ -204,7 +204,10 @@ class CallableModel(_CachedDistModel):
         total = float(vec.sum())
         if abs(total - 1.0) > self.vocab.K * PROB_ATOL:
             raise ValueError(f"distribution at {p} sums to {total!r}, not 1")
-        return _dist_entry(vec)
+        return vec
+
+    def _lookup(self, p: Prefix):
+        return self._dist_cache[p]
 
     def _off_entry(self):
         return None  # the callable may tell every prefix apart

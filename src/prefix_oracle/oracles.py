@@ -215,10 +215,9 @@ class OracleSession:
     aims at the leader-trie decision threshold, so with ``xi > 0`` it needs a
     leader-trie generator. ``strict_discipline`` refuses a prefix query that
     breaks the local-reset rule: it raises before the query is answered,
-    recorded or draws from its stream. Chosen-prefix
-    queries look up each distinct prefix once per session, and check a prefix
-    unless the previous query used the same tuple; since the model is
-    immutable, later queries reuse its ``(probs, edges)`` entry.
+    recorded or draws from its stream. Chosen-prefix queries read the model's
+    cached ``(probs, edges)`` entry, and check a prefix unless the previous
+    query used the same tuple.
     """
 
     def __init__(
@@ -238,7 +237,6 @@ class OracleSession:
         self.strict_discipline = strict_discipline
         self.ledger = QueryLedger()
         self._seen = set() if strict_discipline else None
-        self._entries = {}  # prefix -> the model's (probs, edges) entry
         self._last_prefix = self._last_entry = None  # the last checked tuple
 
     @property
@@ -275,17 +273,13 @@ class OracleSession:
     # -- chosen-prefix interfaces -------------------------------------------
 
     def _entry(self, p: Prefix) -> tuple:
-        """The model's ``(probs, edges)`` at ``p``. A prefix is looked up on its
-        first ask and checked unless it is the very tuple the previous query
-        used: an equal tuple such as ``(1.0,)`` for ``(1,)`` would find the
-        same memo entry. An invalid prefix is never stored, so it raises every
-        time."""
+        """The model's ``(probs, edges)`` at ``p``, checked and looked up unless
+        ``p`` is the very tuple the previous query used: an equal tuple such as
+        ``(1.0,)`` for ``(1,)`` would find the same cached entry, so it is
+        checked, and refused on every ask."""
         if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
-            entry = self._entries.get(p)
-            if entry is None:
-                entry = self._entries[p] = self.model._lookup(p)
-            self._last_prefix, self._last_entry = p, entry
+            self._last_prefix, self._last_entry = p, self.model._lookup(p)
         return self._last_entry
 
     def _enforce_reset(self, p: Prefix) -> None:
@@ -300,7 +294,7 @@ class OracleSession:
         sample draws exactly one, after ``p`` is checked and, in strict mode,
         allowed."""
         p = tuple(p)
-        # the memo's same-tuple path of _entry, taken without the call
+        # the same-tuple path of _entry, taken without the call
         entry = self._last_entry if p is self._last_prefix else self._entry(p)
         if self.strict_discipline:
             self._enforce_reset(p)
@@ -349,30 +343,25 @@ class OracleSession:
 # Ledger CSV export: query_index,kind,prefix_or_completion,reply_summary
 
 
-def _summarize_reply(reply) -> str:
-    if reply is None:
-        return "bot"
-    if isinstance(reply, (int, np.integer)):
-        return str(int(reply))
-    if isinstance(reply, float):
+def _summarize_reply(kind: str, reply) -> str:
+    """The reply column of a record of ``kind``: the logits, the score, the
+    token (``bot`` for a tied top) or the completion of a no-reset reply."""
+    if kind == PREFIX_LOGIT:
+        return " ".join(f"{v:.12g}" for v in reply)
+    if kind == SEQSCORE:
         return f"{reply:.12g}"
-    if isinstance(reply, PathFullReply):
-        return "y=" + ".".join(str(t) for t in reply.y)
-    if isinstance(reply, tuple):
-        if reply and all(isinstance(v, (int, np.integer)) for v in reply):
-            return "y=" + ".".join(str(int(v)) for v in reply)
-        if reply and all(isinstance(v, float) for v in reply):
-            return " ".join(f"{v:.12g}" for v in reply)
-        if len(reply) == 2:  # (completion, per-step payload)
-            return "y=" + ".".join(str(t) for t in reply[0])
-    return "reply"
+    if kind in PREFIX_KINDS:
+        return "bot" if reply is None else str(int(reply))
+    # a PathFull reply, a completion, or (completion, per-step payload)
+    y = reply.y if kind == PATHFULL else reply if kind == OUTPUT_ONLY else reply[0]
+    return "y=" + ".".join(map(str, y))
 
 
 def ledger_to_csv(ledger: QueryLedger) -> str:
     lines = ["query_index,kind,prefix_or_completion,reply_summary"]
     for i, (kind, payload, reply) in enumerate(ledger.records, start=1):
         loc = "" if payload is None else ".".join(str(t) for t in payload)
-        lines.append(f"{i},{kind},{loc},{_summarize_reply(reply)}")
+        lines.append(f"{i},{kind},{loc},{_summarize_reply(kind, reply)}")
     return "\n".join(lines) + "\n"
 
 

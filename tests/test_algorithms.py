@@ -8,7 +8,6 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.algorithms import (
-    _ledger_delta,
     _sample_counts,
     _Uniforms,
     bridge_posttrain,
@@ -51,26 +50,6 @@ from prefix_oracle.oracles import (
 )
 
 RNG = lambda s: np.random.default_rng(s)
-
-
-def test_ledger_delta_matches_the_views_of_the_new_records():
-    # the one-pass delta must read what count(kind) and prefix_trail read
-    # from the records appended since it was taken, for every kind
-    session = OracleSession(random_hidden_path_model(VocabSpec(3, 3), 1.0, RNG(0)))
-    rng = RNG(1)
-    session.query_prefix_sample(ROOT, rng)  # before the delta
-    kinds = (PATHFULL, OUTPUT_ONLY, PREFIX_SAMPLE, PREFIX_LOGIT, PREFIX_TOP, SEQSCORE)
-    deltas = {kind: _ledger_delta(session, kind) for kind in kinds}
-    session.query_output_only(rng)
-    session.query_prefix_sample((1,), rng)
-    session.query_prefix_logit((1,))
-    session.query_prefix_top(ROOT)
-    session.query_seqscore((1, 2, 3))
-    session.query_pathfull(rng)
-    new = QueryLedger(session.ledger.records[1:])
-    for kind, since in deltas.items():
-        assert since() == (new.count(kind), tuple(new.prefix_trail))
-    assert deltas[PATHFULL]() == (2, ((1,), (1,), ROOT))
 
 
 def _prefix_weighted(vocab):
@@ -217,7 +196,7 @@ def test_recover_hidden_path_single_stage():
     result = recover_hidden_path(session, 0.1, RNG(0))
     m = majority_budget(model.delta, 1, 3, 0.1)
     assert result.queries_used == m
-    assert all(p == ROOT for p in result.trail)  # root only
+    assert all(p == ROOT for p in session.ledger.prefix_trail)  # root only
     assert result.recovered == model.z
     assert audit_discipline(session.ledger).ok
 
@@ -229,7 +208,7 @@ def test_recover_hidden_path_budget_and_trail():
     result = recover_hidden_path(session, 0.2, RNG(2))
     m = majority_budget(model.delta, 6, 2, 0.2)
     assert result.queries_used == 6 * m
-    assert len(result.trail) == 6 * m
+    assert len(session.ledger.prefix_trail) == 6 * m
     assert audit_discipline(session.ledger).ok
 
 
@@ -289,7 +268,7 @@ def test_majority_vote_tie_goes_to_smallest_token():
 def test_recover_trie_logit_exact_and_deterministic():
     vocab = VocabSpec(3, 4)
     trie = random_leader_trie(vocab, RNG(3))
-    first = None
+    runs = []
     for _ in range(2):
         session = OracleSession(LeaderTrieModel(trie), strict_discipline=True)
         result = recover_leader_trie_logit(session)
@@ -297,11 +276,8 @@ def test_recover_trie_logit_exact_and_deterministic():
         assert result.queries_used == trie.num_internal == 2**4 - 1
         assert result.halted == ()
         assert audit_discipline(session.ledger).ok
-        if first is None:
-            first = result
-        else:
-            assert result.trail == first.trail
-            assert result.recovered == first.recovered
+        runs.append((session.ledger.prefix_trail, result.recovered))
+    assert runs[0] == runs[1]
 
 
 def test_recover_trie_logit_noise_tightness():
@@ -431,6 +407,64 @@ def test_bridge_posttrain_identifies_bit_one():
     assert out.suffix == inst.suffix
     assert out.bit == 1
     assert out.policy.inst == inst  # identified instance matches the truth
+
+
+def _procedures():
+    """The five recovery and post-training procedures, each as (the kind it
+    asks, a fresh session, a run of it on a session, its exact budget)."""
+    vocab = VocabSpec(3, 3)
+    path_model = random_hidden_path_model(vocab, 1.0, RNG(20))
+    trie = random_leader_trie(vocab, RNG(21))
+    inst = random_bridge_instance(2, 2, 3, 2.0, 0.5, 1.0, RNG(22))
+    m_path = majority_budget(path_model.delta, 3, 3, 0.2)
+    m_trie = trie_sample_budget(leader_trie_params(3)["prob_margin"], 3, 7, 0.2)
+    m_bridge = majority_budget(inst.delta, inst.L, inst.K, 0.2)
+    return {
+        "hidden-path": (PREFIX_SAMPLE, lambda: OracleSession(path_model),
+                        lambda s: recover_hidden_path(s, 0.2, RNG(23)).queries_used,
+                        3 * m_path),
+        "trie-logit": (PREFIX_LOGIT, lambda: OracleSession(LeaderTrieModel(trie)),
+                       lambda s: recover_leader_trie_logit(s).queries_used,
+                       trie.num_internal),
+        "trie-sample": (PREFIX_SAMPLE, lambda: OracleSession(LeaderTrieModel(trie)),
+                        lambda s: recover_leader_trie_sample(s, 7, 0.2, RNG(24)).queries_used,
+                        trie.num_internal * m_trie),
+        "seqscore": (SEQSCORE, lambda: OracleSession(path_model),
+                     lambda s: recover_hidden_path_seqscore(s).queries_used, 3 * 3),
+        "bridge": (PREFIX_SAMPLE, lambda: OracleSession(inst.hard_model()),
+                   lambda s: bridge_posttrain(inst, s, exact_reward_oracle(inst), 0.2,
+                                              RNG(25)).generator_queries,
+                   (inst.D + 1) + inst.L * m_bridge),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_procedures()))
+def test_procedures_report_the_records_they_appended(name):
+    """On a session that already holds records of every other kind, each
+    procedure reports exactly the records it appended, and appends the
+    records it would append to a fresh session."""
+    kind, new_session, run, budget = _procedures()[name]
+    session, rng = new_session(), RNG(26)
+    K, H = session.vocab.K, session.vocab.H
+    earlier = {
+        PATHFULL: lambda: session.query_pathfull(rng),
+        OUTPUT_ONLY: lambda: session.query_output_only(rng),
+        PREFIX_SAMPLE: lambda: session.query_prefix_sample((K,), rng),
+        PREFIX_LOGIT: lambda: session.query_prefix_logit((K, 1)),
+        PREFIX_TOP: lambda: session.query_prefix_top(ROOT),
+        SEQSCORE: lambda: session.query_seqscore((K,) * H),
+    }
+    for other, ask in earlier.items():
+        if other != kind:
+            ask()
+            ask()
+    before = list(session.ledger.records)
+    reported = run(session)
+    fresh = new_session()
+    assert run(fresh) == reported == budget
+    assert len(session.ledger.records) - len(before) == reported
+    assert session.ledger.records == before + fresh.ledger.records
+    assert {k for k, _, _ in fresh.ledger.records} == {kind}
 
 
 def test_distinguisher_validation_and_budget():

@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from prefix_oracle.algorithms import _ledger_delta
-
 from prefix_oracle.core import (
     ROOT,
     CallableModel,
@@ -562,7 +560,7 @@ def _chosen_completion(vocab, how, seed, scored):
         max_size=30,
     ),
 )
-def test_prefix_memo_changes_no_answer(family, K, H, xi, model_seed, seed, ops):
+def test_session_matches_stateless_reference_and_tallies(family, K, H, xi, model_seed, seed, ops):
     """Replies, records and stream state of a session equal those of a
     stateless reference, and an invalid prefix or completion is refused on
     every ask without touching the ledger or the stream. After every query,
@@ -629,8 +627,32 @@ def test_one_model_call_per_distinct_prefix_per_session():
     assert session.ledger.count(PREFIX_SAMPLE) == len(session.ledger.records) - 2 == 50
     session.query_prefix_sample((1, 3), rng)
     assert calls == [(1, 2), (1, 3)]
-    OracleSession(model).query_prefix_sample((1, 2), rng)  # a fresh session asks again
-    assert calls == [(1, 2), (1, 3), (1, 2)]
+    # the model keeps each answer: a second session asks fn nothing new
+    other = OracleSession(model)
+    other.query_prefix_sample((1, 2), rng)
+    other.query_prefix_top((1, 3))
+    assert calls == [(1, 2), (1, 3)]
+    assert trajectory_logprob(model, (1, 2, 3, 1)) == other.query_seqscore((1, 2, 3, 1))
+    assert calls == [(1, 2), (1, 3), ROOT, (1,), (1, 2, 3)]
+    for _ in range(20):  # rollouts, scores and sessions alike
+        y = sample_trajectory(model, rng)
+        assert other.query_seqscore(y) == trajectory_logprob(model, y)
+        assert set(calls) >= {y[:t] for t in range(len(y))}
+    assert len(calls) == len(set(calls))
+    # an invalid answer is never stored, so every ask calls fn again
+    refused = []
+    bad = CallableModel(vocab, lambda p: refused.append(p) or [0.5, 0.5, 0.5])
+    bad_session = OracleSession(bad)
+    for ask in (lambda: bad_session.query_prefix_sample(ROOT, rng),
+                lambda: bad_session.query_prefix_top(ROOT),
+                lambda: OracleSession(bad).query_prefix_logit(ROOT),
+                lambda: bad.next_probs(ROOT),
+                lambda: sample_trajectory(bad, rng),
+                lambda: trajectory_logprob(bad, (1, 1, 1, 1))):
+        with pytest.raises(ValueError, match="sums to"):
+            ask()
+    assert refused == [ROOT] * 6
+    assert bad_session.ledger.records == []
 
 
 def test_strict_session_refuses_invalid_prefix_before_discipline():
@@ -664,22 +686,6 @@ def test_noise_policy_validation():
         sess.query_prefix_logit(ROOT)
 
 
-def test_ledger_counts_match_trail_lengths():
-    model = HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1))
-    session = OracleSession(model)
-    rng = RNG(4)
-    for _ in range(7):
-        session.query_prefix_sample(ROOT, rng)
-    session.query_prefix_top((1,))
-    session.query_prefix_logit((1,))
-    session.query_seqscore((1, 2, 2))
-    session.query_seqscore((2, 1, 1))
-    led = session.ledger
-    prefix_count = led.count("PrefixSample") + led.count("PrefixTop") + led.count("PrefixLogit")
-    assert prefix_count == len(led.prefix_trail) == 9
-    assert led.count("SeqScore") == len(led.completion_trail) == 2
-
-
 # Reference loops: the per-record ledger passes the views replaced, kept
 # here as the specification of what each view reads.
 
@@ -706,16 +712,6 @@ def _reference_audit(records):
     return DisciplineAudit(True, None)
 
 
-def _reference_delta(records, start, kind):
-    count, trail = 0, []
-    for k, p, _ in records[start:]:
-        if k in _reference_kinds(kind):
-            count += 1
-        if k in (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT):
-            trail.append(p)
-    return count, tuple(trail)
-
-
 _short_prefix = st.lists(st.integers(1, 2), max_size=3).map(tuple)
 
 
@@ -737,14 +733,14 @@ def _records_of(trail):
 
 
 @settings(max_examples=300, deadline=None, database=None)
-@given(records=st.lists(_record(), max_size=40), start=st.integers(0, 45))
-@example(records=_records_of([ROOT, (1,), ROOT, (1,), (1, 2), (1,), (2, 2)]), start=0)
-@example(records=_records_of([ROOT, (np.int64(1),), (1,), ROOT, (2, 1)]), start=2)
-@example(records=[(SEQSCORE, (1, 1, 1), 1.0)] + _records_of([(1,), ROOT]), start=1)
-@example(records=_records_of([ROOT]) + [(SEQSCORE, (2, 2), 1.0)] + _records_of([(2, 2)]), start=0)
-def test_ledger_passes_equal_reference_loops(records, start):
-    """The audit, the ledger delta and every ledger view read the records as
-    the per-record reference loops do, offending index included."""
+@given(records=st.lists(_record(), max_size=40))
+@example(records=_records_of([ROOT, (1,), ROOT, (1,), (1, 2), (1,), (2, 2)]))
+@example(records=_records_of([ROOT, (np.int64(1),), (1,), ROOT, (2, 1)]))
+@example(records=[(SEQSCORE, (1, 1, 1), 1.0)] + _records_of([(1,), ROOT]))
+@example(records=_records_of([ROOT]) + [(SEQSCORE, (2, 2), 1.0)] + _records_of([(2, 2)]))
+def test_ledger_passes_equal_reference_loops(records):
+    """The audit and every ledger view read the records as the per-record
+    reference loops do, offending index included."""
     led = QueryLedger(records)
     assert audit_discipline(led) == _reference_audit(records)
     for kind in KINDS:
@@ -753,12 +749,6 @@ def test_ledger_passes_equal_reference_loops(records, start):
     prefix_kinds = (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT)
     assert led.prefix_trail == [p for k, p, _ in records if k in prefix_kinds]
     assert led.completion_trail == [y for k, y, _ in records if k == SEQSCORE]
-    session = OracleSession(UniformModel(VocabSpec(2, 4)))
-    session.ledger.records.extend(records[:start])
-    deltas = {kind: _ledger_delta(session, kind) for kind in KINDS}
-    session.ledger.records.extend(records[start:])
-    for kind, since in deltas.items():
-        assert since() == _reference_delta(records, start, kind)
 
 
 def test_ledger_csv_export():

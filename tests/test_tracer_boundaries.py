@@ -32,10 +32,11 @@ def _patchable_state() -> dict:
 
 
 # the runners that audit the local-reset discipline of their sessions
-AUDITING = {"leader-trie-matrix", "bridge-separation"}
+AUDITING = {"hidden-path-scaling", "leader-trie-matrix", "bridge-separation"}
 
 
 @pytest.mark.parametrize("cfg", [
+    ExperimentConfig("hidden-path-scaling", trials=2, K=2, H=(2, 4)),
     ExperimentConfig("leader-trie-matrix", trials=2, K=3, H=3, xi=0.1),
     ExperimentConfig("bridge-separation", trials=2, K=2, H=5),
     ExperimentConfig("no-reset-hardness", trials=2, K=2, H=4, q=(1, 3)),
