@@ -9,7 +9,6 @@ from the Hoeffding-style budgets below.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -23,6 +22,7 @@ from .core import (
     HiddenPathModel,
     LeaderTrie,
     leader_trie_params,
+    walk_trie,
 )
 from .oracles import OracleSession
 
@@ -128,30 +128,6 @@ def recover_hidden_path(
     return RecoveryResult(path, len(session.ledger.records) - start)
 
 
-def _walk_trie(session: OracleSession, hidden_children: Callable, limit=None) -> tuple:
-    """Breadth-first leader-trie walk from the root: ``hidden_children(p)``
-    queries prefix p and returns the candidate hidden children. A singleton
-    is kept and both children are expanded; anything else halts p. At most
-    ``limit`` prefixes are processed. Returns (trie, halted prefixes), the
-    trie None when a prefix halted or the limit left prefixes queued."""
-    vocab = session.vocab
-    branch, halted = {}, []
-    queue = deque([ROOT])
-    processed = 0
-    while queue and (limit is None or processed < limit):
-        p = queue.popleft()
-        processed += 1
-        cands = hidden_children(p)
-        if len(cands) == 1:
-            branch[p] = b = cands[0]
-            if len(p) + 1 < vocab.H:
-                queue.extend((p + (1,), p + (b,)))
-        else:
-            halted.append(p)
-    recovered = None if queue or halted else LeaderTrie(vocab, branch)
-    return recovered, tuple(halted)
-
-
 def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResult:
     """Reconstruct a leader trie from chosen-prefix logit queries.
 
@@ -170,7 +146,8 @@ def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResul
         logits = session.query_prefix_logit(p, rng)
         return [a for a in range(2, K + 1) if logits[a - 1] > threshold]
 
-    recovered, halted = _walk_trie(session, hidden_children)
+    branch, halted, queued = walk_trie(session.vocab, hidden_children)
+    recovered = None if queued or halted else LeaderTrie(session.vocab, branch)
     return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
 
 
@@ -195,7 +172,8 @@ def recover_leader_trie_sample(
         counts = _sample_counts(session, p, m, rng)
         return [a for a in range(2, K + 1) if counts[a - 1] / m > threshold]
 
-    recovered, halted = _walk_trie(session, hidden_children, limit=S)
+    branch, halted, queued = walk_trie(session.vocab, hidden_children, limit=S)
+    recovered = None if queued or halted else LeaderTrie(session.vocab, branch)
     return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
 
 

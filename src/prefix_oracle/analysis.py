@@ -17,10 +17,8 @@ from .core import (
     DEFAULT_ENUMERATION_CAP,
     PROB_ATOL,
     BridgeInstance,
-    Completion,
     EnumerationCapError,
     completion_distribution,
-    trajectory_prob,
 )
 
 MU_QUANTUM = 1e-12
@@ -63,9 +61,9 @@ def reachability_by_enumeration(model, U) -> float:
     U = _as_prefix_set(model, U)
     H = model.vocab.H
     avoid = 0.0
-    for y in model.vocab.completions():
+    for y, prob in completion_distribution(model).items():
         if all(y[:t] not in U for t in range(H)):
-            avoid += trajectory_prob(model, y)
+            avoid += prob
     return 1.0 - avoid
 
 
@@ -116,45 +114,23 @@ def _quantize(mu) -> tuple:
     return tuple(int(round(v / MU_QUANTUM)) for v in mu)
 
 
-@dataclass(frozen=True)
-class TranscriptLaw:
-    """Exact distribution over canonical rollout replies.
+def pathfull_law(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+    """Exact one-query reply law of the canonical rollout experiment, as a
+    reply key -> probability map read off ``completion_distribution``.
 
-    A reply is keyed by the trajectory together with its visited-prefix
-    distributions quantized at 1e-12, so replies that are identical across
-    two models land on the same key and their laws can be compared directly.
-    """
-
-    probs: Mapping
-
-    def total(self) -> float:
-        return sum(self.probs.values())
-
-    @property
-    def support_size(self) -> int:
-        return len(self.probs)
-
-    def trajectory_mass(self, y: Completion) -> float:
-        y = tuple(y)
-        return sum(p for (traj, _), p in self.probs.items() if traj == y)
-
-
-def pathfull_law(model, cap: int = DEFAULT_ENUMERATION_CAP) -> TranscriptLaw:
-    """Exact one-query reply law of the canonical rollout experiment, by full
-    trajectory enumeration."""
+    A reply key is ``(y, mus)``: the trajectory y and, for t = 0..H-1, the
+    distribution at ``y[:t]`` as a tuple of integers ``round(p / MU_QUANTUM)``.
+    Replies that are identical across two models land on the same key, so
+    their laws compare directly."""
     H = model.vocab.H
-    probs = {}
-    for y in model.vocab.completions(cap):
-        mus = tuple(model.next_probs(y[:t]) for t in range(H))
-        key = (y, tuple(_quantize(mu) for mu in mus))
-        probs[key] = trajectory_prob(model, y)
-    return TranscriptLaw(probs)
+    return {(y, tuple(_quantize(model.next_probs(y[:t])) for t in range(H))): prob
+            for y, prob in completion_distribution(model, cap).items()}
 
 
-def tv_distance(law_a: TranscriptLaw, law_b: TranscriptLaw) -> float:
+def tv_distance(law_a: Mapping, law_b: Mapping) -> float:
     """Total variation distance between two reply laws."""
-    keys = set(law_a.probs) | set(law_b.probs)
-    return 0.5 * sum(abs(law_a.probs.get(k, 0.0) - law_b.probs.get(k, 0.0)) for k in keys)
+    keys = set(law_a) | set(law_b)
+    return 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in keys)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .core import (
     random_hidden_path_model,
     random_leader_trie,
     serialize_model,
+    twin_hidden_path_models,
 )
 from .experiments import CONFIG_KEYS, KEY_ALIASES, config_from_mapping, parse_number, trial_rng
 from .oracles import OracleSession, audit_discipline, write_ledger_csv
@@ -163,8 +164,7 @@ def _cmd_analyze(args) -> int:
     if args.what == "tv":
         vocab = VocabSpec(args.K, args.H)
         stem = tuple(int(t) for t in rng.integers(1, args.K + 1, size=args.H - 1))
-        model_a = HiddenPathModel(vocab, args.lam, stem + (1,))
-        model_b = HiddenPathModel(vocab, args.lam, stem + (2,))
+        model_a, model_b = twin_hidden_path_models(vocab, args.lam, stem, 1, 2)
         tv = analysis.tv_distance(analysis.pathfull_law(model_a), analysis.pathfull_law(model_b))
         reach = analysis.reachability(model_a, {stem})
         record = {

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -288,6 +289,31 @@ def twin_hidden_path_models(
     )
 
 
+def walk_trie(vocab: VocabSpec, hidden_children: Callable, limit=None) -> tuple:
+    """Breadth-first walk of a leader trie from the root, the one loop over
+    trie nodes. ``hidden_children(p)`` returns the candidate hidden children
+    of the internal node p: a singleton ``(b,)`` is kept as ``branch[p]`` and
+    the children ``p + (1,)`` and then ``p + (b,)`` are queued while they are
+    internal (shorter than H); anything else halts p. At most ``limit``
+    nodes are processed. Returns ``(branch, halted, queued)``: the kept
+    entries in visit order, the halted prefixes, and the prefixes still
+    queued when the limit ran out."""
+    branch, halted = {}, []
+    queue = deque([ROOT])
+    processed = 0
+    while queue and (limit is None or processed < limit):
+        p = queue.popleft()
+        processed += 1
+        cands = hidden_children(p)
+        if len(cands) == 1:
+            branch[p] = b = cands[0]
+            if len(p) + 1 < vocab.H:
+                queue.extend((p + (1,), p + (b,)))
+        else:
+            halted.append(p)
+    return branch, tuple(halted), tuple(queue)
+
+
 @dataclass(frozen=True)
 class LeaderTrie:
     """A depth-H branching structure in which every internal node has the
@@ -307,21 +333,17 @@ class LeaderTrie:
             raise ValueError(f"leader tries need K >= 3, got K={K}")
         branch = dict(self.branch)
         object.__setattr__(self, "branch", branch)
-        reachable = set()
-        frontier = [ROOT]
-        while frontier:
-            p = frontier.pop()
-            if len(p) == H:
-                continue
+
+        def hidden_child(p):
             if p not in branch:
                 raise ValueError(f"node {p} at depth {len(p)} < {H} has no branch entry")
             b = branch[p]
             if not (2 <= b <= K):
                 raise ValueError(f"hidden child {b} at {p} outside 2..{K}")
-            reachable.add(p)
-            frontier.append(p + (1,))
-            frontier.append(p + (b,))
-        extra = set(branch) - reachable
+            return (b,)
+
+        reachable, _, _ = walk_trie(self.vocab, hidden_child)
+        extra = set(branch) - set(reachable)
         if extra:
             raise ValueError(f"branch entries not reachable from the root: {sorted(extra)}")
 
@@ -338,16 +360,7 @@ def random_leader_trie(vocab: VocabSpec, rng: np.random.Generator) -> LeaderTrie
     n = 2**vocab.H - 1
     if n > DEFAULT_ENUMERATION_CAP:
         raise EnumerationCapError(f"{n} leader-trie nodes exceed cap {DEFAULT_ENUMERATION_CAP}")
-    branch = {}
-    frontier = [ROOT]
-    while frontier:
-        p = frontier.pop(0)
-        if len(p) == vocab.H:
-            continue
-        b = int(rng.integers(2, vocab.K + 1))
-        branch[p] = b
-        frontier.append(p + (1,))
-        frontier.append(p + (b,))
+    branch, _, _ = walk_trie(vocab, lambda p: (int(rng.integers(2, vocab.K + 1)),))
     return LeaderTrie(vocab, branch)
 
 

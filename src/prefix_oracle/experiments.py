@@ -327,6 +327,7 @@ def run_no_reset_hardness(cfg: ExperimentConfig) -> ExperimentReport:
                 rng = trial_rng(cfg.seed, H, q, trial)
                 stem = tuple(int(t) for t in rng.integers(1, cfg.K + 1, size=H - 1))
                 last = sorted(int(t) for t in rng.choice(cfg.K, size=2, replace=False) + 1)
+                # inline: the tracer counts builds through this module's HiddenPathModel
                 model_a = HiddenPathModel(vocab, cfg.lam, stem + (last[0],))
                 model_b = HiddenPathModel(vocab, cfg.lam, stem + (last[1],))
                 truth = int(rng.integers(0, 2))

@@ -200,11 +200,13 @@ def postprocess_logprobs(reply: PathFullReply):
 
 
 def postprocess_topk(reply: PathFullReply, k: int):
-    """Per-step top-k (token, log probability) lists, ties broken by token."""
+    """Per-step top-k (token, log probability) lists, ties broken by token;
+    a zero-probability entry is reported as -inf."""
     steps = []
     for mu in reply.mus:
         order = sorted(range(len(mu)), key=lambda i: (-mu[i], i))[:k]
-        steps.append(tuple((i + 1, math.log(mu[i])) for i in order))
+        steps.append(tuple((i + 1, math.log(mu[i]) if mu[i] > 0.0 else -math.inf)
+                           for i in order))
     return reply.y, tuple(steps)
 
 

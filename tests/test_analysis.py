@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefix_oracle.analysis import (
     AgreementError,
@@ -28,12 +29,15 @@ from prefix_oracle.core import (
     BridgeInstance,
     CallableModel,
     HiddenPathModel,
+    LeaderTrieModel,
     UniformModel,
     VocabSpec,
     completion_distribution,
     random_bridge_instance,
     random_hidden_path_model,
+    random_leader_trie,
     signal_probs,
+    trajectory_prob,
     twin_hidden_path_models,
 )
 
@@ -126,17 +130,90 @@ def test_reachability_agreement_precondition_enforced():
     assert not models_agree_outside(a, b, {(1, 1)})
 
 
+def _trajectory_mass(law, y) -> float:
+    return sum(p for (traj, _), p in law.items() if traj == y)
+
+
 def test_pathfull_law_basics():
     model = HiddenPathModel(VocabSpec(2, 1), 1.0, (2,))
     law = pathfull_law(model)
-    assert law.support_size == 2
-    assert law.total() == pytest.approx(1.0, abs=1e-12)
-    assert law.trajectory_mass((2,)) == pytest.approx(model.p_plus, rel=1e-12)
+    assert len(law) == 2
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
+    assert _trajectory_mass(law, (2,)) == pytest.approx(model.p_plus, rel=1e-12)
 
     deeper = HiddenPathModel(VocabSpec(2, 3), 0.7, (1, 2, 1))
     law = pathfull_law(deeper)
-    assert law.total() == pytest.approx(1.0, abs=1e-10)
-    assert law.trajectory_mass(deeper.z) == pytest.approx(deeper.p_plus**3, rel=1e-10)
+    assert sum(law.values()) == pytest.approx(1.0, abs=1e-10)
+    assert _trajectory_mass(law, deeper.z) == pytest.approx(deeper.p_plus**3, rel=1e-10)
+
+
+# Reference copies of the per-completion loops that the exact laws replaced:
+# each asks trajectory_prob once per completion it sums.
+
+
+def _reference_pathfull_law(model) -> dict:
+    H = model.vocab.H
+    probs = {}
+    for y in model.vocab.completions():
+        mus = tuple(model.next_probs(y[:t]) for t in range(H))
+        key = (y, tuple(tuple(int(round(v / 1e-12)) for v in mu) for mu in mus))
+        probs[key] = trajectory_prob(model, y)
+    return probs
+
+
+def _reference_reachability(model, U) -> float:
+    U = frozenset(U)
+    avoid = 0.0
+    for y in model.vocab.completions():
+        if all(y[:t] not in U for t in range(model.vocab.H)):
+            avoid += trajectory_prob(model, y)
+    return 1.0 - avoid
+
+
+def _with_zeros(vocab, rng):
+    """A callable model whose distributions put zero on random tokens."""
+    table = {}
+    for p in vocab.prefixes():
+        w = rng.uniform(0.1, 1.0, size=vocab.K) * (rng.random(vocab.K) < 0.6)
+        w[rng.integers(vocab.K)] += 0.5  # at least one positive entry
+        table[p] = w / w.sum()
+    return CallableModel(vocab, table.__getitem__)
+
+
+LAW_FAMILIES = {
+    "hidden-path": lambda vocab, rng: random_hidden_path_model(
+        vocab, float(rng.uniform(0.0, 3.0)), rng),
+    "leader-trie": lambda vocab, rng: LeaderTrieModel(random_leader_trie(vocab, rng)),
+    "uniform": lambda vocab, rng: UniformModel(vocab),
+    "callable-zeros": _with_zeros,
+}
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(LAW_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_laws_equal_per_completion_reference(family, K, H, seed):
+    if family == "leader-trie":
+        K += 1  # leader tries need K >= 3
+    vocab = VocabSpec(K, H)
+    rng = RNG(seed)
+    model = LAW_FAMILIES[family](vocab, rng)
+    other = _with_zeros(vocab, rng)
+    law, ref = pathfull_law(model), _reference_pathfull_law(model)
+    assert list(law.items()) == list(ref.items())  # == on every float, same key order
+    ref_other = _reference_pathfull_law(other)
+    keys = set(ref) | set(ref_other)
+    assert tv_distance(law, pathfull_law(other)) == 0.5 * sum(
+        abs(ref.get(k, 0.0) - ref_other.get(k, 0.0)) for k in keys)
+    prefixes = list(vocab.prefixes())
+    for size in (1, 2, 4):
+        idx = rng.choice(len(prefixes), size=min(size, len(prefixes)), replace=False)
+        U = {prefixes[i] for i in idx}
+        assert reachability_by_enumeration(model, U) == _reference_reachability(model, U)
 
 
 def test_pathfull_law_enumeration_cap():

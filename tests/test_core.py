@@ -227,6 +227,63 @@ def test_random_leader_trie_caps_size_before_drawing():
     assert rng.bit_generator.state == state  # raised before the first draw
 
 
+def _list_frontier_branch(vocab, rng) -> dict:
+    """Reference copy of the list-frontier growth loop that random_leader_trie
+    replaced: the draws, and the branch items in insertion order."""
+    branch = {}
+    frontier = [ROOT]
+    while frontier:
+        p = frontier.pop(0)
+        if len(p) == vocab.H:
+            continue
+        b = int(rng.integers(2, vocab.K + 1))
+        branch[p] = b
+        frontier.append(p + (1,))
+        frontier.append(p + (b,))
+    return branch
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(K=st.integers(3, 5), H=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_random_leader_trie_matches_list_frontier_reference(K, H, seed):
+    vocab = VocabSpec(K, H)
+    rng, ref_rng = RNG(seed), RNG(seed)
+    trie = random_leader_trie(vocab, rng)
+    ref = _list_frontier_branch(vocab, ref_rng)
+    assert list(trie.branch.items()) == list(ref.items())
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert LeaderTrie(vocab, ref) == trie  # the reference trie passes validation too
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    K=st.integers(3, 5),
+    H=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+    fault=st.sampled_from(["drop", "child 1", "child K+1", "unreachable"]),
+    data=st.data(),
+)
+def test_leader_trie_reports_each_single_fault(K, H, seed, fault, data):
+    vocab = VocabSpec(K, H)
+    branch = dict(random_leader_trie(vocab, RNG(seed)).branch)
+    p = data.draw(st.sampled_from(sorted(branch)))
+    if fault == "drop":
+        del branch[p]
+        message = f"node {p} at depth {len(p)} < {H} has no branch entry"
+    elif fault == "unreachable":
+        # an off-trie node, or a prefix as long as the horizon
+        q = data.draw(st.lists(st.integers(1, K), min_size=1, max_size=H).map(tuple)
+                      .filter(lambda q: q not in branch))
+        branch[q] = 2
+        message = f"branch entries not reachable from the root: {[q]}"
+    else:
+        branch[p] = bad = 1 if fault == "child 1" else K + 1
+        message = f"hidden child {bad} at {p} outside 2..{K}"
+    with pytest.raises(ValueError) as excinfo:
+        LeaderTrie(vocab, branch)
+    assert str(excinfo.value) == message
+
+
 def test_bridge_dist_piecewise():
     inst = BridgeInstance(K=2, D=2, L=2, scaffold=(1, 2), suffix=(2, 2), bit=0,
                           lam=1.0, eta=0.5, beta=1.0)

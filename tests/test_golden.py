@@ -1,6 +1,6 @@
-"""Golden digests: sha256 of report CSVs, CLI records and ledger CSVs at
-fixed small configs, so any change to RNG draw order or output bytes fails
-loudly.
+"""Golden digests: sha256 of report CSVs, CLI records (analyze records
+included) and ledger CSVs at fixed small configs, so any change to RNG draw
+order or output bytes fails loudly.
 
 The digests hold for the Python and numpy versions they were computed under
 (float formatting and numpy's generator streams may differ elsewhere); on
@@ -76,6 +76,24 @@ COMMAND_CASES = {
 }
 
 
+# analyze subcommand -> (argv, (exit code, stdout digest)); tv reads the
+# reply laws and reach a breadth-first random leader trie
+ANALYZE_CASES = {
+    "tv": (["--K", "3", "--H", "4", "--lambda", "0.7", "--seed", "1"],
+           (0, "d94e9a542204b986f89bc52e0b32d2a326befd52258225cd521986407e36582c")),
+    "reach": (["--family", "leader-trie", "--K", "3", "--H", "4", "--U=1.2,3.1,3.2.2",
+               "--seed", "2"],
+              (0, "40ed2c3424016635528f38f8cb4c5ec19811d45c71424f4d8bdec0754853c075")),
+    "gibbs": (["--K", "2", "--D", "2", "--L", "3", "--lambda", "1.5", "--seed", "3"],
+              (0, "898c7a6d3335f69f800b63c990589f0218d741ed3565b5058e24015e4dbeb1b6")),
+    "objective": (["--K", "2", "--D", "2", "--L", "2", "--eta", "0.7", "--seed", "4"],
+                  (0, "78aed05c1d2cb3c0ae2abe929a5bed8f4c132bba013eeae09cdd340837c42ab9")),
+    "certificate": (["--K", "3", "--D", "3", "--L", "2", "--qg", "20", "--qr", "5",
+                     "--seed", "5"],
+                    (0, "f6d87ba340dd4315e6112820f8c589643cbc5d63ad90e04a13a96e94bc5aaea6")),
+}
+
+
 def _sha(data) -> str:
     if isinstance(data, str):
         data = data.encode()
@@ -112,3 +130,10 @@ def test_command_digests(command, tmp_path, capsys):
     code = main([command, *argv, "--out", str(ledger)])
     stdout = capsys.readouterr().out
     assert (code, _sha(stdout), _sha(ledger.read_bytes())) == expected
+
+
+@pytest.mark.parametrize("what", sorted(ANALYZE_CASES))
+def test_analyze_digests(what, capsys):
+    argv, expected = ANALYZE_CASES[what]
+    code = main(["analyze", what, *argv])
+    assert (code, _sha(capsys.readouterr().out)) == expected

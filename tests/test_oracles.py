@@ -300,6 +300,15 @@ def test_topk_validates_k():
         session.query_output_with_topk(RNG(0), 3)
 
 
+def test_topk_reports_zero_probability_entries_as_minus_inf():
+    # k exceeds the number of nonzero tokens at every prefix
+    session = OracleSession(CallableModel(VocabSpec(3, 2), lambda p: [1.0, 0.0, 0.0]))
+    reply = session.query_output_with_topk(RNG(0), 2)
+    assert reply == ((1, 1), (((1, 0.0), (2, -math.inf)),) * 2)
+    assert session.ledger.records == [(OUTPUT_TOPK, None, reply)]
+    assert ledger_to_csv(session.ledger).splitlines()[1] == "1,OutputWithTopK,,y=1.1"
+
+
 def test_prefix_sample_point_mass_and_count():
     vocab = VocabSpec(3, 2)
     session = OracleSession(_point_mass_model(vocab, 3))

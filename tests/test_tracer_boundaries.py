@@ -1,7 +1,9 @@
 """The benchmark tracer (perfbench/tracer.py) patches names of this package
 from outside it. A traced experiment must still count every query its report
-counts, and leave every patched attribute as it found it, so renaming a name
-the tracer relies on fails here and not only in the benchmark."""
+counts, keep the exact relations the benchmark cross-checks, and leave every
+patched attribute as it found it, so renaming a name the tracer relies on, or
+moving exact-law work off the path it counts, fails here and not only in the
+benchmark."""
 
 import sys
 from pathlib import Path
@@ -57,3 +59,12 @@ def test_traced_experiment_counts_every_query_and_restores(tracer_module, cfg):
     if cfg.name in AUDITING:
         assert counts["oracles.audit.calls"] > 0
         assert counts["oracles.audit.trail_entries"] > 0
+    # the benchmark's cross-check: only bridge-separation runs exact analysis,
+    # one objective per successful trial, each scoring 2*K^H completions
+    calls, enumerated = counts["analysis.calls"], counts["analysis.completions_enumerated"]
+    if cfg.name == "bridge-separation":
+        (H,) = cfg.H
+        assert calls == sum(row.success for row in report.rows) > 0
+        assert enumerated == 2 * cfg.K**H * calls
+    else:
+        assert calls == enumerated == 0
