@@ -101,18 +101,22 @@ def _peaked(K: int, token: int, high: float, low: float) -> list:
 
 
 def _dist_entry(probs) -> tuple:
-    """The ``(probs, edges)`` forms of one distribution: the probability
-    tuple and the token edges ``(0.0, c_1, ..., c_{K-1})``, where ``c_i`` are
-    the partial sums of ``probs``. A draw u in [0, 1) picks token
+    """The ``(probs, edges, logs)`` forms of one distribution: the
+    probability tuple, the token edges ``(0.0, c_1, ..., c_{K-1})``, where
+    ``c_i`` are the partial sums of ``probs``, and the log-probabilities,
+    -inf at a zero probability. A draw u in [0, 1) picks token
     ``bisect_right(edges, u)``: the first token i with u < c_i, or K if no
-    token below K has one."""
+    token below K has one. Scores add ``logs`` entries, so ``math.log`` runs
+    once per token and class key."""
     probs = tuple(float(x) for x in probs)
-    return probs, (0.0, *itertools.accumulate(probs[:-1]))
+    logs = tuple(math.log(p) if p > 0.0 else -math.inf for p in probs)
+    return probs, (0.0, *itertools.accumulate(probs[:-1])), logs
 
 
 class _DistCache(dict):
-    """Class key (a ``CallableModel``'s prefix) -> ``(probs, edges)`` entry,
-    built on first use; the one place a model's cache is filled."""
+    """Class key (a ``CallableModel``'s prefix) -> ``(probs, edges, logs)``
+    entry, built on first use; the one place a model's cache is filled.
+    Draws read ``edges`` and scores read ``logs``."""
 
     def __init__(self, build):
         super().__init__()
@@ -338,8 +342,8 @@ class LeaderTrie:
             if p not in branch:
                 raise ValueError(f"node {p} at depth {len(p)} < {H} has no branch entry")
             b = branch[p]
-            if not (2 <= b <= K):
-                raise ValueError(f"hidden child {b} at {p} outside 2..{K}")
+            if not (self.vocab._all_tokens((b,)) and 2 <= b):
+                raise ValueError(f"hidden child {b!r} at {p} outside 2..{K}")
             return (b,)
 
         reachable, _, _ = walk_trie(self.vocab, hidden_child)
@@ -564,23 +568,26 @@ def random_bridge_instance(
 
 
 def trajectory_logprob(model, y: Completion) -> float:
-    """log Pr(Y = y): sum of per-step conditional log probabilities. Once y
-    reaches the off entry, every later step reads it without a lookup."""
+    """log Pr(Y = y): sum of per-step conditional log probabilities, read
+    from the cached ``logs`` column. Once y reaches the off entry, every later
+    step reads it without a lookup."""
     model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
     lookup, off = model._lookup, model._off_entry()
     entry, total = None, 0.0
     for t, a in enumerate(y):
         if t == 0 or entry is not off:
             entry = lookup(y[:t])
-        p = entry[0][a - 1]
-        if p == 0.0:
+        lp = entry[2][a - 1]
+        if lp == -math.inf:
             return -math.inf
-        total += math.log(p)
+        total += lp
     return total
 
 
 def trajectory_prob(model, y: Completion) -> float:
-    """Pr(Y = y): product of the conditional probabilities along y."""
+    """Pr(Y = y): product of the conditional probabilities along y. Nothing
+    in the package calls it; it is kept, and exported, as the per-completion
+    reference that exact laws are checked against."""
     return math.exp(trajectory_logprob(model, y))
 
 
@@ -594,7 +601,7 @@ def rollout(model, rng: np.random.Generator) -> tuple:
     y, mus = (), []
     for u in draws:
         entry = lookup(y)
-        probs, edges = entry
+        probs, edges, _ = entry
         if entry is off:
             t = len(y)
             mus.extend((probs,) * (len(draws) - t))
@@ -612,8 +619,9 @@ def sample_trajectory(model, rng: np.random.Generator) -> Completion:
 
 
 def completion_distribution(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
-    """Exact trajectory distribution as a completion -> probability map."""
-    return {y: trajectory_prob(model, y) for y in model.vocab.completions(cap)}
+    """Exact trajectory distribution as a completion -> probability map,
+    each value the exp of the completion's ``trajectory_logprob``."""
+    return {y: math.exp(trajectory_logprob(model, y)) for y in model.vocab.completions(cap)}
 
 
 # ---------------------------------------------------------------------------

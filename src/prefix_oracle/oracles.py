@@ -218,8 +218,9 @@ class OracleSession:
     leader-trie generator. ``strict_discipline`` refuses a prefix query that
     breaks the local-reset rule: it raises before the query is answered,
     recorded or draws from its stream. Chosen-prefix queries read the model's
-    cached ``(probs, edges)`` entry, and check a prefix unless the previous
-    query used the same tuple.
+    cached ``(probs, edges, logs)`` entry, and check a prefix unless the
+    previous query used the same tuple; SeqScore reads ``logs`` through
+    ``trajectory_logprob``.
     """
 
     def __init__(
@@ -275,10 +276,11 @@ class OracleSession:
     # -- chosen-prefix interfaces -------------------------------------------
 
     def _entry(self, p: Prefix) -> tuple:
-        """The model's ``(probs, edges)`` at ``p``, checked and looked up unless
-        ``p`` is the very tuple the previous query used: an equal tuple such as
-        ``(1.0,)`` for ``(1,)`` would find the same cached entry, so it is
-        checked, and refused on every ask."""
+        """The model's ``(probs, edges, logs)`` entry at ``p``, checked and
+        looked up unless ``p`` is the very tuple the previous query used: an
+        equal tuple such as ``(1.0,)`` for ``(1,)`` would find the same cached
+        entry, so it is checked, and refused on every ask. Samples read
+        ``edges``, and PrefixTop and PrefixLogit ``probs``."""
         if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
             self._last_prefix, self._last_entry = p, self.model._lookup(p)

@@ -209,6 +209,12 @@ def test_leader_trie_rejects_bad_structure():
         LeaderTrie(VocabSpec(2, 1), {(): 2})  # K >= 3 required
 
 
+@pytest.mark.parametrize("b", [2.5, 2.0, np.float64(2.0), True, "2"], ids=repr)
+def test_leader_trie_rejects_non_integer_hidden_child(b):
+    with pytest.raises(ValueError, match="outside 2..3"):
+        LeaderTrie(VocabSpec(3, 2), {(): b, (1,): 2, (b,): 3})
+
+
 def test_random_leader_trie_structure():
     rng = RNG(11)
     for H in (1, 2, 4):
@@ -407,6 +413,7 @@ def test_edges_token_matches_linear_scan(weights, u, edge):
     if edge is not None and cdf[edge % len(cdf)] < 1.0:
         u = cdf[edge % len(cdf)]
     assert bisect_right(_dist_entry(weights)[1], u) == _linear_scan_token(cdf, u)
+    assert _dist_entry(weights)[2] == tuple(math.log(w) if w > 0 else -math.inf for w in weights)
 
 
 @settings(max_examples=120, deadline=None, database=None)
