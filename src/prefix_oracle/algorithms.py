@@ -53,6 +53,17 @@ class BridgeOutput:
     reward_queries: int
 
 
+# Most samples one vote stage may ask for (80 MB of doubles): a larger budget
+# is refused before any draw.
+MAX_STAGE_SAMPLES = 10**7
+
+
+def _stage_samples(m: float) -> int:
+    if not m <= MAX_STAGE_SAMPLES:
+        raise ValueError(f"vote stage of {m:.4g} samples exceeds cap {MAX_STAGE_SAMPLES}")
+    return math.ceil(m)
+
+
 def majority_budget(gap: float, rounds: int, K: int, delta: float) -> int:
     """Samples per stage so that all ``rounds`` majority votes over K tokens
     with per-sample advantage ``gap`` jointly succeed with probability
@@ -61,7 +72,7 @@ def majority_budget(gap: float, rounds: int, K: int, delta: float) -> int:
         raise ValueError(f"failure budget must be in (0, 1), got {delta}")
     if gap <= 0.0:
         raise ValueError(f"per-sample advantage must be positive, got {gap}")
-    return math.ceil(2.0 / gap**2 * math.log(rounds * (K - 1) / delta))
+    return _stage_samples(2.0 / gap**2 * math.log(rounds * (K - 1) / delta))
 
 
 def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
@@ -71,7 +82,7 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
         raise ValueError(f"failure budget must be in (0, 1), got {delta}")
     if S < 1:
         raise ValueError(f"node budget must be >= 1, got {S}")
-    return math.ceil(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
+    return _stage_samples(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
 
 
 class _Uniforms:

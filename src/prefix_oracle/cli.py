@@ -150,64 +150,49 @@ def _build_analysis_model(args, rng):
 
 def _cmd_analyze(args) -> int:
     rng = trial_rng(args.seed, 0, 0)
+    ok = True  # false only for a failed tv bound
     if args.what == "reach":
         model = _build_analysis_model(args, rng)
         z = model.z if isinstance(model, HiddenPathModel) else None
-        U = parse_prefix_set(args.U, z)
         record = {
             "command": "analyze-reach",
-            "reachability": analysis.reachability(model, U),
+            "reachability": analysis.reachability(model, parse_prefix_set(args.U, z)),
             "model": serialize_model(model).strip().replace("\n", "; "),
         }
-        _emit(record, args.out)
-        return 0
-    if args.what == "tv":
+    elif args.what == "tv":
         vocab = VocabSpec(args.K, args.H)
         stem = tuple(int(t) for t in rng.integers(1, args.K + 1, size=args.H - 1))
         model_a, model_b = twin_hidden_path_models(vocab, args.lam, stem, 1, 2)
         tv = analysis.tv_distance(analysis.pathfull_law(model_a), analysis.pathfull_law(model_b))
         reach = analysis.reachability(model_a, {stem})
-        record = {
-            "command": "analyze-tv",
-            "tv": tv,
-            "reachability": reach,
-            "bound_holds": tv <= reach + 1e-10,
-        }
-        _emit(record, args.out)
-        return 0 if record["bound_holds"] else 1
-    # gibbs / objective / certificate need a bridge instance
-    inst = random_bridge_instance(args.K, args.D, args.L, args.lam, args.eta, args.beta, rng)
-    gp = analysis.gibbs_policy(inst)
-    if args.what == "gibbs":
-        record = {
-            "command": "analyze-gibbs",
-            "q0": inst.q0,
-            "normalizer": gp.Z,
-            "target_mass": gp.target_mass,
-            "optimal_value": gp.optimal_value,
-        }
-        _emit(record, args.out)
-        return 0
-    if args.what == "objective":
-        base = analysis.evaluate_objective(
-            inst, analysis.PromptPolicy(hard=completion_distribution(inst.hard_model())))
-        optimal = analysis.evaluate_objective(inst, gp)
-        record = {
-            "command": "analyze-objective",
-            "optimal": optimal,
-            "base_policy": base,
-            "gap": optimal - base,
-        }
-        _emit(record, args.out)
-        return 0
-    record = {
-        "command": "analyze-certificate",
-        "q_g": args.qg,
-        "q_r": args.qr,
-        "certificate": analysis.lower_bound_certificate(inst, args.qg, args.qr),
-    }
+        ok = tv <= reach + 1e-10
+        record = {"command": "analyze-tv", "tv": tv, "reachability": reach, "bound_holds": ok}
+    else:  # gibbs / objective / certificate need a bridge instance
+        inst = random_bridge_instance(args.K, args.D, args.L, args.lam, args.eta, args.beta, rng)
+        gp = analysis.gibbs_policy(inst)
+        if args.what == "gibbs":
+            record = {
+                "command": "analyze-gibbs",
+                "q0": inst.q0,
+                "normalizer": gp.Z,
+                "target_mass": gp.target_mass,
+                "optimal_value": gp.optimal_value,
+            }
+        elif args.what == "objective":
+            base = analysis.evaluate_objective(
+                inst, analysis.PromptPolicy(hard=completion_distribution(inst.hard_model())))
+            optimal = analysis.evaluate_objective(inst, gp)
+            record = {"command": "analyze-objective", "optimal": optimal,
+                      "base_policy": base, "gap": optimal - base}
+        else:
+            record = {
+                "command": "analyze-certificate",
+                "q_g": args.qg,
+                "q_r": args.qr,
+                "certificate": analysis.lower_bound_certificate(inst, args.qg, args.qr),
+            }
     _emit(record, args.out)
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_experiment(args) -> int:

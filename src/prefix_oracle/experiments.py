@@ -99,6 +99,9 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "H", _parse_int_list(self.H))
         object.__setattr__(self, "q", _parse_int_list(self.q))
+        for key, sweep in (("H", self.H), ("q", self.q)):
+            if len(set(sweep)) < len(sweep):
+                raise ValueError(f"sweep {key} repeats a value, got {sweep}")
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
         if self.seed < 0:
@@ -260,49 +263,78 @@ def emit_report(report: ExperimentReport, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Runners. Each writes its trial loop out in full, and reaches trial_rng,
-# OracleSession, audit_discipline, the algorithms and the model builders
-# through this module's globals, where perfbench/tracer.py patches them.
+# Runners: each writes its trial bodies inline around one _Run. Both reach
+# trial_rng, OracleSession, audit_discipline, the algorithms and the model
+# builders through this module's globals, where perfbench/tracer.py patches them.
 
 
-def _check_floor(rows, param: str, cfg: ExperimentConfig, violations: list) -> None:
-    """Flag ``param`` when its success rate is below 1 - delta less the
-    three-sigma margin."""
-    rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-    floor = 1.0 - cfg.delta - binomial_margin(1.0 - cfg.delta, cfg.trials)
-    if rate < floor:
-        violations.append(f"{param}: success rate {rate} below floor {floor}")
+class _Run:
+    """A report in the making. ``trials`` opens a group and yields each
+    trial's rng; ``flag`` and ``record`` add to the current trial (``record``
+    audits the session if given), and the checks read the group's own rows."""
+
+    def __init__(self, name: str, cfg: ExperimentConfig):
+        self.name, self.cfg = name, cfg
+        self.rows, self.theory, self.violations = [], {}, []
+
+    def trials(self, param: str, *stream):
+        self.param, self.start = param, len(self.rows)
+        for self.trial in range(self.cfg.trials):
+            yield trial_rng(self.cfg.seed, *stream, self.trial)
+
+    def flag(self, message: str) -> None:
+        self.violations.append(f"{self.param} trial={self.trial}: {message}")
+
+    def record(self, ok: bool, queries: int, detail: str, session=None, reward_queries: int = 0):
+        if session is not None and not audit_discipline(session.ledger).ok:
+            self.flag("discipline violation")
+        self.rows.append(TrialRow(self.trial, self.cfg.seed, self.param, ok, queries,
+                                  reward_queries, detail))
+
+    def rate(self) -> float:
+        group = self.rows[self.start:]
+        return sum(r.success for r in group) / len(group)
+
+    def check_floor(self) -> None:
+        """The success rate must reach 1 - delta less the three-sigma margin."""
+        rate, delta = self.rate(), self.cfg.delta
+        floor = 1.0 - delta - binomial_margin(1.0 - delta, self.cfg.trials)
+        if rate < floor:
+            self.violations.append(f"{self.param}: success rate {rate} below floor {floor}")
+
+    def check_within(self, target: float, label: str = "") -> None:
+        """The success rate must lie within the three-sigma margin of target."""
+        rate, margin = self.rate(), binomial_margin(target, self.cfg.trials)
+        if abs(rate - target) > margin:
+            self.violations.append(
+                f"{self.param}: success {rate} not within {margin} of {label}{target}")
+
+    def report(self) -> ExperimentReport:
+        return ExperimentReport(self.name, self.cfg, tuple(self.rows), self.theory,
+                                tuple(self.violations))
 
 
 def run_hidden_path_scaling(cfg: ExperimentConfig) -> ExperimentReport:
     """Hidden-path recovery across a horizon sweep: exact per-trial budgets
     H*m(H), discipline audits, and a success floor of 1 - delta."""
-    rows = []
-    theory = {}
-    violations = []
+    run = _Run("hidden-path-scaling", cfg)
     p_plus, p_minus = signal_probs(cfg.K, cfg.lam)
-    gap = p_plus - p_minus
     for H in cfg.H:
         vocab = VocabSpec(cfg.K, H)
-        m = majority_budget(gap, H, cfg.K, cfg.delta)
-        theory[f"m(H={H})"] = float(m)
-        theory[f"budget(H={H})"] = float(H * m)
-        theory[f"success_floor(H={H})"] = 1.0 - cfg.delta
-        param = f"H={H}"
-        for trial in range(cfg.trials):
-            rng = trial_rng(cfg.seed, H, trial)
+        m = majority_budget(p_plus - p_minus, H, cfg.K, cfg.delta)
+        run.theory[f"m(H={H})"] = float(m)
+        run.theory[f"budget(H={H})"] = float(H * m)
+        run.theory[f"success_floor(H={H})"] = 1.0 - cfg.delta
+        for rng in run.trials(f"H={H}", H):
             model = random_hidden_path_model(vocab, cfg.lam, rng)
             session = OracleSession(model)
             result = recover_hidden_path(session, cfg.delta, rng)
-            ok = result.recovered == model.z
             if result.queries_used != H * m:
-                violations.append(f"{param} trial={trial}: queries {result.queries_used} != {H * m}")
-            if not audit_discipline(session.ledger).ok:
-                violations.append(f"{param} trial={trial}: discipline violation")
-            rows.append(TrialRow(trial, cfg.seed, param, ok, result.queries_used, 0,
-                                 object_digest(result.recovered)))
-        _check_floor(rows, param, cfg, violations)
-    return ExperimentReport("hidden-path-scaling", cfg, tuple(rows), theory, tuple(violations))
+                run.flag(f"queries {result.queries_used} != {H * m}")
+            run.record(result.recovered == model.z, result.queries_used,
+                       object_digest(result.recovered), session)
+        run.check_floor()
+    return run.report()
 
 
 def run_no_reset_hardness(cfg: ExperimentConfig) -> ExperimentReport:
@@ -312,19 +344,15 @@ def run_no_reset_hardness(cfg: ExperimentConfig) -> ExperimentReport:
     The tester is exact once a rollout reaches the stem (when lam > 0), so
     its success rate is exactly 1/2 + (1 - (1 - p_plus^(H-1))^q) / 2; the
     measured rate must lie within the three-sigma margin of that value."""
-    rows = []
-    theory = {}
-    violations = []
+    run = _Run("no-reset-hardness", cfg)
     p_plus, p_minus = signal_probs(cfg.K, cfg.lam)
     for H in cfg.H:
         vocab = VocabSpec(cfg.K, H)
         for q in cfg.q:
             param = f"H={H},q={q}"
-            theory[f"ceiling({param})"] = 0.5 + q * p_plus ** (H - 1) / 2.0
+            run.theory[f"ceiling({param})"] = 0.5 + q * p_plus ** (H - 1) / 2.0
             reach = 1.0 - (1.0 - p_plus ** (H - 1)) ** q if p_plus > p_minus else 0.0
-            exact = 0.5 + reach / 2.0
-            for trial in range(cfg.trials):
-                rng = trial_rng(cfg.seed, H, q, trial)
+            for rng in run.trials(param, H, q):
                 stem = tuple(int(t) for t in rng.integers(1, cfg.K + 1, size=H - 1))
                 last = sorted(int(t) for t in rng.choice(cfg.K, size=2, replace=False) + 1)
                 # inline: the tracer counts builds through this module's HiddenPathModel
@@ -333,17 +361,12 @@ def run_no_reset_hardness(cfg: ExperimentConfig) -> ExperimentReport:
                 truth = int(rng.integers(0, 2))
                 session = OracleSession(model_a if truth == 0 else model_b)
                 guess = distinguish_no_reset_baseline(session, model_a, model_b, q, rng)
-                ok = guess == truth
                 used = session.ledger.rollouts
                 if used > q:
-                    violations.append(f"{param} trial={trial}: {used} rollouts > budget {q}")
-                rows.append(TrialRow(trial, cfg.seed, param, ok, used, 0,
-                                     f"truth={truth};guess={guess}"))
-            rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-            margin = binomial_margin(exact, cfg.trials)
-            if abs(rate - exact) > margin:
-                violations.append(f"{param}: success {rate} not within {margin} of exact {exact}")
-    return ExperimentReport("no-reset-hardness", cfg, tuple(rows), theory, tuple(violations))
+                    run.flag(f"{used} rollouts > budget {q}")
+                run.record(guess == truth, used, f"truth={truth};guess={guess}")
+            run.check_within(0.5 + reach / 2.0, "exact ")
+    return run.report()
 
 
 def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
@@ -357,14 +380,10 @@ def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
     H = cfg.H[0]
     vocab = VocabSpec(cfg.K, H)
     params = leader_trie_params(cfg.K)
-    rows = []
-    theory = {}
-    violations = []
+    run = _Run("leader-trie-matrix", cfg)
 
     # interface 0: top-token distinguishing between two distinct tries
-    param = "iface=top"
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 0, trial)
+    for rng in run.trials("iface=top", 0):
         trie_a = random_leader_trie(vocab, rng)
         trie_b = random_leader_trie(vocab, rng)
         while trie_b.branch == trie_a.branch:
@@ -374,58 +393,43 @@ def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
         probes = [p for p in ((), (1,), (trie_a.branch[()],)) if len(p) < H]
         replies = [session.query_prefix_top(p) for p in probes]
         if any(rep != 1 for rep in replies):
-            violations.append(f"{param} trial={trial}: non-leader top reply {replies}")
+            run.flag(f"non-leader top reply {replies}")
         guess = int(rng.integers(0, 2))
-        ok = guess == truth
-        rows.append(TrialRow(trial, cfg.seed, param, ok, len(replies), 0,
-                             f"truth={truth};guess={guess}"))
-    rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-    margin = binomial_margin(0.5, cfg.trials)
-    theory["top_chance"] = 0.5
-    if abs(rate - 0.5) > margin:
-        violations.append(f"{param}: success {rate} not within {margin} of 0.5")
+        run.record(guess == truth, len(replies), f"truth={truth};guess={guess}")
+    run.theory["top_chance"] = 0.5
+    run.check_within(0.5)
 
     # interface 1: logit recovery
-    param = "iface=logit"
     n_internal = 2**H - 1
-    theory["internal_nodes"] = float(n_internal)
+    run.theory["internal_nodes"] = float(n_internal)
     exact_regime = cfg.xi < params["log_margin"]
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 1, trial)
+    for rng in run.trials("iface=logit", 1):
         trie = random_leader_trie(vocab, rng)
         session = OracleSession(LeaderTrieModel(trie), xi=cfg.xi, noise=cfg.noise)
         result = recover_leader_trie_logit(session, rng)
-        ok = result.recovered == trie
         if exact_regime and result.queries_used != n_internal:
-            violations.append(f"{param} trial={trial}: queries {result.queries_used} != {n_internal}")
-        if not audit_discipline(session.ledger).ok:
-            violations.append(f"{param} trial={trial}: discipline violation")
-        rows.append(TrialRow(trial, cfg.seed, param, ok, result.queries_used, 0,
-                             object_digest(result.recovered)))
-    rate = sum(r.success for r in rows if r.param == param) / cfg.trials
-    if exact_regime and rate < 1.0:
-        violations.append(f"{param}: sub-threshold noise must recover exactly, rate {rate}")
+            run.flag(f"queries {result.queries_used} != {n_internal}")
+        run.record(result.recovered == trie, result.queries_used,
+                   object_digest(result.recovered), session)
+    if exact_regime and run.rate() < 1.0:
+        run.violations.append(
+            f"iface=logit: sub-threshold noise must recover exactly, rate {run.rate()}")
 
     # interface 2: sample recovery
-    param = "iface=sample"
     S = cfg.S if cfg.S is not None else n_internal
     m = trie_sample_budget(params["prob_margin"], cfg.K, S, cfg.delta)
-    theory["sample_m"] = float(m)
-    theory["sample_budget"] = float(S * m)
-    for trial in range(cfg.trials):
-        rng = trial_rng(cfg.seed, 2, trial)
+    run.theory["sample_m"] = float(m)
+    run.theory["sample_budget"] = float(S * m)
+    for rng in run.trials("iface=sample", 2):
         trie = random_leader_trie(vocab, rng)
         session = OracleSession(LeaderTrieModel(trie))
         result = recover_leader_trie_sample(session, S, cfg.delta, rng)
-        ok = result.recovered == trie
         if result.queries_used > S * m:
-            violations.append(f"{param} trial={trial}: queries {result.queries_used} > {S * m}")
-        if not audit_discipline(session.ledger).ok:
-            violations.append(f"{param} trial={trial}: discipline violation")
-        rows.append(TrialRow(trial, cfg.seed, param, ok, result.queries_used, 0,
-                             object_digest(result.recovered)))
-    _check_floor(rows, param, cfg, violations)
-    return ExperimentReport("leader-trie-matrix", cfg, tuple(rows), theory, tuple(violations))
+            run.flag(f"queries {result.queries_used} > {S * m}")
+        run.record(result.recovered == trie, result.queries_used,
+                   object_digest(result.recovered), session)
+    run.check_floor()
+    return run.report()
 
 
 def run_bridge_separation(cfg: ExperimentConfig) -> ExperimentReport:
@@ -438,9 +442,7 @@ def run_bridge_separation(cfg: ExperimentConfig) -> ExperimentReport:
     {H, H^2, H^3} with the configured reward-query budget. It runs for every
     horizon first, so a bad split or reward budget fails before any trial.
     """
-    rows = []
-    theory = {}
-    violations = []
+    run = _Run("bridge-separation", cfg)
     p_plus, p_minus = signal_probs(cfg.K, cfg.lam)
     cells = []
     for H in cfg.H:
@@ -452,40 +454,35 @@ def run_bridge_separation(cfg: ExperimentConfig) -> ExperimentReport:
         ref = BridgeInstance(K=cfg.K, D=D, L=L, scaffold=(1,) * D, suffix=(1,) * L,
                              bit=0, lam=cfg.lam, eta=cfg.eta, beta=cfg.beta)
         for power in (1, 2, 3):
-            theory[f"certificate(H={H},qg=H^{power},qr={cfg.qr})"] = lower_bound_certificate(
+            run.theory[f"certificate(H={H},qg=H^{power},qr={cfg.qr})"] = lower_bound_certificate(
                 ref, H**power, cfg.qr)
         cells.append((H, D, L))
     for H, D, L in cells:
         param = f"H={H}"
         m = majority_budget(p_plus - p_minus, L, cfg.K, cfg.delta)
         budget = (D + 1) + L * m
-        theory[f"m({param})"] = float(m)
-        theory[f"budget({param})"] = float(budget)
-        theory[f"success_floor({param})"] = 1.0 - cfg.delta
+        run.theory[f"m({param})"] = float(m)
+        run.theory[f"budget({param})"] = float(budget)
+        run.theory[f"success_floor({param})"] = 1.0 - cfg.delta
         check_objective = cfg.K**H <= OBJECTIVE_CHECK_MAX_COMPLETIONS
-        for trial in range(cfg.trials):
-            rng = trial_rng(cfg.seed, H, trial)
+        for rng in run.trials(param, H):
             inst = random_bridge_instance(cfg.K, D, L, cfg.lam, cfg.eta, cfg.beta, rng)
             session = OracleSession(inst.hard_model())
             out = bridge_posttrain(inst, session, exact_reward_oracle(inst), cfg.delta, rng)
             ok = out.suffix == inst.suffix and out.bit == inst.bit
             if out.reward_queries != 1:
-                violations.append(f"{param} trial={trial}: {out.reward_queries} reward queries")
+                run.flag(f"{out.reward_queries} reward queries")
             if out.generator_queries != budget:
-                violations.append(
-                    f"{param} trial={trial}: queries {out.generator_queries} != {budget}")
-            if not audit_discipline(session.ledger).ok:
-                violations.append(f"{param} trial={trial}: discipline violation")
+                run.flag(f"queries {out.generator_queries} != {budget}")
+            run.record(ok, out.generator_queries, object_digest(out.suffix), session,
+                       out.reward_queries)
             if ok and check_objective:
                 value = evaluate_objective(inst, out.policy)
                 expect = inst.eta * inst.beta * math.log(5.0 - inst.q0)
                 if abs(value - expect) > 1e-9:
-                    violations.append(
-                        f"{param} trial={trial}: objective {value} != optimal {expect}")
-            rows.append(TrialRow(trial, cfg.seed, param, ok, out.generator_queries,
-                                 out.reward_queries, object_digest(out.suffix)))
-        _check_floor(rows, param, cfg, violations)
-    return ExperimentReport("bridge-separation", cfg, tuple(rows), theory, tuple(violations))
+                    run.flag(f"objective {value} != optimal {expect}")
+        run.check_floor()
+    return run.report()
 
 
 RUNNERS = {

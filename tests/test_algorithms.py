@@ -34,6 +34,7 @@ from prefix_oracle.core import (
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
+    signal_probs,
     twin_hidden_path_models,
 )
 from prefix_oracle.oracles import (
@@ -188,6 +189,32 @@ def test_trie_sample_budget_and_threshold():
                 assert 0 < m < 10**9  # always finite
     with pytest.raises(ValueError):
         trie_sample_budget(0.05, 3, 0, 0.1)
+
+
+def test_stage_budgets_refuse_more_than_the_cap(monkeypatch):
+    import prefix_oracle.algorithms as alg
+
+    # K=2, H=3: lambda 1e-3 needs 27,209,584 samples per stage and 1e-4 about
+    # 2.7e9; a K=1000 trie with S=7 needs 23,934,450 per node
+    for lam in (1e-3, 1e-4, 1e-9):
+        p_plus, p_minus = signal_probs(2, lam)
+        with pytest.raises(ValueError, match="exceeds cap 10000000"):
+            majority_budget(p_plus - p_minus, 3, 2, 0.1)
+    margin = leader_trie_params(1000)["prob_margin"]
+    with pytest.raises(ValueError, match="exceeds cap 10000000"):
+        trie_sample_budget(margin, 1000, 7, 0.1)
+    # the cap itself is allowed, one sample less is not
+    gap = (math.e - 1) / (math.e + 1)
+    margin = leader_trie_params(3)["prob_margin"]
+    for budget in (lambda: majority_budget(gap, 10, 2, 0.1),
+                   lambda: trie_sample_budget(margin, 3, 15, 0.1)):
+        m = budget()
+        monkeypatch.setattr(alg, "MAX_STAGE_SAMPLES", m)
+        assert budget() == m
+        monkeypatch.setattr(alg, "MAX_STAGE_SAMPLES", m - 1)
+        with pytest.raises(ValueError, match="exceeds cap"):
+            budget()
+        monkeypatch.undo()
 
 
 def test_recover_hidden_path_single_stage():

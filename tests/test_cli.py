@@ -111,6 +111,27 @@ def test_experiment_rejects_negative_seed_and_q(capsys):
         assert "non-negative integer" not in err  # numpy's message
 
 
+def test_experiment_repeated_sweep_value_is_one_error_line(capsys):
+    argv = ["experiment", "no-reset-hardness", "--H", "4", "--q", "1,1", "--trials", "20"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: sweep q repeats a value, got (1, 1)\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["recover-hidden-path", "--lambda", "1e-9"],
+    ["experiment", "hidden-path-scaling", "--lambda", "1e-9", "--trials", "1"],
+    ["experiment", "bridge-separation", "--H", "5", "--lambda", "1e-9", "--trials", "1"],
+])
+def test_vote_stage_over_cap_is_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: vote stage of ") and "exceeds cap" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv, field", [
     (["recover-trie-logit", "--xi", "inf"], "xi"),
     (["recover-trie-logit", "--xi", "nan"], "xi"),

@@ -3,13 +3,16 @@ runs of every experiment."""
 
 import math
 import os
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefix_oracle.algorithms import majority_budget
 from prefix_oracle.core import signal_probs
 from prefix_oracle.experiments import (
     ENV_SEED,
+    RUNNERS,
     ExperimentConfig,
     ExperimentReport,
     TrialRow,
@@ -56,6 +59,23 @@ def test_config_rejects_negative_q():
     with pytest.raises(ValueError, match="q must be >= 0"):
         ExperimentConfig(name="x", q="4,-1")
     assert ExperimentConfig(name="x", q=0).q == (0,)  # a coin flip, ceiling 1/2
+
+
+def test_config_rejects_a_repeated_sweep_value():
+    for key in ("H", "q"):
+        with pytest.raises(ValueError, match=f"sweep {key} repeats a value"):
+            ExperimentConfig(name="x", **{key: "4,1,4"})
+    assert ExperimentConfig(name="x", H="4,1", q="1,4").q == (1, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(["H", "q"]), st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       st.data())
+def test_any_sweep_with_a_repeated_value_is_refused(key, values, data):
+    repeated = data.draw(st.sampled_from(values))
+    sweep = data.draw(st.permutations(values + [repeated]))
+    with pytest.raises(ValueError, match=f"sweep {key} repeats a value"):
+        ExperimentConfig(name="x", **{key: sweep})
 
 
 def test_parse_config_text():
@@ -203,6 +223,20 @@ def test_no_reset_hardness_checks_the_exact_rate(monkeypatch):
         assert violation.endswith(f" of exact {exact!r}")
 
 
+def test_group_checks_read_their_own_trials(monkeypatch):
+    from prefix_oracle import experiments as exp
+
+    # an always-right tester at lambda = 0, where the exact rate is 1/2: every
+    # group reports rate 1.0, the later ones too
+    monkeypatch.setattr(exp, "distinguish_no_reset_baseline",
+                        lambda session, a, b, q, rng: int(session.model is not a))
+    cfg = ExperimentConfig(name="no-reset-hardness", trials=50, H=(3, 4), q=(0, 2), lam=0.0)
+    report = run_no_reset_hardness(cfg)
+    assert [v.split(" not within")[0] for v in report.violations] == [
+        f"H={H},q={q}: success 1.0" for H in (3, 4) for q in (0, 2)]
+    assert [report.aggregate(p)["trials"] for p in report.params()] == [50] * 4
+
+
 def test_leader_trie_matrix_runner():
     cfg = ExperimentConfig(name="leader-trie-matrix", trials=40, K=3, H=(3,), seed=4)
     report = run_leader_trie_matrix(cfg)
@@ -241,3 +275,27 @@ def test_run_experiment_dispatch(tmp_path):
     assert out.read_text() == report_to_csv(report)
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(name="not-an-experiment"))
+
+
+def _sweep(lo, hi):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=2, unique=True).map(tuple)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.sampled_from(sorted(RUNNERS)), st.integers(1, 3), st.integers(0, 2**16), st.data())
+def test_every_runner_reports_whole_groups_and_rates_in_unit_interval(name, trials, seed, data):
+    if name == "leader-trie-matrix":
+        sweeps = dict(K=3, H=(data.draw(st.integers(1, 3)),))
+    elif name == "bridge-separation":
+        sweeps = dict(H=data.draw(_sweep(3, 5)))
+    else:
+        sweeps = dict(H=data.draw(_sweep(1, 4)), q=data.draw(_sweep(0, 3)))
+    cfg = ExperimentConfig(name=name, trials=trials, seed=seed, **sweeps)
+    report = run_experiment(cfg)
+    params = report.params()
+    assert [r.param for r in report.rows] == [p for p in params for _ in range(trials)]
+    rates = [report.success_rate(p) for p in params]
+    rates += [float(x) for v in report.violations
+              for x in re.findall(r"(?:success|rate) (-?[\d.]+(?:e-?\d+)?)", v)]
+    assert all(0.0 <= rate <= 1.0 for rate in rates)
+    assert report_to_csv(run_experiment(cfg)) == report_to_csv(report)
