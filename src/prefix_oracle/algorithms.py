@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .analysis import GibbsPolicy, gibbs_policy
+from .analysis import GibbsPolicy
 from .core import (
     HARD,
     ROOT,
@@ -257,7 +257,7 @@ def bridge_posttrain(
     probe = inst.scaffold + suffix + (inst.tau0,)
     observed = reward_query(HARD, {probe: 1.0}, rng)
     bit = 0 if observed > 0 else 1
-    return BridgeOutput(suffix, bit, gibbs_policy(replace(inst, suffix=suffix, bit=bit)),
+    return BridgeOutput(suffix, bit, GibbsPolicy(replace(inst, suffix=suffix, bit=bit)),
                         generator_queries, reward_queries=1)
 
 

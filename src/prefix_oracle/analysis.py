@@ -13,13 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import (
-    DEFAULT_ENUMERATION_CAP,
-    PROB_ATOL,
-    BridgeInstance,
-    EnumerationCapError,
-    completion_distribution,
-)
+from .core import PROB_ATOL, BridgeInstance, completion_distribution
 
 MU_QUANTUM = 1e-12
 
@@ -69,16 +63,12 @@ def reachability_by_enumeration(model, U) -> float:
 
 def models_agree_outside(model_a, model_b, U) -> bool:
     """Whether the two generators have the same next-token distributions, up
-    to PROB_ATOL, at every prefix not in U, checked exhaustively."""
+    to PROB_ATOL, at every prefix not in U, checked exhaustively (under the
+    enumeration cap)."""
     if model_a.vocab != model_b.vocab:
         return False
-    vocab = model_a.vocab
-    n_prefixes = sum(vocab.K**t for t in range(vocab.H))
-    if n_prefixes > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"{n_prefixes} prefixes exceed cap {DEFAULT_ENUMERATION_CAP}")
     U = frozenset(tuple(p) for p in U)
-    for p in vocab.prefixes():
+    for p in model_a.vocab.prefixes():
         if p in U:
             continue
         pa, pb = model_a.next_probs(p), model_b.next_probs(p)
@@ -114,7 +104,7 @@ def _quantize(mu) -> tuple:
     return tuple(int(round(v / MU_QUANTUM)) for v in mu)
 
 
-def pathfull_law(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def pathfull_law(model) -> dict:
     """Exact one-query reply law of the canonical rollout experiment, as a
     reply key -> probability map read off ``completion_distribution``.
 
@@ -124,13 +114,14 @@ def pathfull_law(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
     their laws compare directly."""
     H = model.vocab.H
     return {(y, tuple(_quantize(model.next_probs(y[:t])) for t in range(H))): prob
-            for y, prob in completion_distribution(model, cap).items()}
+            for y, prob in completion_distribution(model).items()}
 
 
 def tv_distance(law_a: Mapping, law_b: Mapping) -> float:
-    """Total variation distance between two reply laws."""
+    """Total variation distance between two reply laws, clamped to 1 against
+    rounding in laws that each sum slightly above 1."""
     keys = set(law_a) | set(law_b)
-    return 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in keys)
+    return min(1.0, 0.5 * sum(abs(law_a.get(k, 0.0) - law_b.get(k, 0.0)) for k in keys))
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +174,9 @@ class PromptPolicy:
 class GibbsPolicy:
     """Exact maximizer of the KL-regularized outcome-reward objective for a
     bridge instance: proportional to base probability times exp(reward/beta)
-    at the hard prompt, equal to the base generator on easy prompts."""
+    at the hard prompt, equal to the base generator on easy prompts. It has
+    the ``hard`` and ``easy`` laws of a ``PromptPolicy``; ``hard`` is built on
+    each read, so a kept policy holds no K^H map."""
 
     inst: BridgeInstance
 
@@ -205,7 +198,10 @@ class GibbsPolicy:
         """The optimal objective value eta * beta * log Z."""
         return self.inst.eta * self.inst.beta * math.log(self.Z)
 
-    def hard_dist(self) -> dict:
+    easy = None  # the base generator on easy prompts
+
+    @property
+    def hard(self) -> dict:
         """Exact hard-prompt law: base probability times the target's boost,
         over Z."""
         inst, Z = self.inst, self.Z
@@ -213,13 +209,6 @@ class GibbsPolicy:
         out = {y: p / Z for y, p in base.items()}
         out[inst.target] = base[inst.target] * math.exp(inst.R / inst.beta) / Z
         return out
-
-    def as_policy(self) -> PromptPolicy:
-        return PromptPolicy(hard=self.hard_dist(), easy=None)
-
-
-def gibbs_policy(inst: BridgeInstance) -> GibbsPolicy:
-    return GibbsPolicy(inst)
 
 
 def hard_prompt_objective(inst: BridgeInstance, hard: Mapping) -> float:
@@ -233,9 +222,8 @@ def hard_prompt_objective(inst: BridgeInstance, hard: Mapping) -> float:
 
 
 def evaluate_objective(inst: BridgeInstance, policy) -> float:
-    """Exact prompt-averaged objective over the two-point prompt space."""
-    if isinstance(policy, GibbsPolicy):
-        policy = policy.as_policy()
+    """Exact prompt-averaged objective over the two-point prompt space, for
+    a ``PromptPolicy`` or a ``GibbsPolicy``."""
     value = inst.eta * hard_prompt_objective(inst, policy.hard)
     if policy.easy is not None and inst.eta < 1.0:
         easy_base = completion_distribution(inst.easy_model())
@@ -264,10 +252,8 @@ def regret_gap_check(inst: BridgeInstance, policy) -> RegretGapReport:
     lands in the forbidden region (mass <= 1/4 with gap <= eta*beta/4), which
     the calibrated reward scale rules out."""
     _require_calibrated_scale(inst)
-    if isinstance(policy, GibbsPolicy):
-        policy = policy.as_policy()
     mass = policy.hard.get(inst.target, 0.0)
-    gap = gibbs_policy(inst).optimal_value - evaluate_objective(inst, policy)
+    gap = GibbsPolicy(inst).optimal_value - evaluate_objective(inst, policy)
     violated = mass <= 0.25 and gap <= inst.eta * inst.beta / 4.0
     return RegretGapReport(target_mass=mass, gap=gap, threshold_violated=violated)
 

@@ -20,13 +20,13 @@ from dataclasses import replace
 
 from . import algorithms, analysis, experiments
 from .core import (
-    EnumerationCapError,
     HiddenPathModel,
     LeaderTrieModel,
     UniformModel,
     VocabSpec,
     completion_distribution,
     leader_trie_params,
+    parse_prefix,
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
@@ -44,23 +44,11 @@ def parse_prefix_set(text: str, z=None):
         if z is None:
             raise ValueError("'tip' needs a hidden path")
         return frozenset({tuple(z[:-1])})
-    out = set()
-    for piece in text.split(","):
-        piece = piece.strip()
-        if piece in ("", "-"):
-            out.add(())
-        else:
-            out.add(tuple(int(t) for t in piece.split(".")))
-    return frozenset(out)
+    return frozenset(parse_prefix(piece.strip()) for piece in text.split(","))
 
 
-def _emit(record: dict, out=None) -> None:
+def _emit(record: dict) -> None:
     print(json.dumps(record, sort_keys=True))
-    if out:
-        with open(out, "w") as fh:
-            fh.write("key,value\n")
-            for key in sorted(record):
-                fh.write(f"{key},{record[key]}\n")
 
 
 # Builders for the recover and bridge commands: each runs its procedure on a
@@ -125,7 +113,7 @@ def _bridge(args, rng):
         "reward_queries": out.reward_queries,
         "suffix": list(out.suffix),
         "bit": out.bit,
-        "gibbs_normalizer": analysis.gibbs_policy(inst).Z,
+        "gibbs_normalizer": analysis.GibbsPolicy(inst).Z,
         "discipline_ok": audit_discipline(session.ledger).ok,
     }
 
@@ -169,7 +157,7 @@ def _cmd_analyze(args) -> int:
         record = {"command": "analyze-tv", "tv": tv, "reachability": reach, "bound_holds": ok}
     else:  # gibbs / objective / certificate need a bridge instance
         inst = random_bridge_instance(args.K, args.D, args.L, args.lam, args.eta, args.beta, rng)
-        gp = analysis.gibbs_policy(inst)
+        gp = analysis.GibbsPolicy(inst)
         if args.what == "gibbs":
             record = {
                 "command": "analyze-gibbs",
@@ -191,7 +179,7 @@ def _cmd_analyze(args) -> int:
                 "q_r": args.qr,
                 "certificate": analysis.lower_bound_certificate(inst, args.qg, args.qr),
             }
-    _emit(record, args.out)
+    _emit(record)
     return 0 if ok else 1
 
 
@@ -285,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="prefix set: 'tip', or comma-separated dot-joined prefixes ('-' = root)")
     sub.add_argument("--qg", type=int, default=1, help="generator-query budget")
     sub.add_argument("--qr", type=int, default=1, help="reward-query budget")
-    sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_analyze)
 
     sub = subs.add_parser("experiment", help="run a named experiment")
@@ -308,7 +295,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.fn(args)
-    except (ValueError, OSError, EnumerationCapError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

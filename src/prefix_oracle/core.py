@@ -27,7 +27,7 @@ Completion = tuple  # tuple of tokens, length == H
 ROOT: Prefix = ()
 
 PROB_ATOL = 1e-12
-DEFAULT_ENUMERATION_CAP = 10**6
+ENUMERATION_CAP = 10**6
 
 HARD = "hard"
 EASY = "easy"
@@ -41,8 +41,15 @@ class InvalidCompletionError(ValueError):
     """A completion has the wrong length or out-of-range tokens."""
 
 
-class EnumerationCapError(RuntimeError):
-    """Raised when an exact enumeration would exceed the configured cap."""
+class EnumerationCapError(ValueError):
+    """Raised when an enumeration would exceed ``ENUMERATION_CAP``."""
+
+
+def check_enumeration(n: int, what: str) -> None:
+    """The one size rule: refuse ``n`` items of ``what`` beyond the cap,
+    before anything is allocated."""
+    if n > ENUMERATION_CAP:
+        raise EnumerationCapError(f"{n} {what} exceed cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -57,6 +64,7 @@ class VocabSpec:
             raise ValueError(f"vocabulary size must be >= 2, got {self.K}")
         if self.H < 1:
             raise ValueError(f"horizon must be >= 1, got {self.H}")
+        check_enumeration(self.K, "tokens")
 
     def check_prefix(self, p: Prefix) -> None:
         if len(p) >= self.H:
@@ -82,15 +90,15 @@ class VocabSpec:
         return True
 
     def prefixes(self) -> Iterator[Prefix]:
-        """All prefixes of length 0..H-1, shortest first."""
-        for t in range(self.H):
-            yield from itertools.product(range(1, self.K + 1), repeat=t)
+        """All prefixes of length 0..H-1, shortest first; raises beyond the
+        enumeration cap."""
+        check_enumeration((self.K**self.H - 1) // (self.K - 1), "prefixes")
+        return itertools.chain.from_iterable(
+            itertools.product(range(1, self.K + 1), repeat=t) for t in range(self.H))
 
-    def completions(self, cap: int = DEFAULT_ENUMERATION_CAP) -> Iterator[Completion]:
+    def completions(self) -> Iterator[Completion]:
         """All K^H completions; raises beyond the enumeration cap."""
-        n = self.K**self.H
-        if n > cap:
-            raise EnumerationCapError(f"{n} completions exceed cap {cap}")
+        check_enumeration(self.K**self.H, "completions")
         return itertools.product(range(1, self.K + 1), repeat=self.H)
 
 
@@ -141,9 +149,6 @@ class _CachedDistModel:
     vocab: VocabSpec
     _keys: Mapping
 
-    def _class_key(self, p: Prefix):
-        return self._keys.get(p, 0)
-
     def _build(self, key):
         """The K probabilities of distribution class ``key``."""
         raise NotImplementedError
@@ -153,7 +158,7 @@ class _CachedDistModel:
         return _DistCache(self._build)
 
     def _lookup(self, p: Prefix):
-        return self._dist_cache[self._keys.get(p, 0)]  # _class_key, inlined
+        return self._dist_cache[self._keys.get(p, 0)]
 
     def _off_entry(self):
         """The entry of every prefix off the model's structure (key 0)."""
@@ -361,9 +366,7 @@ def random_leader_trie(vocab: VocabSpec, rng: np.random.Generator) -> LeaderTrie
     """Sample a leader trie by growing breadth-first to depth H with the
     hidden child drawn uniformly from 2..K at each internal node; raises
     before allocating when its 2^H - 1 nodes exceed the enumeration cap."""
-    n = 2**vocab.H - 1
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise EnumerationCapError(f"{n} leader-trie nodes exceed cap {DEFAULT_ENUMERATION_CAP}")
+    check_enumeration(2**vocab.H - 1, "leader-trie nodes")
     branch, _, _ = walk_trie(vocab, lambda p: (int(rng.integers(2, vocab.K + 1)),))
     return LeaderTrie(vocab, branch)
 
@@ -618,22 +621,24 @@ def sample_trajectory(model, rng: np.random.Generator) -> Completion:
     return rollout(model, rng)[0]
 
 
-def completion_distribution(model, cap: int = DEFAULT_ENUMERATION_CAP) -> dict:
+def completion_distribution(model) -> dict:
     """Exact trajectory distribution as a completion -> probability map,
     each value the exp of the completion's ``trajectory_logprob``."""
-    return {y: math.exp(trajectory_logprob(model, y)) for y in model.vocab.completions(cap)}
+    return {y: math.exp(trajectory_logprob(model, y)) for y in model.vocab.completions()}
 
 
 # ---------------------------------------------------------------------------
 # Line-oriented model serialization: header "K H family", then payload.
 
 
-def _fmt_prefix(p: Prefix) -> str:
-    return ".".join(str(t) for t in p)
+def format_prefix(p: Prefix) -> str:
+    """Dot-joined tokens; the root is the empty string."""
+    return ".".join(map(str, p))
 
 
-def _parse_prefix(text: str) -> Prefix:
-    if not text:
+def parse_prefix(text: str) -> Prefix:
+    """Inverse of format_prefix; '-' is the root too."""
+    if text in ("", "-"):
         return ROOT
     return tuple(int(t) for t in text.split("."))
 
@@ -650,7 +655,7 @@ def serialize_model(model) -> str:
         v = model.vocab
         lines = [f"{v.K} {v.H} leader-trie"]
         for p in sorted(model.trie.branch, key=lambda q: (len(q), q)):
-            lines.append(f"{_fmt_prefix(p)}:{model.trie.branch[p]}")
+            lines.append(f"{format_prefix(p)}:{model.trie.branch[p]}")
     elif isinstance(model, BridgeInstance):
         scale = "paper" if model.reward_scale is None else repr(model.reward_scale)
         lines = [
@@ -694,7 +699,7 @@ def parse_model(text: str):
         branch = {}
         for ln in body:
             loc, _, tok = ln.partition(":")
-            branch[_parse_prefix(loc)] = int(tok)
+            branch[parse_prefix(loc)] = int(tok)
         return LeaderTrieModel(LeaderTrie(vocab, branch))
     if family == "bridge":
         fields = dict(ln.split(None, 1) for ln in body)

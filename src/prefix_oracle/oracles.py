@@ -25,6 +25,7 @@ from .core import (
     LeaderTrieModel,
     Prefix,
     Token,
+    format_prefix,
     leader_trie_params,
     rollout,
     trajectory_logprob,
@@ -358,13 +359,13 @@ def _summarize_reply(kind: str, reply) -> str:
         return "bot" if reply is None else str(int(reply))
     # a PathFull reply, a completion, or (completion, per-step payload)
     y = reply.y if kind == PATHFULL else reply if kind == OUTPUT_ONLY else reply[0]
-    return "y=" + ".".join(map(str, y))
+    return "y=" + format_prefix(y)
 
 
 def ledger_to_csv(ledger: QueryLedger) -> str:
     lines = ["query_index,kind,prefix_or_completion,reply_summary"]
     for i, (kind, payload, reply) in enumerate(ledger.records, start=1):
-        loc = "" if payload is None else ".".join(str(t) for t in payload)
+        loc = "" if payload is None else format_prefix(payload)
         lines.append(f"{i},{kind},{loc},{_summarize_reply(kind, reply)}")
     return "\n".join(lines) + "\n"
 

@@ -23,9 +23,9 @@ from prefix_oracle.algorithms import (
     trie_sample_budget,
 )
 from prefix_oracle.analysis import (
+    GibbsPolicy,
     PromptPolicy,
     evaluate_objective,
-    gibbs_policy,
     hard_prompt_objective,
     kl_divergence,
     pathfull_law,
@@ -299,11 +299,11 @@ def test_criterion_06_seqscore_recovery_deterministic():
 
 def _c7_report():
     inst = random_bridge_instance(2, 1, 1, 1.0, 0.5, 1.0, trial_rng(SEED, 7, 0))
-    gp = gibbs_policy(inst)
+    gp = GibbsPolicy(inst)
     violations = []
     if abs(gp.Z - (5.0 - inst.q0)) > 1e-12:
         violations.append(f"normalizer {gp.Z!r} != 5 - q0 = {5.0 - inst.q0!r}")
-    gibbs_dist = gp.hard_dist()
+    gibbs_dist = gp.hard
     completions = sorted(gibbs_dist)
     rng = trial_rng(SEED, 7, 1)
     rows = []

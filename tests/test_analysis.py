@@ -5,14 +5,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prefix_oracle.analysis import (
     AgreementError,
+    GibbsPolicy,
     PromptPolicy,
     binary_kl,
     evaluate_objective,
-    gibbs_policy,
     hard_prompt_objective,
     kl_divergence,
     lower_bound_certificate,
@@ -28,6 +28,7 @@ from prefix_oracle.core import (
     ROOT,
     BridgeInstance,
     CallableModel,
+    EnumerationCapError,
     HiddenPathModel,
     LeaderTrieModel,
     UniformModel,
@@ -207,8 +208,8 @@ def test_exact_laws_equal_per_completion_reference(family, K, H, seed):
     assert list(law.items()) == list(ref.items())  # == on every float, same key order
     ref_other = _reference_pathfull_law(other)
     keys = set(ref) | set(ref_other)
-    assert tv_distance(law, pathfull_law(other)) == 0.5 * sum(
-        abs(ref.get(k, 0.0) - ref_other.get(k, 0.0)) for k in keys)
+    assert tv_distance(law, pathfull_law(other)) == min(1.0, 0.5 * sum(
+        abs(ref.get(k, 0.0) - ref_other.get(k, 0.0)) for k in keys))
     prefixes = list(vocab.prefixes())
     for size in (1, 2, 4):
         idx = rng.choice(len(prefixes), size=min(size, len(prefixes)), replace=False)
@@ -217,11 +218,9 @@ def test_exact_laws_equal_per_completion_reference(family, K, H, seed):
 
 
 def test_pathfull_law_enumeration_cap():
-    from prefix_oracle.core import EnumerationCapError
-
-    model = UniformModel(VocabSpec(2, 4))
-    with pytest.raises(EnumerationCapError):
-        pathfull_law(model, cap=15)
+    model = UniformModel(VocabSpec(2, 20))  # 2^20 > 10^6 completions
+    with pytest.raises(EnumerationCapError, match="completions exceed cap 1000000"):
+        pathfull_law(model)
 
 
 def test_tv_distance_extremes():
@@ -232,6 +231,27 @@ def test_tv_distance_extremes():
     point1 = CallableModel(vocab, lambda p: [1.0, 0.0])
     point2 = CallableModel(vocab, lambda p: [0.0, 1.0])
     assert tv_distance(pathfull_law(point1), pathfull_law(point2)) == pytest.approx(1.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    K=st.integers(2, 4),
+    H=st.integers(1, 3),
+    lam=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(K=2, H=1, lam=1.0, seed=0)  # each law sums above 1; unclamped TV 1.0000000000000002
+@example(K=4, H=1, lam=0.5, seed=0)
+def test_tv_of_twin_laws_is_in_unit_interval(K, H, lam, seed):
+    stem = tuple(int(t) for t in RNG(seed).integers(1, K + 1, size=H - 1))
+    a, b = twin_hidden_path_models(VocabSpec(K, H), lam, stem, 1, 2)
+    assert 0.0 <= tv_distance(pathfull_law(a), pathfull_law(b)) <= 1.0
+
+
+def test_models_agree_outside_over_cap_keeps_its_message():
+    model = UniformModel(VocabSpec(2, 20))  # 2^20 - 1 prefixes
+    with pytest.raises(EnumerationCapError, match="^1048575 prefixes exceed cap 1000000$"):
+        models_agree_outside(model, model, set())
 
 
 def test_tv_bounded_by_reachability_on_twins():
@@ -299,24 +319,24 @@ def test_kl_data_processing_vs_target_indicator():
 
 def test_gibbs_zero_reward_equals_base():
     inst = random_bridge_instance(2, 1, 1, 1.0, 0.5, 1.0, RNG(11), reward_scale=0.0)
-    gp = gibbs_policy(inst)
+    gp = GibbsPolicy(inst)
     assert gp.Z == pytest.approx(1.0, abs=1e-15)
     base = completion_distribution(inst.hard_model())
-    for y, p in gp.hard_dist().items():
+    for y, p in gp.hard.items():
         assert p == pytest.approx(base[y], rel=1e-12)
 
 
 def test_gibbs_paper_scale_closed_forms():
     inst = random_bridge_instance(2, 2, 2, 1.0, 0.5, 1.0, RNG(12))
-    gp = gibbs_policy(inst)
+    gp = GibbsPolicy(inst)
     assert gp.Z == pytest.approx(5.0 - inst.q0, abs=1e-12)
     assert gp.target_mass == pytest.approx(4.0 / (5.0 - inst.q0), rel=1e-12)
-    assert sum(gp.hard_dist().values()) == pytest.approx(1.0, abs=1e-10)
+    assert sum(gp.hard.values()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gibbs_maximizes_objective():
     inst = random_bridge_instance(2, 1, 1, 1.0, 0.5, 1.0, RNG(13))
-    gp = gibbs_policy(inst)
+    gp = GibbsPolicy(inst)
     best = evaluate_objective(inst, gp)
     completions = sorted(completion_distribution(inst.hard_model()))
     rng = RNG(14)
@@ -335,7 +355,7 @@ def test_objective_of_base_policy_is_eta_R_q0():
 
 def test_optimal_objective_closed_form():
     inst = random_bridge_instance(2, 1, 2, 1.0, 0.25, 2.0, RNG(16))
-    gp = gibbs_policy(inst)
+    gp = GibbsPolicy(inst)
     assert evaluate_objective(inst, gp) == pytest.approx(
         inst.eta * inst.beta * math.log(5.0 - inst.q0), abs=1e-10)
     assert gp.optimal_value == pytest.approx(
@@ -344,8 +364,8 @@ def test_optimal_objective_closed_form():
 
 def test_hard_prompt_decomposition_identity():
     inst = random_bridge_instance(2, 1, 1, 1.0, 0.5, 1.0, RNG(17))
-    gp = gibbs_policy(inst)
-    gibbs_dist = gp.hard_dist()
+    gp = GibbsPolicy(inst)
+    gibbs_dist = gp.hard
     completions = sorted(gibbs_dist)
     rng = RNG(18)
     for _ in range(100):
@@ -358,17 +378,17 @@ def test_hard_prompt_decomposition_identity():
 
 def test_easy_prompt_term():
     inst = random_bridge_instance(2, 1, 1, 1.0, 0.5, 1.0, RNG(19))
-    gp = gibbs_policy(inst)
+    gp = GibbsPolicy(inst)
     uniform_easy = completion_distribution(inst.easy_model())
     delegating = evaluate_objective(inst, gp)
     explicit_uniform = evaluate_objective(
-        inst, PromptPolicy(hard=gp.hard_dist(), easy=uniform_easy))
+        inst, PromptPolicy(hard=gp.hard, easy=uniform_easy))
     assert explicit_uniform == pytest.approx(delegating, abs=1e-12)
     skewed = dict(uniform_easy)
     ys = sorted(skewed)
     skewed[ys[0]] += 0.1
     skewed[ys[1]] -= 0.1
-    assert evaluate_objective(inst, PromptPolicy(hard=gp.hard_dist(), easy=skewed)) < delegating
+    assert evaluate_objective(inst, PromptPolicy(hard=gp.hard, easy=skewed)) < delegating
 
 
 def test_regret_gap_check():
@@ -382,7 +402,7 @@ def test_regret_gap_check():
     assert report.gap > inst.eta * inst.beta / 4.0
     assert not report.threshold_violated
 
-    gp_report = regret_gap_check(inst, gibbs_policy(inst))
+    gp_report = regret_gap_check(inst, GibbsPolicy(inst))
     assert gp_report.gap == pytest.approx(0.0, abs=1e-9)
     assert gp_report.target_mass > 0.25  # zero gap forces high target mass
     assert not gp_report.threshold_violated

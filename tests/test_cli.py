@@ -102,6 +102,19 @@ def test_analyze_tv_over_enumeration_cap_is_one_error_line(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_analyze_tv_at_horizon_one_is_at_most_one(capsys):
+    # each law sums slightly above 1 in floating point; TV is clamped to 1
+    code, record = _run(capsys, ["analyze", "tv", "--H", "1"])
+    assert code == 0
+    assert record["tv"] == 1.0 and record["bound_holds"]
+
+
+def test_analyze_has_no_out_flag(capsys, tmp_path):
+    assert main(["analyze", "gibbs", "--out", str(tmp_path / "x.csv")]) == 2
+    assert "unrecognized arguments: --out" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_experiment_rejects_negative_seed_and_q(capsys):
     for argv, field in [(["no-reset-hardness", "--q", "-1"], "q"),
                         (["hidden-path-scaling", "--seed", "-1"], "seed")]:

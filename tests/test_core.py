@@ -26,8 +26,10 @@ from prefix_oracle.core import (
     EASY,
     _dist_entry,
     completion_distribution,
+    format_prefix,
     leader_trie_params,
     parse_model,
+    parse_prefix,
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
@@ -454,7 +456,7 @@ def test_class_key_matches_each_family_rule(family, K, H, D, seed):
             return 0
     for p in vocab.prefixes():
         for q in (p, tuple(np.int64(a) for a in p)):
-            assert model._class_key(q) == rule(p)
+            assert model._keys.get(q, 0) == rule(p)
             assert model._lookup(q) is model._dist_cache[rule(p)]
 
 
@@ -511,8 +513,28 @@ def test_completion_distribution_and_cap():
     dist = completion_distribution(model)
     assert len(dist) == 8
     assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(EnumerationCapError):
-        completion_distribution(model, cap=7)
+    with pytest.raises(EnumerationCapError, match="completions exceed cap 1000000"):
+        completion_distribution(UniformModel(VocabSpec(2, 20)))  # 2^20 > 10^6
+
+
+def test_one_enumeration_rule_bounds_tokens_and_prefixes():
+    assert issubclass(EnumerationCapError, ValueError)
+    # refused at construction, before any model allocates K floats
+    with pytest.raises(EnumerationCapError, match="^100000000 tokens exceed cap 1000000$"):
+        VocabSpec(10**8, 3)
+    assert VocabSpec(10**6, 1).K == 10**6  # the cap itself is allowed
+    with pytest.raises(EnumerationCapError, match="^1048575 prefixes exceed cap 1000000$"):
+        VocabSpec(2, 20).prefixes()
+    assert sum(1 for _ in VocabSpec(3, 3).prefixes()) == 1 + 3 + 9
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(1, 10**6), max_size=6))
+def test_prefix_text_round_trips(p):
+    p = tuple(p)
+    assert parse_prefix(format_prefix(p)) == p
+    assert format_prefix(p) == ".".join(str(t) for t in p)
+    assert parse_prefix("-") == parse_prefix("") == ROOT
 
 
 def test_twin_models_helper():

@@ -158,11 +158,11 @@ def test_key_zero_is_absorbing(family, K, H, model_seed):
     model = ROLLOUT_FAMILIES[family](vocab, RNG(model_seed))
     off, keys = model._off_entry(), set()
     for p in vocab.prefixes():
-        key = model._class_key(p)
+        key = model._keys.get(p, 0)
         keys.add(key)
         assert (model._lookup(p) is off) == (key == 0)
         if key == 0 and len(p) < H - 1:
-            assert all(model._class_key(p + (a,)) == 0 for a in range(1, K + 1))
+            assert all(model._keys.get(p + (a,), 0) == 0 for a in range(1, K + 1))
     assert 0 in keys  # every family has prefixes off its structure
     assert _prefix_weighted(vocab)._off_entry() is None
 
