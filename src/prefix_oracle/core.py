@@ -65,6 +65,9 @@ class VocabSpec:
         if self.H < 1:
             raise ValueError(f"horizon must be >= 1, got {self.H}")
         check_enumeration(self.K, "tokens")
+        # the tokens in the H proper prefixes of one completion: what a
+        # chain's key map holds and what one rollout or score walks
+        check_enumeration(self.H * (self.H - 1) // 2, "prefix tokens")
 
     def check_prefix(self, p: Prefix) -> None:
         if len(p) >= self.H:
@@ -227,7 +230,10 @@ def signal_probs(K: int, lam: float) -> tuple:
     """The (favored, unfavored) per-step probabilities for signal strength lam."""
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"signal strength lambda must be finite and >= 0, got {lam}")
-    e = math.exp(lam)
+    try:
+        e = math.exp(lam)
+    except OverflowError:
+        raise ValueError(f"signal strength lambda {lam} overflows exp(lambda)") from None
     return e / (e + K - 1), 1.0 / (e + K - 1)
 
 
@@ -245,19 +251,15 @@ class _ChainModel(_CachedDistModel):
     z: tuple
 
     _keys: dict = field(init=False, repr=False, compare=False, default=None)
+    p_plus: float = field(init=False, repr=False, compare=False, default=None)
+    p_minus: float = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        signal_probs(self.vocab.K, self.lam)  # validates lam
+        p_plus, p_minus = signal_probs(self.vocab.K, self.lam)  # validates lam
+        object.__setattr__(self, "p_plus", p_plus)
+        object.__setattr__(self, "p_minus", p_minus)
         # a proper prefix of z is keyed by the chain token that follows it
         object.__setattr__(self, "_keys", {self.z[:t]: self.z[t] for t in range(len(self.z))})
-
-    @property
-    def p_plus(self) -> float:
-        return signal_probs(self.vocab.K, self.lam)[0]
-
-    @property
-    def p_minus(self) -> float:
-        return signal_probs(self.vocab.K, self.lam)[1]
 
     @property
     def delta(self) -> float:
@@ -453,6 +455,8 @@ class BridgeInstance:
     tau1: int = 2
     reward_scale: float | None = None
 
+    _chain: _ChainModel = field(init=False, repr=False, compare=False, default=None)
+
     def __post_init__(self):
         if self.D < 1 or self.L < 1:
             raise ValueError("scaffold and suffix lengths must be >= 1")
@@ -472,26 +476,21 @@ class BridgeInstance:
             raise ValueError(f"hard-prompt mass must be in (0, 1], got {self.eta}")
         if not 0.0 < self.beta < math.inf:
             raise ValueError(f"KL coefficient beta must be finite and positive, got {self.beta}")
-        signal_probs(self.K, self.lam)
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
-        object.__setattr__(self, "_vocab", vocab)
+        object.__setattr__(self, "_chain", _ChainModel(vocab, self.lam, self.path))  # validates lam
 
     @property
     def vocab(self) -> VocabSpec:
-        return self._vocab
+        return self._chain.vocab
 
     @property
     def p_plus(self) -> float:
-        return signal_probs(self.K, self.lam)[0]
-
-    @property
-    def p_minus(self) -> float:
-        return signal_probs(self.K, self.lam)[1]
+        return self._chain.p_plus
 
     @property
     def delta(self) -> float:
-        return self.p_plus - self.p_minus
+        return self._chain.delta
 
     @property
     def path(self) -> tuple:
@@ -529,19 +528,10 @@ class BridgeInstance:
 
     def hard_model(self) -> _ChainModel:
         """The hard-prompt generator: the favored chain scaffold+suffix."""
-        cached = self.__dict__.get("_hard_model")
-        if cached is None:
-            cached = _ChainModel(self.vocab, self.lam, self.path)
-            object.__setattr__(self, "_hard_model", cached)
-        return cached
+        return self._chain
 
     def easy_model(self) -> UniformModel:
         return UniformModel(self.vocab)
-
-    def next_dist(self, prompt: str, p: Prefix) -> np.ndarray:
-        """Prompt-conditioned next-token distribution."""
-        model = self.hard_model() if prompt == HARD else self.easy_model()
-        return model.next_dist(p)
 
 
 def random_hidden_path_model(

@@ -114,8 +114,9 @@ class ExperimentConfig:
             raise ValueError(f"horizons must be >= 1, got {self.H}")
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"failure budget must be in (0, 1), got {self.delta}")
-        if not 0.0 <= self.xi < math.inf:
-            raise ValueError(f"noise radius xi must be finite and >= 0, got {self.xi}")
+        if not 0.0 <= 2.0 * self.xi < math.inf:
+            raise ValueError(
+                f"noise radius xi must be finite and >= 0, and 2*xi finite, got {self.xi}")
         if self.noise not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
             raise ValueError(f"unknown noise mode {self.noise!r}")
         if self.S is not None and self.S < 1:

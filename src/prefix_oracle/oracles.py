@@ -89,8 +89,9 @@ class NoisePolicy:
     target: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 <= self.xi < math.inf:
-            raise ValueError(f"noise radius xi must be finite and >= 0, got {self.xi}")
+        if not 0.0 <= 2.0 * self.xi < math.inf:  # 2*xi: the width of a random draw
+            raise ValueError(
+                f"noise radius xi must be finite and >= 0, and 2*xi finite, got {self.xi}")
         if self.mode not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
             raise ValueError(f"unknown noise mode {self.mode!r}")
         if self.mode == NOISE_ADVERSARIAL and self.xi > 0 and self.target is None:

@@ -1,14 +1,21 @@
 """CLI surface: exit codes, result records, seed determinism, and
 config-file/flag round trips."""
 
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prefix_oracle import experiments
+from prefix_oracle.algorithms import majority_budget
 from prefix_oracle.cli import main, parse_number, parse_prefix_set
+from prefix_oracle.core import signal_probs
 from prefix_oracle.experiments import CONFIG_KEYS, ENV_SEED, ExperimentConfig, ExperimentReport
+from prefix_oracle.oracles import DisciplineAudit
 
 
 def _run(capsys, argv):
@@ -54,6 +61,15 @@ def test_analyze_reach_explicit_root(capsys):
     ])
     assert code == 0
     assert record["reachability"] == 1.0
+
+
+def test_analyze_reach_uniform(capsys):
+    code, record = _run(capsys, [
+        "analyze", "reach", "--family", "uniform", "--K", "3", "--H", "4", "--U", "1.3.2",
+    ])
+    assert code == 0
+    assert record["reachability"] == pytest.approx((1 / 3) ** 3, rel=1e-12)
+    assert record["model"] == "3 4 uniform"
 
 
 def test_analyze_tv_and_certificate(capsys):
@@ -153,6 +169,12 @@ def test_vote_stage_over_cap_is_one_error_line(argv, capsys):
     (["recover-hidden-path", "--lambda", "nan"], "lambda"),
     (["bridge", "--lambda", "inf"], "lambda"),
     (["experiment", "leader-trie-matrix", "--K", "3", "--xi", "nan"], "xi"),
+    # finite values whose exp(lambda) or draw width 2*xi overflows a double
+    (["recover-hidden-path", "--K", "2", "--H", "3", "--lambda", "710"], "lambda"),
+    (["analyze", "gibbs", "--K", "2", "--D", "1", "--L", "1", "--lambda", "1000"], "lambda"),
+    (["recover-trie-logit", "--K", "3", "--H", "3", "--xi", "1e308"], "xi"),
+    (["experiment", "leader-trie-matrix", "--K", "3", "--H", "3", "--xi", "1e308",
+      "--trials", "2"], "xi"),
 ])
 def test_non_finite_floats_are_one_error_line(capsys, argv, field):
     assert main(argv) == 1
@@ -252,6 +274,32 @@ def test_experiment_violations_exit_1(capsys, monkeypatch):
     assert "rate below floor" in capsys.readouterr().err
 
 
+def test_experiment_per_trial_violations_exit_1(capsys, monkeypatch, tmp_path):
+    real = experiments.recover_hidden_path
+
+    def one_query_too_many(session, delta, rng):
+        result = real(session, delta, rng)
+        return replace(result, queries_used=result.queries_used + 1)
+
+    monkeypatch.setattr(experiments, "audit_discipline", lambda ledger: DisciplineAudit(False, 1))
+    monkeypatch.setattr(experiments, "recover_hidden_path", one_query_too_many)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    out = tmp_path / "report.csv"
+    code = main(["experiment", "hidden-path-scaling", "--H", "2", "--trials", "2",
+                 "--out", str(out)])
+    captured = capsys.readouterr()
+    p_plus, p_minus = signal_probs(2, 1.0)
+    budget = 2 * majority_budget(p_plus - p_minus, 2, 2, 0.1)
+    expected = [line for trial in (0, 1) for line in (
+        f"H=2 trial={trial}: queries {budget + 1} != {budget}",
+        f"H=2 trial={trial}: discipline violation")]
+    assert code == 1
+    assert json.loads(captured.out)["violations"] == expected
+    assert captured.err.splitlines() == expected
+    footer = [ln for ln in out.read_text().splitlines() if ln.startswith("# violation ")]
+    assert footer == [f"# violation {v}" for v in expected]
+
+
 def test_unwritable_out_exits_1(capsys):
     code = main(["experiment", "hidden-path-scaling", "--trials", "2", "--H", "2",
                  "--out", "/nonexistent-dir-xyz/r.csv"])
@@ -326,3 +374,57 @@ def test_bridge_separation_validates_every_horizon_first(argv, message, capsys, 
     assert calls == []
     assert captured.err.startswith("error:") and message in captured.err
     assert len(captured.err.strip().splitlines()) == 1
+
+
+# A flag grammar over the CLI. Every size flag a command has is set to a small
+# value, so one run stays quick; then up to five flags draw a small value or a
+# hostile one. No size in the grammar is large.
+HOSTILE = ["0", "-1", "nan", "inf", "-inf", "1e308", "log:0", "log:-1", "", "1,,2", "x"]
+SMALL = {
+    "--K": ["2", "3", "4"], "--H": ["1", "2", "3", "4"], "--D": ["1", "2"], "--L": ["1", "2"],
+    "--trials": ["1", "2", "3"], "--lambda": ["0.5", "1", "log:3"], "--delta": ["0.1", "0.3"],
+    "--xi": ["0", "0.1", "2"], "--noise": ["random", "adversarial-threshold"],
+    "--S": ["1", "3", "7"], "--seed": ["0", "1", "3"], "--eta": ["0.5", "1"],
+    "--beta": ["0.5", "2"], "--U": ["tip", "-", "1.2", "1,2"], "--qg": ["0", "1", "3"],
+    "--qr": ["0", "1", "3"], "--q": ["0", "1", "1,3"],
+    "--family": ["hidden-path", "leader-trie", "uniform"],
+}
+SIZES = ("--K", "--H", "--D", "--L", "--trials")
+ANALYZE = ["--K", "--H", "--D", "--L", "--seed", "--family", "--lambda", "--eta", "--beta",
+           "--U", "--qg", "--qr"]
+EXPERIMENT = ["--K", "--H", "--D", "--L", "--trials", "--seed", "--lambda", "--delta", "--xi",
+              "--noise", "--S", "--q", "--eta", "--beta", "--qr"]
+COMMANDS = {
+    "recover-hidden-path": ["--K", "--H", "--seed", "--lambda", "--delta"],
+    "recover-trie-logit": ["--K", "--H", "--seed", "--xi", "--noise"],
+    "recover-trie-sample": ["--K", "--H", "--seed", "--S", "--delta"],
+    "recover-seqscore": ["--K", "--H", "--seed", "--lambda"],
+    "bridge": ["--K", "--D", "--L", "--seed", "--lambda", "--eta", "--beta", "--delta"],
+    **{f"analyze {what}": ANALYZE for what in ("tv", "reach", "gibbs", "objective",
+                                               "certificate")},
+    **{f"experiment {name}": EXPERIMENT for name in sorted(experiments.RUNNERS)},
+}
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = command.split()
+    for flag in COMMANDS[command]:
+        if flag in SIZES:
+            argv += [flag, draw(st.sampled_from(SMALL[flag]))]
+    for flag in draw(st.lists(st.sampled_from(COMMANDS[command]), max_size=5)):
+        argv += [flag, draw(st.sampled_from(SMALL[flag] + HOSTILE))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_argv())
+def test_any_argv_exits_cleanly_with_at_most_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code == 1 and not out.getvalue():
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines

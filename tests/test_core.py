@@ -3,7 +3,9 @@ sampling, and serialization."""
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,8 +307,14 @@ def test_bridge_dist_piecewise():
     # off the chain: uniform
     assert hard.next_probs((2,)) == pytest.approx((0.5, 0.5))
     # easy prompt is the fixed uniform generator
-    assert inst.next_dist(EASY, (1,)) == pytest.approx((0.5, 0.5))
-    assert inst.next_dist(HARD, ROOT)[0] == pytest.approx(inst.p_plus)
+    assert inst.easy_model().next_dist((1,)) == pytest.approx((0.5, 0.5))
+    assert inst.hard_model().next_dist(ROOT)[0] == pytest.approx(inst.p_plus)
+    # the chain is built once, in the constructor, and the instance reads it
+    assert inst.hard_model() is hard
+    assert (inst.vocab, inst.p_plus, inst.delta) == (hard.vocab, hard.p_plus, hard.delta)
+    assert hard.vocab == VocabSpec(2, 5) and hard.z == path
+    # a copy with another suffix builds its own chain
+    assert replace(inst, suffix=(1, 1)).hard_model().z == (1, 2, 1, 1)
 
 
 def test_bridge_instance_derived_quantities():
@@ -355,6 +363,22 @@ def test_non_finite_floats_rejected_naming_the_field(bad):
     with pytest.raises(ValueError, match="beta"):
         BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
                        lam=1.0, eta=0.5, beta=bad)
+
+
+def test_overflowing_floats_rejected_naming_the_field():
+    # exp(710) overflows a double; exp(709) does not, and keeps its floats
+    assert signal_probs(2, 709.0) == (1.0, 1.0 / (math.exp(709.0) + 1))
+    with pytest.raises(ValueError, match="^signal strength lambda 710.0 overflows exp"):
+        signal_probs(2, 710.0)
+    with pytest.raises(ValueError, match="lambda"):
+        HiddenPathModel(VocabSpec(2, 2), 1000.0, (1, 2))
+    with pytest.raises(ValueError, match="lambda"):
+        BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
+                       lam=710.0, eta=0.5, beta=1.0)
+    # a random draw on [-xi, xi] needs a finite width 2*xi
+    assert NoisePolicy(sys.float_info.max / 2).xi == sys.float_info.max / 2
+    with pytest.raises(ValueError, match="xi"):
+        NoisePolicy(1e308)
 
 
 def test_trajectory_prob_hidden_path():
@@ -526,6 +550,13 @@ def test_one_enumeration_rule_bounds_tokens_and_prefixes():
     with pytest.raises(EnumerationCapError, match="^1048575 prefixes exceed cap 1000000$"):
         VocabSpec(2, 20).prefixes()
     assert sum(1 for _ in VocabSpec(3, 3).prefixes()) == 1 + 3 + 9
+    # the H proper prefixes of one completion hold H(H-1)/2 tokens
+    with pytest.raises(EnumerationCapError,
+                       match="^4999999950000000 prefix tokens exceed cap 1000000$"):
+        VocabSpec(2, 10**8)
+    assert VocabSpec(2, 1414).H == 1414  # 998991 prefix tokens
+    with pytest.raises(EnumerationCapError, match="^1000405 prefix tokens exceed cap"):
+        VocabSpec(2, 1415)
 
 
 @settings(max_examples=50, deadline=None)

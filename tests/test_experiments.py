@@ -42,7 +42,8 @@ def test_config_validation():
     # rejected before any trial runs
     for bad, message in [(dict(S=0), "S must be >= 1"), (dict(qr=-1), "qr must be >= 0"),
                          (dict(noise="bogus"), "unknown noise mode"),
-                         (dict(xi=math.nan), "xi must be finite")]:
+                         (dict(xi=math.nan), "xi must be finite"),
+                         (dict(xi=1e308), "xi must be finite")]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(name="x", **bad)
     edge = ExperimentConfig(name="x", S=1, qr=0, noise="adversarial-threshold")

@@ -693,6 +693,14 @@ def test_noise_policy_validation():
         # random noise without an rng stream
         sess = OracleSession(UniformModel(VocabSpec(2, 2)), xi=0.1, noise="random")
         sess.query_prefix_logit(ROOT)
+    with pytest.raises(ValueError, match="^random noise needs an rng stream$"):
+        NoisePolicy(0.1).perturb_score(-1.0, None)
+
+
+def test_adversarial_score_noise_shifts_down_by_xi():
+    noise = NoisePolicy(0.25, "adversarial-threshold", target=-1.0)
+    assert noise.perturb_score(-1.5, None) == -1.75
+    assert noise.perturb_score(-math.inf, None) == -math.inf
 
 
 # Reference loops: the per-record ledger passes the views replaced, kept
