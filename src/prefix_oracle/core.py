@@ -479,6 +479,11 @@ class BridgeInstance:
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
         object.__setattr__(self, "_chain", _ChainModel(vocab, self.lam, self.path))  # validates lam
+        if self.q0 == 0.0:
+            raise ValueError(f"target mass q0 = p_plus^(D+L)/K underflows to 0 at "
+                             f"D+L={self.D + self.L}, K={self.K}")
+        if not math.isfinite(self.R):
+            raise ValueError(f"reward scale R = {self.R!r} is not finite (beta={self.beta!r})")
 
     @property
     def vocab(self) -> VocabSpec:
@@ -560,21 +565,44 @@ def random_bridge_instance(
     )
 
 
-def trajectory_logprob(model, y: Completion) -> float:
+def trajectory_logprob(model, y: Completion, prefix_scores=None) -> float:
     """log Pr(Y = y): sum of per-step conditional log probabilities, read
     from the cached ``logs`` column. Once y reaches the off entry, every later
-    step reads it without a lookup."""
+    step reads it without a lookup.
+
+    ``prefix_scores``: H slots shared across calls on one model; slot t holds
+    ``(y[:t], its log-probability, its entry)`` from the last walk that reached
+    depth t, or None. The walk resumes at the deepest slot y extends and
+    refills the slots past it, with the same partial sums. It is not
+    keyword-only, which would take every call off CPython's specialized path."""
     model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
     lookup, off = model._lookup, model._off_entry()
-    entry, total = None, 0.0
-    for t, a in enumerate(y):
-        if t == 0 or entry is not off:
-            entry = lookup(y[:t])
-        lp = entry[2][a - 1]
+    if prefix_scores is None:
+        entry, total = None, 0.0
+        for t, a in enumerate(y):
+            if t == 0 or entry is not off:
+                entry = lookup(y[:t])
+            lp = entry[2][a - 1]
+            if lp == -math.inf:
+                return -math.inf
+            total += lp
+        return total
+    t = len(y) - 1
+    while t and (prefix_scores[t] is None or prefix_scores[t][0] != y[:t]):
+        t -= 1
+    _, total, entry = prefix_scores[t] if t else (ROOT, 0.0, lookup(ROOT))
+    while True:  # entry is the one at y[:t]
+        lp = entry[2][y[t] - 1]
         if lp == -math.inf:
-            return -math.inf
+            return -math.inf  # so no slot, and no lookup, lies past a zero step
         total += lp
-    return total
+        t += 1
+        if t == len(y):
+            return total
+        p = y[:t]
+        if entry is not off:
+            entry = lookup(p)
+        prefix_scores[t] = (p, total, entry)
 
 
 def trajectory_prob(model, y: Completion) -> float:
@@ -612,9 +640,11 @@ def sample_trajectory(model, rng: np.random.Generator) -> Completion:
 
 
 def completion_distribution(model) -> dict:
-    """Exact trajectory distribution as a completion -> probability map,
-    each value the exp of the completion's ``trajectory_logprob``."""
-    return {y: math.exp(trajectory_logprob(model, y)) for y in model.vocab.completions()}
+    """Exact trajectory distribution as a completion -> probability map: the exp of
+    each ``trajectory_logprob``, all calls sharing one ``prefix_scores``."""
+    scores = [None] * model.vocab.H
+    return {y: math.exp(trajectory_logprob(model, y, prefix_scores=scores))
+            for y in model.vocab.completions()}
 
 
 # ---------------------------------------------------------------------------

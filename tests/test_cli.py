@@ -8,7 +8,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prefix_oracle import experiments
 from prefix_oracle.algorithms import majority_budget
@@ -175,6 +175,14 @@ def test_vote_stage_over_cap_is_one_error_line(argv, capsys):
     (["recover-trie-logit", "--K", "3", "--H", "3", "--xi", "1e308"], "xi"),
     (["experiment", "leader-trie-matrix", "--K", "3", "--H", "3", "--xi", "1e308",
       "--trials", "2"], "xi"),
+    # a bridge whose target mass q0 underflows to 0, or whose R = beta*log(4/q0) is inf
+    (["analyze", "gibbs", "--K", "1000", "--D", "60", "--L", "60", "--lambda", "0"],
+     "D+L=120, K=1000"),
+    (["analyze", "gibbs", "--K", "2", "--D", "1", "--L", "1", "--beta", "1e308"], "beta"),
+    (["analyze", "objective", "--K", "2", "--D", "1", "--L", "1", "--beta", "1e308"], "beta"),
+    (["bridge", "--beta", "1e308"], "beta"),
+    (["experiment", "bridge-separation", "--K", "2", "--H", "5", "--beta", "1e308",
+      "--trials", "2"], "beta"),
 ])
 def test_non_finite_floats_are_one_error_line(capsys, argv, field):
     assert main(argv) == 1
@@ -418,13 +426,21 @@ def cli_argv(draw):
     return argv
 
 
+def _refuse_constant(name):
+    raise ValueError(f"record holds {name}, which is not JSON")
+
+
 @settings(max_examples=150, deadline=None)
 @given(cli_argv())
+# a finite beta whose reward scale R = beta*log(4/q0) is inf
+@example(["analyze", "gibbs", "--K", "2", "--D", "1", "--L", "1", "--beta", "1e308"])
 def test_any_argv_exits_cleanly_with_at_most_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+    if code == 0:  # the record is strict JSON: no NaN or Infinity
+        json.loads(out.getvalue().splitlines()[-1], parse_constant=_refuse_constant)
     if code == 1 and not out.getvalue():
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines

@@ -16,6 +16,7 @@ from prefix_oracle.core import (
     LeaderTrieModel,
     UniformModel,
     VocabSpec,
+    completion_distribution,
     leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
@@ -198,22 +199,54 @@ LOGPROB_FAMILIES = {**ROLLOUT_FAMILIES, "callable-zero": lambda vocab, rng: _zer
     K=st.integers(2, 4),
     H=st.integers(3, 7),
     model_seed=st.integers(0, 2**32 - 1),
-    seed=st.integers(0, 2**32 - 1),
-    edits=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=3),
+    rollouts=st.lists(st.tuples(st.integers(0, 2**32 - 1), st.lists(
+        st.tuples(st.integers(0, 6), st.integers(1, 4)), max_size=3)), min_size=1, max_size=3),
+    order=st.lists(st.integers(0, 2), max_size=6),
 )
-def test_trajectory_logprob_matches_reference_sum(family, K, H, model_seed, seed, edits):
+def test_trajectory_logprob_matches_reference_sum(family, K, H, model_seed, rollouts, order):
     """trajectory_logprob equals, bit for bit, the left-to-right sum of
-    math.log over the public next_probs along y; -inf at a zero entry. y is a
-    model rollout with a few tokens replaced, so it leaves the structure at
-    varied steps."""
+    math.log over the public next_probs along y; -inf at a zero entry. Each
+    y is a model rollout with a few tokens replaced, so it leaves the
+    structure at varied steps. Scored again through one shared
+    ``prefix_scores`` list, in any order and with repeats, each y gives the
+    same float."""
     assume(family != "leader-trie" or K >= 3)
     model = LOGPROB_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
-    y = list(sample_trajectory(model, RNG(seed)))
-    for i, a in edits:
-        if i < H and a <= K:
-            y[i] = a
-    y = tuple(y)
-    assert trajectory_logprob(model, y) == _reference_logprob(model, y)
+    ys = []
+    for seed, edits in rollouts:
+        y = list(sample_trajectory(model, RNG(seed)))
+        for i, a in edits:
+            if i < H and a <= K:
+                y[i] = a
+        ys.append(tuple(y))
+    for y in ys:
+        assert trajectory_logprob(model, y) == _reference_logprob(model, y)
+    scores = [None] * H
+    for i in [*range(len(ys)), *order]:
+        y = ys[i % len(ys)]
+        assert trajectory_logprob(model, y, prefix_scores=scores) == _reference_logprob(model, y)
+        assert len(scores) == H
+
+
+@pytest.mark.parametrize("K, H", [(2, 5), (3, 4), (4, 3)])
+def test_enumeration_asks_callable_once_per_prefix_before_any_zero_step(K, H):
+    """completion_distribution shares its prefix walks: fn runs once per
+    prefix, and only on the prefixes every step of which has positive
+    probability."""
+    vocab = VocabSpec(K, H)
+    zero_fn, calls = _zero_entries(vocab).fn, []
+
+    def fn(p):
+        calls.append(p)
+        return zero_fn(p)
+
+    model = CallableModel(vocab, fn)
+    law = completion_distribution(model)
+    positive = {p for p in vocab.prefixes()
+                if all(a != t % K + 1 for t, a in enumerate(p))}  # token t % K + 1 is the zero
+    assert len(calls) == len(set(calls))
+    assert set(calls) == positive
+    assert all(law[y] == math.exp(_reference_logprob(model, y)) for y in vocab.completions())
 
 
 @pytest.mark.parametrize("bad", [(1.5,), (True,), (1, 2.0), (np.float64(1.0),)])
