@@ -479,11 +479,12 @@ class BridgeInstance:
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
         object.__setattr__(self, "_chain", _ChainModel(vocab, self.lam, self.path))  # validates lam
-        if self.q0 == 0.0:
-            raise ValueError(f"target mass q0 = p_plus^(D+L)/K underflows to 0 at "
-                             f"D+L={self.D + self.L}, K={self.K}")
+        if self.reward_scale is None and (self.q0 == 0.0 or math.isinf(4.0 / self.q0)):
+            raise ValueError(f"target mass q0 = p_plus^(D+L)/K = {self.q0!r} is too small "
+                             f"for R = beta*log(4/q0) at D+L={self.D + self.L}, K={self.K}")
         if not math.isfinite(self.R):
-            raise ValueError(f"reward scale R = {self.R!r} is not finite (beta={self.beta!r})")
+            given = "given" if self.reward_scale is not None else f"beta={self.beta!r}"
+            raise ValueError(f"reward scale R = {self.R!r} is not finite ({given})")
 
     @property
     def vocab(self) -> VocabSpec:
@@ -573,21 +574,13 @@ def trajectory_logprob(model, y: Completion, prefix_scores=None) -> float:
     ``prefix_scores``: H slots shared across calls on one model; slot t holds
     ``(y[:t], its log-probability, its entry)`` from the last walk that reached
     depth t, or None. The walk resumes at the deepest slot y extends and
-    refills the slots past it, with the same partial sums. It is not
-    keyword-only, which would take every call off CPython's specialized path."""
+    refills the slots past it, with the same partial sums; without a list it
+    starts at the root and stores nothing. It is not keyword-only, which
+    would take every call off CPython's specialized path."""
     model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
     lookup, off = model._lookup, model._off_entry()
-    if prefix_scores is None:
-        entry, total = None, 0.0
-        for t, a in enumerate(y):
-            if t == 0 or entry is not off:
-                entry = lookup(y[:t])
-            lp = entry[2][a - 1]
-            if lp == -math.inf:
-                return -math.inf
-            total += lp
-        return total
-    t = len(y) - 1
+    n = len(y)
+    t = n - 1 if prefix_scores is not None else 0
     while t and (prefix_scores[t] is None or prefix_scores[t][0] != y[:t]):
         t -= 1
     _, total, entry = prefix_scores[t] if t else (ROOT, 0.0, lookup(ROOT))
@@ -597,12 +590,12 @@ def trajectory_logprob(model, y: Completion, prefix_scores=None) -> float:
             return -math.inf  # so no slot, and no lookup, lies past a zero step
         total += lp
         t += 1
-        if t == len(y):
+        if t == n:
             return total
-        p = y[:t]
         if entry is not off:
-            entry = lookup(p)
-        prefix_scores[t] = (p, total, entry)
+            entry = lookup(y[:t])
+        if prefix_scores is not None:
+            prefix_scores[t] = (y[:t], total, entry)
 
 
 def trajectory_prob(model, y: Completion) -> float:

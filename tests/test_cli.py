@@ -175,9 +175,12 @@ def test_vote_stage_over_cap_is_one_error_line(argv, capsys):
     (["recover-trie-logit", "--K", "3", "--H", "3", "--xi", "1e308"], "xi"),
     (["experiment", "leader-trie-matrix", "--K", "3", "--H", "3", "--xi", "1e308",
       "--trials", "2"], "xi"),
-    # a bridge whose target mass q0 underflows to 0, or whose R = beta*log(4/q0) is inf
+    # a bridge whose target mass q0 is 0 or so small that 4/q0 overflows, or whose
+    # R = beta*log(4/q0) is inf
     (["analyze", "gibbs", "--K", "1000", "--D", "60", "--L", "60", "--lambda", "0"],
      "D+L=120, K=1000"),
+    (["analyze", "gibbs", "--K", "1000", "--D", "52", "--L", "51", "--lambda", "0"],
+     "D+L=103, K=1000"),
     (["analyze", "gibbs", "--K", "2", "--D", "1", "--L", "1", "--beta", "1e308"], "beta"),
     (["analyze", "objective", "--K", "2", "--D", "1", "--L", "1", "--beta", "1e308"], "beta"),
     (["bridge", "--beta", "1e308"], "beta"),

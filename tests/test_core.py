@@ -350,6 +350,17 @@ def test_bridge_instance_validation():
         with pytest.raises(ValueError, match="not all integers"):
             BridgeInstance(**{**dict(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0,
                                      lam=1.0, eta=0.5, beta=1.0), **bad})
+    # at lambda = 0 every step has mass 1/K, so q0 = K^-(D+L+1): 0.0 at D+L=120
+    # and subnormal at D+L=103, where 4/q0 overflows to inf
+    for D, L in ((60, 60), (52, 51)):
+        kw = dict(K=1000, D=D, L=L, scaffold=(1,) * D, suffix=(1,) * L, bit=0,
+                  lam=0.0, eta=0.5, beta=1.0)
+        with pytest.raises(ValueError, match=rf"too small .* at D\+L={D + L}, K=1000$"):
+            BridgeInstance(**kw)
+        # an explicit scale does not divide by q0
+        assert BridgeInstance(**kw, reward_scale=1.0).R == 1.0
+        with pytest.raises(ValueError, match=r"^reward scale R = inf is not finite \(given\)$"):
+            BridgeInstance(**kw, reward_scale=math.inf)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
