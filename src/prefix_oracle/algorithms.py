@@ -17,6 +17,7 @@ import numpy as np
 from .analysis import GibbsPolicy
 from .core import (
     HARD,
+    MAX_BUDGET,
     ROOT,
     BridgeInstance,
     HiddenPathModel,
@@ -80,8 +81,8 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     ceil((1/(2*margin^2)) * log(2*(K-1)*S/delta))."""
     if not (0.0 < delta < 1.0):
         raise ValueError(f"failure budget must be in (0, 1), got {delta}")
-    if S < 1:
-        raise ValueError(f"node budget must be >= 1, got {S}")
+    if not 1 <= S <= MAX_BUDGET:
+        raise ValueError(f"node budget S must be in 1..2^53, got {S}")
     return _stage_samples(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
 
 

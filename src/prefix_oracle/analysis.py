@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import PROB_ATOL, BridgeInstance, completion_distribution
+from .core import MAX_BUDGET, PROB_ATOL, BridgeInstance, completion_distribution
 
 MU_QUANTUM = 1e-12
 
@@ -235,8 +235,9 @@ def evaluate_objective(inst: BridgeInstance, policy) -> float:
 
 
 def _require_calibrated_scale(inst: BridgeInstance) -> None:
-    paper_scale = inst.beta * math.log(4.0 / inst.q0)
-    if abs(inst.R - paper_scale) > 1e-9 * max(1.0, abs(paper_scale)):
+    # where 4/q0 divides by zero or overflows, no scale is calibrated
+    paper_scale = inst.beta * math.log(4.0 / inst.q0) if inst.q0 > 0.0 else math.inf
+    if math.isinf(paper_scale) or abs(inst.R - paper_scale) > 1e-9 * max(1.0, abs(paper_scale)):
         raise ValueError("this check needs the calibrated reward scale beta*log(4/q0)")
 
 
@@ -262,8 +263,11 @@ def lower_bound_certificate(inst: BridgeInstance, q_g: int, q_r: int) -> float:
     """Success-probability ceiling for any algorithm limited to q_g no-reset
     generator queries and q_r < N outcome-reward queries:
     q_g * p_plus^D + q_r/N + 4/(N - q_r)."""
-    if q_g < 0 or q_r < 0:
+    if not 0 <= q_g <= MAX_BUDGET:
+        raise ValueError(f"generator budget q_g must be in 0..2^53, got {q_g}")
+    if q_r < 0:
         raise ValueError("query budgets must be nonnegative")
     if q_r >= inst.N:
         raise ValueError(f"reward budget {q_r} must be below N = {inst.N}")
-    return q_g * inst.p_plus**inst.D + q_r / inst.N + 4.0 / (inst.N - q_r)
+    # 4 / (N - q_r) divides ints, which is exact where a float N would overflow
+    return q_g * inst.p_plus**inst.D + q_r / inst.N + 4 / (inst.N - q_r)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
@@ -28,6 +29,9 @@ ROOT: Prefix = ()
 
 PROB_ATOL = 1e-12
 ENUMERATION_CAP = 10**6
+# the largest query or node budget: budgets enter float formulas, and a float
+# holds every integer up to 2^53 exactly
+MAX_BUDGET = 2**53
 
 HARD = "hard"
 EASY = "easy"
@@ -485,6 +489,8 @@ class BridgeInstance:
         if not math.isfinite(self.R):
             given = "given" if self.reward_scale is not None else f"beta={self.beta!r}"
             raise ValueError(f"reward scale R = {self.R!r} is not finite ({given})")
+        if not self.R / self.beta <= math.log(sys.float_info.max):
+            raise ValueError(f"exp(R/beta) overflows at R = {self.R!r}, beta = {self.beta!r}")
 
     @property
     def vocab(self) -> VocabSpec:
@@ -691,6 +697,16 @@ def serialize_model(model) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _body_fields(body: list, names: tuple) -> dict:
+    """The ``name value`` lines of a model body, each of ``names`` present; a
+    line with no value maps its name to the empty string."""
+    fields = dict((*ln.split(None, 1), "")[:2] for ln in body)
+    for name in names:
+        if name not in fields:
+            raise ValueError(f"model text has no {name!r} line")
+    return fields
+
+
 def parse_model(text: str):
     """Inverse of serialize_model."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
@@ -705,7 +721,7 @@ def parse_model(text: str):
     if family == "uniform":
         return UniformModel(vocab)
     if family == "hidden-path":
-        fields = dict(ln.split(None, 1) for ln in body)
+        fields = _body_fields(body, ("lambda", "path"))
         z = tuple(int(t) for t in fields["path"].split())
         return HiddenPathModel(vocab, float(fields["lambda"]), z)
     if family == "leader-trie":
@@ -715,13 +731,17 @@ def parse_model(text: str):
             branch[parse_prefix(loc)] = int(tok)
         return LeaderTrieModel(LeaderTrie(vocab, branch))
     if family == "bridge":
-        fields = dict(ln.split(None, 1) for ln in body)
+        fields = _body_fields(body, ("D", "L", "scaffold", "suffix", "bit", "tau", "lambda",
+                                     "eta", "beta", "reward"))
+        D, L = int(fields["D"]), int(fields["L"])
+        if H != D + L + 1:
+            raise ValueError(f"bridge header has H={H}, but D+L+1={D + L + 1}")
         tau0, tau1 = (int(t) for t in fields["tau"].split())
         scale = fields["reward"]
         return BridgeInstance(
             K=K,
-            D=int(fields["D"]),
-            L=int(fields["L"]),
+            D=D,
+            L=L,
             scaffold=tuple(int(t) for t in fields["scaffold"].split()),
             suffix=tuple(int(t) for t in fields["suffix"].split()),
             bit=int(fields["bit"]),

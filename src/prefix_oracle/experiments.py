@@ -31,6 +31,7 @@ from .algorithms import (
 )
 from .analysis import evaluate_objective, lower_bound_certificate
 from .core import (
+    MAX_BUDGET,
     BridgeInstance,
     HiddenPathModel,
     LeaderTrieModel,
@@ -100,18 +101,18 @@ class ExperimentConfig:
         object.__setattr__(self, "H", _parse_int_list(self.H))
         object.__setattr__(self, "q", _parse_int_list(self.q))
         for key, sweep in (("H", self.H), ("q", self.q)):
+            if not sweep:
+                raise ValueError(f"sweep {key} is empty")
             if len(set(sweep)) < len(sweep):
                 raise ValueError(f"sweep {key} repeats a value, got {sweep}")
         if self.trials < 1:
             raise ValueError(f"trial count must be >= 1, got {self.trials}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if any(q < 0 for q in self.q):
-            raise ValueError(f"query budgets q must be >= 0, got {self.q}")
-        if self.K < 2:
-            raise ValueError(f"vocabulary size must be >= 2, got {self.K}")
-        if any(h < 1 for h in self.H):
-            raise ValueError(f"horizons must be >= 1, got {self.H}")
+        if any(not 0 <= q <= MAX_BUDGET for q in self.q):
+            raise ValueError(f"query budgets q must be >= 0 and at most 2^53, got {self.q}")
+        for H in self.H:  # every horizon, with the caps, before the first trial
+            VocabSpec(self.K, H)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"failure budget must be in (0, 1), got {self.delta}")
         if not 0.0 <= 2.0 * self.xi < math.inf:
@@ -374,13 +375,14 @@ def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
     """All three chosen-prefix interfaces on random leader tries: top-token
     guessing must sit at chance, logit recovery must be exact in |I(T)|
     queries, and sample recovery must meet its budget and success floor."""
-    if cfg.K < 3:
-        raise ValueError("leader-trie experiments need K >= 3")
+    params = leader_trie_params(cfg.K)
     if len(cfg.H) != 1:
         raise ValueError(f"leader-trie-matrix runs one horizon, got H={cfg.H}")
     H = cfg.H[0]
     vocab = VocabSpec(cfg.K, H)
-    params = leader_trie_params(cfg.K)
+    n_internal = 2**H - 1
+    S = cfg.S if cfg.S is not None else n_internal
+    m = trie_sample_budget(params["prob_margin"], cfg.K, S, cfg.delta)  # refused before any trial
     run = _Run("leader-trie-matrix", cfg)
 
     # interface 0: top-token distinguishing between two distinct tries
@@ -401,7 +403,6 @@ def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
     run.check_within(0.5)
 
     # interface 1: logit recovery
-    n_internal = 2**H - 1
     run.theory["internal_nodes"] = float(n_internal)
     exact_regime = cfg.xi < params["log_margin"]
     for rng in run.trials("iface=logit", 1):
@@ -417,8 +418,6 @@ def run_leader_trie_matrix(cfg: ExperimentConfig) -> ExperimentReport:
             f"iface=logit: sub-threshold noise must recover exactly, rate {run.rate()}")
 
     # interface 2: sample recovery
-    S = cfg.S if cfg.S is not None else n_internal
-    m = trie_sample_budget(params["prob_margin"], cfg.K, S, cfg.delta)
     run.theory["sample_m"] = float(m)
     run.theory["sample_budget"] = float(S * m)
     for rng in run.trials("iface=sample", 2):

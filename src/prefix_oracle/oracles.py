@@ -217,12 +217,12 @@ class OracleSession:
 
     Noise applies to PrefixLogit and SeqScore replies. Adversarial noise
     aims at the leader-trie decision threshold, so with ``xi > 0`` it needs a
-    leader-trie generator. ``strict_discipline`` refuses a prefix query that
-    breaks the local-reset rule: it raises before the query is answered,
-    recorded or draws from its stream. Chosen-prefix queries read the model's
-    cached ``(probs, edges, logs)`` entry, and check a prefix unless the
-    previous query used the same tuple; SeqScore reads ``logs`` through
-    ``trajectory_logprob``.
+    leader-trie generator. A chosen-prefix query admits its prefix in three
+    steps: the prefix is checked, then, with ``strict_discipline``, refused
+    unless the local-reset rule allows it, and then looked up in the model's
+    cached ``(probs, edges, logs)`` entry. A refused prefix raises before the
+    model is asked and before the query is recorded or draws from its stream.
+    SeqScore reads ``logs`` through ``trajectory_logprob``.
     """
 
     def __init__(
@@ -239,10 +239,9 @@ class OracleSession:
             target = leader_trie_params(model.vocab.K)["log_threshold"]
         self.model = model
         self.noise = NoisePolicy(xi, noise, target)
-        self.strict_discipline = strict_discipline
         self.ledger = QueryLedger()
-        self._seen = set() if strict_discipline else None
-        self._last_prefix = self._last_entry = None  # the last checked tuple
+        self._seen = set() if strict_discipline else None  # None: not strict
+        self._last_prefix = self._last_entry = None  # the last admitted tuple
 
     @property
     def vocab(self):
@@ -277,33 +276,31 @@ class OracleSession:
 
     # -- chosen-prefix interfaces -------------------------------------------
 
-    def _entry(self, p: Prefix) -> tuple:
-        """The model's ``(probs, edges, logs)`` entry at ``p``, checked and
-        looked up unless ``p`` is the very tuple the previous query used: an
-        equal tuple such as ``(1.0,)`` for ``(1,)`` would find the same cached
-        entry, so it is checked, and refused on every ask. Samples read
+    def _admit(self, p: Prefix) -> tuple:
+        """Admit ``p`` and return the model's ``(probs, edges, logs)`` entry at
+        it: check ``p``, refuse it in strict mode unless the local-reset rule
+        allows it, then look it up. A query at the very tuple the last
+        admitted query used skips all three; an equal tuple such as ``(1.0,)``
+        for ``(1,)`` is checked, and refused on every ask. Samples read
         ``edges``, and PrefixTop and PrefixLogit ``probs``."""
         if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
-            self._last_prefix, self._last_entry = p, self.model._lookup(p)
+            seen = self._seen
+            if seen is not None and not _reset_legal(seen, p):
+                raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
+            self._last_entry = self.model._lookup(p)
+            self._last_prefix = p
+            if seen is not None:  # after the lookup, so a failed one admits nothing
+                seen.add(p)
         return self._last_entry
-
-    def _enforce_reset(self, p: Prefix) -> None:
-        """Strict mode: refuse ``p`` unless the local-reset rule allows it."""
-        if not _reset_legal(self._seen, p):
-            raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
-        self._seen.add(p)
 
     def query_prefix_sample(self, p: Prefix, rng) -> Token:
         """One next-token sample at ``p``. ``rng`` is a numpy Generator or any
         object whose ``random()`` returns the next double in [0, 1); the
-        sample draws exactly one, after ``p`` is checked and, in strict mode,
-        allowed."""
+        sample draws exactly one, after ``p`` is admitted."""
         p = tuple(p)
-        # the same-tuple path of _entry, taken without the call
-        entry = self._last_entry if p is self._last_prefix else self._entry(p)
-        if self.strict_discipline:
-            self._enforce_reset(p)
+        # the same-tuple path of _admit, taken without the call
+        entry = self._last_entry if p is self._last_prefix else self._admit(p)
         tok = bisect_right(entry[1], rng.random())
         self.ledger.records.append((PREFIX_SAMPLE, p, tok))
         return tok
@@ -311,9 +308,7 @@ class OracleSession:
     def query_prefix_top(self, p: Prefix) -> Optional[Token]:
         """Unique most likely next token, or None when tied within tolerance."""
         p = tuple(p)
-        probs = self._entry(p)[0]
-        if self.strict_discipline:
-            self._enforce_reset(p)
+        probs = self._admit(p)[0]
         m = max(probs)
         cutoff = m - m * TOP_TIE_RTOL
         winners = [i for i, q in enumerate(probs) if q >= cutoff]
@@ -326,9 +321,7 @@ class OracleSession:
         the L-infinity ball. Zero-probability entries surface as -inf and are
         exempt from the noise contract."""
         p = tuple(p)
-        dist = np.array(self._entry(p)[0])
-        if self.strict_discipline:
-            self._enforce_reset(p)
+        dist = np.array(self._admit(p)[0])
         with np.errstate(divide="ignore"):
             exact = np.log(dist)
         out = tuple(float(v) for v in self.noise.perturb_logits(exact, rng))

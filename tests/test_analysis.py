@@ -412,6 +412,16 @@ def test_regret_gap_check():
         regret_gap_check(off_scale, base)
 
 
+def test_regret_gap_check_refuses_an_instance_with_no_calibrated_scale():
+    # at lambda = 0, q0 = K^-(D+L+1): 0.0 at D+L=120, and subnormal at
+    # D+L=103, where 4/q0 overflows; only an explicit scale builds them
+    for D, L in ((60, 60), (52, 51)):
+        inst = BridgeInstance(K=1000, D=D, L=L, scaffold=(1,) * D, suffix=(1,) * L, bit=0,
+                              lam=0.0, eta=0.5, beta=1.0, reward_scale=1.0)
+        with pytest.raises(ValueError, match="needs the calibrated reward scale"):
+            regret_gap_check(inst, PromptPolicy(hard={}))
+
+
 def test_lower_bound_certificate_values():
     inst = BridgeInstance(K=2, D=5, L=3, scaffold=(1,) * 5, suffix=(2,) * 3, bit=0,
                           lam=1.0, eta=0.5, beta=1.0)
@@ -428,6 +438,15 @@ def test_lower_bound_certificate_values():
         lower_bound_certificate(inst, 1, inst.N)
     with pytest.raises(ValueError):
         lower_bound_certificate(inst, -1, 0)
+    # q_g enters a float product: past 2^53 it is refused, not an OverflowError
+    assert lower_bound_certificate(inst, 2**53, 1) == pytest.approx(2**53 * p_plus**5)
+    for q_g in (2**53 + 1, 2**64, 10**400):
+        with pytest.raises(ValueError, match="q_g must be in 0..2"):
+            lower_bound_certificate(inst, q_g, 1)
+    # N = 2 * 1000^200 is past the largest float, so 4 / (N - q_r) divides ints
+    huge = BridgeInstance(K=1000, D=1, L=200, scaffold=(1,), suffix=(1,) * 200, bit=0,
+                          lam=700.0, eta=0.5, beta=1.0)
+    assert lower_bound_certificate(huge, 0, 1) == 0.0
 
 
 def test_certificate_vanishes_only_at_large_horizons():

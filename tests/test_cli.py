@@ -400,6 +400,9 @@ SMALL = {
     "--qr": ["0", "1", "3"], "--q": ["0", "1", "1,3"],
     "--family": ["hidden-path", "leader-trie", "uniform"],
 }
+# Every int flag but --trials, which has no cap, may also draw a huge value.
+HUGE = [str(10**400), str(2**64)]
+INTS = ("--K", "--H", "--D", "--L", "--S", "--seed", "--qg", "--qr", "--q")
 SIZES = ("--K", "--H", "--D", "--L", "--trials")
 ANALYZE = ["--K", "--H", "--D", "--L", "--seed", "--family", "--lambda", "--eta", "--beta",
            "--U", "--qg", "--qr"]
@@ -425,7 +428,7 @@ def cli_argv(draw):
         if flag in SIZES:
             argv += [flag, draw(st.sampled_from(SMALL[flag]))]
     for flag in draw(st.lists(st.sampled_from(COMMANDS[command]), max_size=5)):
-        argv += [flag, draw(st.sampled_from(SMALL[flag] + HOSTILE))]
+        argv += [flag, draw(st.sampled_from(SMALL[flag] + HOSTILE + HUGE * (flag in INTS)))]
     return argv
 
 
@@ -437,6 +440,14 @@ def _refuse_constant(name):
 @given(cli_argv())
 # a finite beta whose reward scale R = beta*log(4/q0) is inf
 @example(["analyze", "gibbs", "--K", "2", "--D", "1", "--L", "1", "--beta", "1e308"])
+# huge ints that once ended in an OverflowError
+@example(["analyze", "certificate", "--qg", HUGE[0]])
+@example(["experiment", "hidden-path-scaling", "--K", HUGE[0], "--H", "3", "--trials", "1"])
+@example(["experiment", "no-reset-hardness", "--K", "2", "--H", "3", "--q", HUGE[0],
+          "--trials", "1"])
+@example(["recover-trie-sample", "--K", "3", "--H", "3", "--S", HUGE[0]])
+@example(["experiment", "leader-trie-matrix", "--K", "3", "--H", "3", "--S", HUGE[0],
+          "--trials", "1"])
 def test_any_argv_exits_cleanly_with_at_most_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):

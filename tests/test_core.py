@@ -43,6 +43,7 @@ from prefix_oracle.core import (
     trajectory_prob,
     twin_hidden_path_models,
 )
+from prefix_oracle.analysis import GibbsPolicy
 from prefix_oracle.oracles import NoisePolicy, OracleSession
 
 RNG = lambda s: np.random.default_rng(s)
@@ -361,6 +362,13 @@ def test_bridge_instance_validation():
         assert BridgeInstance(**kw, reward_scale=1.0).R == 1.0
         with pytest.raises(ValueError, match=r"^reward scale R = inf is not finite \(given\)$"):
             BridgeInstance(**kw, reward_scale=math.inf)
+    # the Gibbs boost exp(R/beta) must be a float: it overflows past R/beta = 709.78
+    kw = dict(K=2, D=1, L=1, scaffold=(1,), suffix=(1,), bit=0, lam=1.0, eta=0.5)
+    with pytest.raises(ValueError, match=r"^exp\(R/beta\) overflows at R = 1000.0, beta = 1.0$"):
+        BridgeInstance(**kw, beta=1.0, reward_scale=1000.0)
+    with pytest.raises(ValueError, match="overflows at R = 1.0, beta = 1e-300"):
+        BridgeInstance(**kw, beta=1e-300, reward_scale=1.0)  # R/beta is inf
+    assert math.isfinite(GibbsPolicy(BridgeInstance(**kw, beta=1.0, reward_scale=709.0)).Z)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -615,3 +623,47 @@ def test_parse_model_rejects_garbage():
         parse_model("2 5\n")
     with pytest.raises(ValueError):
         parse_model("2 5 martian\n")
+    hidden = serialize_model(HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1)))
+    for line in ("path", "lambda"):
+        text = "".join(ln for ln in hidden.splitlines(True) if not ln.startswith(line))
+        with pytest.raises(ValueError, match=f"^model text has no '{line}' line$"):
+            parse_model(text)
+    bridge = serialize_model(BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(2,), bit=0,
+                                            lam=1.0, eta=0.5, beta=1.0))
+    with pytest.raises(ValueError, match="^model text has no 'tau' line$"):
+        parse_model(bridge.replace("tau 1 2\n", ""))
+    with pytest.raises(ValueError, match=r"^bridge header has H=99, but D\+L\+1=3$"):
+        parse_model(bridge.replace("2 3 bridge", "2 99 bridge"))
+
+
+_SERIALIZED = [serialize_model(m) for m in (
+    random_hidden_path_model(VocabSpec(3, 4), 1.0, RNG(5)),
+    LeaderTrieModel(random_leader_trie(VocabSpec(3, 3), RNG(5))),
+    random_bridge_instance(3, 2, 2, 1.0, 0.5, 1.0, RNG(5)),
+    random_bridge_instance(2, 1, 1, 1.0, 0.5, 1.0, RNG(5), reward_scale=0.5),
+    UniformModel(VocabSpec(2, 3)),
+)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_SERIALIZED), st.data())
+def test_a_damaged_model_text_raises_only_value_error(text, data):
+    """Drop, repeat or garble one line of a serialized model: parsing either
+    succeeds or raises ValueError, never KeyError or anything else."""
+    lines = text.splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    action = data.draw(st.sampled_from(["drop", "repeat", "garble"]))
+    if action == "drop":
+        lines[i:i + 1] = []
+    elif action == "repeat":
+        lines[i:i] = [lines[i]]
+    else:  # splice drawn text over a drawn span of the line
+        a = data.draw(st.integers(0, len(lines[i])))
+        b = data.draw(st.integers(a, len(lines[i])))
+        junk = data.draw(st.text(st.sampled_from("0123456789 .:-+eaxinf\t"), max_size=6)
+                         | st.text(max_size=6))
+        lines[i] = lines[i][:a] + junk + lines[i][b:]
+    try:
+        parse_model("\n".join(lines) + "\n")
+    except ValueError:
+        pass

@@ -43,7 +43,9 @@ def test_config_validation():
     for bad, message in [(dict(S=0), "S must be >= 1"), (dict(qr=-1), "qr must be >= 0"),
                          (dict(noise="bogus"), "unknown noise mode"),
                          (dict(xi=math.nan), "xi must be finite"),
-                         (dict(xi=1e308), "xi must be finite")]:
+                         (dict(xi=1e308), "xi must be finite"),
+                         (dict(K=2, H="3,2000"), "prefix tokens exceed cap"),
+                         (dict(K=1, H=()), "sweep H is empty")]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(name="x", **bad)
     edge = ExperimentConfig(name="x", S=1, qr=0, noise="adversarial-threshold")

@@ -477,6 +477,31 @@ def test_strict_discipline_mode():
         bad_start.query_prefix_sample((1,), rng)
 
 
+@pytest.mark.parametrize("kind", [PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT])
+def test_strict_refusal_comes_before_the_model_is_asked(kind):
+    def ask(session, p):
+        if kind == PREFIX_SAMPLE:
+            return session.query_prefix_sample(p, RNG(0))
+        return (session.query_prefix_top if kind == PREFIX_TOP else session.query_prefix_logit)(p)
+
+    calls = []
+    model = CallableModel(VocabSpec(2, 4), lambda p: calls.append(p) or [0.5, 0.5])
+    session = OracleSession(model, strict_discipline=True)
+    ask(session, ROOT)
+    for _ in range(2):  # the same tuple is refused again on a repeat ask
+        with pytest.raises(DisciplineViolationError):
+            ask(session, (2, 2))
+    assert calls == [ROOT]
+    assert session.ledger.prefix_trail == [ROOT]
+    # a prefix whose lookup fails is not admitted, so its child stays refused
+    broken = OracleSession(CallableModel(VocabSpec(2, 4), lambda p: [2.0, 0.0]),
+                           strict_discipline=True)
+    with pytest.raises(ValueError, match="sums to"):
+        ask(broken, ROOT)
+    with pytest.raises(DisciplineViolationError):
+        ask(broken, (1,))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.lists(st.integers(1, 2), max_size=3).map(tuple), max_size=12))
 def test_strict_refusal_matches_audit(trail):
