@@ -23,6 +23,7 @@ from .core import (
     HiddenPathModel,
     LeaderTrie,
     leader_trie_params,
+    shown,
     walk_trie,
 )
 from .oracles import OracleSession
@@ -82,7 +83,7 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     if not (0.0 < delta < 1.0):
         raise ValueError(f"failure budget must be in (0, 1), got {delta}")
     if not 1 <= S <= MAX_BUDGET:
-        raise ValueError(f"node budget S must be in 1..2^53, got {S}")
+        raise ValueError(f"node budget S must be in 1..2^53, got {shown(S)}")
     return _stage_samples(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
 
 

@@ -49,11 +49,22 @@ class EnumerationCapError(ValueError):
     """Raised when an enumeration would exceed ``ENUMERATION_CAP``."""
 
 
+def shown(n) -> str:
+    """``n`` for an error line: as written, or an int of more than 20 digits
+    by its digit count (``<401 digits>``), so the line stays short."""
+    if type(n) is not int or -10**20 < n < 10**20:
+        return str(n)
+    m = abs(n)
+    d = int(math.log10(m)) + 1  # off by at most one; str(m) fails past 4300 digits
+    d += (m >= 10**d) - (m < 10 ** (d - 1))
+    return f"{'-' if n < 0 else ''}<{d} digits>"
+
+
 def check_enumeration(n: int, what: str) -> None:
     """The one size rule: refuse ``n`` items of ``what`` beyond the cap,
     before anything is allocated."""
     if n > ENUMERATION_CAP:
-        raise EnumerationCapError(f"{n} {what} exceed cap {ENUMERATION_CAP}")
+        raise EnumerationCapError(f"{shown(n)} {what} exceed cap {ENUMERATION_CAP}")
 
 
 @dataclass(frozen=True)
@@ -65,9 +76,9 @@ class VocabSpec:
 
     def __post_init__(self):
         if self.K < 2:
-            raise ValueError(f"vocabulary size must be >= 2, got {self.K}")
+            raise ValueError(f"vocabulary size must be >= 2, got {shown(self.K)}")
         if self.H < 1:
-            raise ValueError(f"horizon must be >= 1, got {self.H}")
+            raise ValueError(f"horizon must be >= 1, got {shown(self.H)}")
         check_enumeration(self.K, "tokens")
         # the tokens in the H proper prefixes of one completion: what a
         # chain's key map holds and what one rollout or score walks
@@ -462,9 +473,7 @@ class BridgeInstance:
     _chain: _ChainModel = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        if self.D < 1 or self.L < 1:
-            raise ValueError("scaffold and suffix lengths must be >= 1")
-        vocab = VocabSpec(self.K, self.D + self.L + 1)
+        vocab = bridge_vocab(self.K, self.D, self.L)
         if len(self.scaffold) != self.D:
             raise ValueError(f"scaffold length {len(self.scaffold)} != {self.D}")
         if len(self.suffix) != self.L:
@@ -477,18 +486,19 @@ class BridgeInstance:
         if self.bit not in (0, 1):
             raise ValueError(f"reward bit must be 0 or 1, got {self.bit}")
         if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"hard-prompt mass must be in (0, 1], got {self.eta}")
-        if not 0.0 < self.beta < math.inf:
-            raise ValueError(f"KL coefficient beta must be finite and positive, got {self.beta}")
+            raise ValueError(f"hard-prompt mass must be in (0, 1], got {shown(self.eta)}")
+        if not 0.0 < self.beta <= sys.float_info.max:  # an int past it is not finite either
+            raise ValueError(
+                f"KL coefficient beta must be finite and positive, got {shown(self.beta)}")
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
         object.__setattr__(self, "_chain", _ChainModel(vocab, self.lam, self.path))  # validates lam
         if self.reward_scale is None and (self.q0 == 0.0 or math.isinf(4.0 / self.q0)):
             raise ValueError(f"target mass q0 = p_plus^(D+L)/K = {self.q0!r} is too small "
                              f"for R = beta*log(4/q0) at D+L={self.D + self.L}, K={self.K}")
-        if not math.isfinite(self.R):
+        if not -sys.float_info.max <= self.R <= sys.float_info.max:
             given = "given" if self.reward_scale is not None else f"beta={self.beta!r}"
-            raise ValueError(f"reward scale R = {self.R!r} is not finite ({given})")
+            raise ValueError(f"reward scale R = {shown(self.R)} is not finite ({given})")
         if not self.R / self.beta <= math.log(sys.float_info.max):
             raise ValueError(f"exp(R/beta) overflows at R = {self.R!r}, beta = {self.beta!r}")
 
@@ -546,6 +556,17 @@ class BridgeInstance:
         return UniformModel(self.vocab)
 
 
+def bridge_vocab(K: int, D: int, L: int) -> VocabSpec:
+    """The vocabulary of a bridge with scaffold length D and suffix length L:
+    the one place their rules sit."""
+    if not all(type(n) is int or isinstance(n, np.integer) for n in (D, L)):
+        raise ValueError(f"scaffold and suffix lengths must be integers, got D={shown(D)}, "
+                         f"L={shown(L)}")
+    if D < 1 or L < 1:
+        raise ValueError("scaffold and suffix lengths must be >= 1")
+    return VocabSpec(K, D + L + 1)
+
+
 def random_hidden_path_model(
     vocab: VocabSpec, lam: float, rng: np.random.Generator
 ) -> HiddenPathModel:
@@ -563,6 +584,7 @@ def random_bridge_instance(
     rng: np.random.Generator,
     reward_scale: float | None = None,
 ) -> BridgeInstance:
+    bridge_vocab(K, D, L)  # so bad sizes are refused before numpy sees them
     scaffold = tuple(int(t) for t in rng.integers(1, K + 1, size=D))
     suffix = tuple(int(t) for t in rng.integers(1, K + 1, size=L))
     bit = int(rng.integers(0, 2))
@@ -581,9 +603,11 @@ def trajectory_logprob(model, y: Completion, prefix_scores=None) -> float:
     ``(y[:t], its log-probability, its entry)`` from the last walk that reached
     depth t, or None. The walk resumes at the deepest slot y extends and
     refills the slots past it, with the same partial sums; without a list it
-    starts at the root and stores nothing. It is not keyword-only, which
-    would take every call off CPython's specialized path."""
-    model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
+    starts at the root, stores nothing and checks y: a caller that shares a
+    list vouches for every y it passes. It is not keyword-only, which would
+    take every call off CPython's specialized path."""
+    if prefix_scores is None:
+        model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
     lookup, off = model._lookup, model._off_entry()
     n = len(y)
     t = n - 1 if prefix_scores is not None else 0
@@ -642,7 +666,7 @@ def completion_distribution(model) -> dict:
     """Exact trajectory distribution as a completion -> probability map: the exp of
     each ``trajectory_logprob``, all calls sharing one ``prefix_scores``."""
     scores = [None] * model.vocab.H
-    return {y: math.exp(trajectory_logprob(model, y, prefix_scores=scores))
+    return {y: math.exp(trajectory_logprob(model, y, scores))
             for y in model.vocab.completions()}
 
 

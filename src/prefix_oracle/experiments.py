@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -36,10 +37,12 @@ from .core import (
     HiddenPathModel,
     LeaderTrieModel,
     VocabSpec,
+    bridge_vocab,
     leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
+    shown,
     signal_probs,
 )
 from .oracles import NOISE_ADVERSARIAL, NOISE_RANDOM, OracleSession, audit_discipline
@@ -68,11 +71,11 @@ def parse_number(text: str) -> float:
 
 
 def _parse_int_list(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    if isinstance(value, int):
-        return (value,)
-    return tuple(int(v) for v in str(value).split(","))
+    """A sweep from an int, a sequence or comma-separated text; each entry
+    must read as an integer, so 1.5, inf and True are refused."""
+    if not isinstance(value, (list, tuple)):
+        value = str(value).split(",")
+    return tuple(int(str(v)) for v in value)
 
 
 @dataclass(frozen=True)
@@ -104,26 +107,28 @@ class ExperimentConfig:
             if not sweep:
                 raise ValueError(f"sweep {key} is empty")
             if len(set(sweep)) < len(sweep):
-                raise ValueError(f"sweep {key} repeats a value, got {sweep}")
+                raise ValueError(
+                    f"sweep {key} repeats a value, got ({', '.join(map(shown, sweep))})")
         if self.trials < 1:
-            raise ValueError(f"trial count must be >= 1, got {self.trials}")
+            raise ValueError(f"trial count must be >= 1, got {shown(self.trials)}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if any(not 0 <= q <= MAX_BUDGET for q in self.q):
-            raise ValueError(f"query budgets q must be >= 0 and at most 2^53, got {self.q}")
+            raise ValueError(f"seed must be >= 0, got {shown(self.seed)}")
+        for q in self.q:
+            if not 0 <= q <= MAX_BUDGET:
+                raise ValueError(f"query budgets q must be >= 0 and at most 2^53, got {shown(q)}")
         for H in self.H:  # every horizon, with the caps, before the first trial
             VocabSpec(self.K, H)
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"failure budget must be in (0, 1), got {self.delta}")
-        if not 0.0 <= 2.0 * self.xi < math.inf:
+        if not 0.0 <= self.xi <= sys.float_info.max / 2:
             raise ValueError(
                 f"noise radius xi must be finite and >= 0, and 2*xi finite, got {self.xi}")
         if self.noise not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
             raise ValueError(f"unknown noise mode {self.noise!r}")
         if self.S is not None and self.S < 1:
-            raise ValueError(f"node budget S must be >= 1, got {self.S}")
+            raise ValueError(f"node budget S must be >= 1, got {shown(self.S)}")
         if self.qr < 0:
-            raise ValueError(f"reward-query budget qr must be >= 0, got {self.qr}")
+            raise ValueError(f"reward-query budget qr must be >= 0, got {shown(self.qr)}")
 
 
 # Each config key and the parser of its text form, from the field types.
@@ -448,8 +453,8 @@ def run_bridge_separation(cfg: ExperimentConfig) -> ExperimentReport:
     for H in cfg.H:
         D = cfg.D if cfg.D is not None else (H - 1) // 2
         L = cfg.L if cfg.L is not None else H - D - 1
-        if D + L + 1 != H:
-            raise ValueError(f"D={D}, L={L} incompatible with H={H}")
+        if bridge_vocab(cfg.K, D, L).H != H:
+            raise ValueError(f"D={shown(D)}, L={shown(L)} incompatible with H={H}")
         # side B: certificate values at polynomial generator budgets
         ref = BridgeInstance(K=cfg.K, D=D, L=L, scaffold=(1,) * D, suffix=(1,) * L,
                              bit=0, lam=cfg.lam, eta=cfg.eta, beta=cfg.beta)

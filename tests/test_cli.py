@@ -387,6 +387,32 @@ def test_bridge_separation_validates_every_horizon_first(argv, message, capsys, 
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["bridge", "--K", str(2**64)], "18446744073709551616 tokens exceed cap 1000000"),
+    (["bridge", "--D", "-1"], "scaffold and suffix lengths must be >= 1"),
+    (["bridge", "--D", str(2**64)], "<39 digits> prefix tokens exceed cap 1000000"),
+    (["analyze", "objective", "--L", str(2**64)], "<39 digits> prefix tokens exceed cap 1000000"),
+])
+def test_bridge_sizes_are_refused_by_their_rule_before_any_draw(argv, message, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flag, message", [
+    ("--K", "error: <401 digits> tokens exceed cap 1000000"),
+    ("--q", "error: query budgets q must be >= 0 and at most 2^53, got <401 digits>"),
+])
+def test_an_error_line_names_a_huge_value_by_its_digit_count(flag, message, capsys):
+    argv = ["experiment", "hidden-path-scaling", flag, str(10**400), "--trials", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert lines == [message] and len(lines[0]) < 200
+
+
 # A flag grammar over the CLI. Every size flag a command has is set to a small
 # value, so one run stays quick; then up to five flags draw a small value or a
 # hostile one. No size in the grammar is large.
@@ -458,3 +484,25 @@ def test_any_argv_exits_cleanly_with_at_most_one_error_line(argv):
     if code == 1 and not out.getvalue():
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_int_flag_refuses_a_huge_value_in_one_short_line(command):
+    """Each int flag of each command, set alone to a huge value of either
+    sign, runs or exits with one ``error:`` line of fewer than 200 characters."""
+    for flag in INTS:
+        if flag not in COMMANDS[command]:
+            continue
+        for value in (*HUGE, *(f"-{v}" for v in HUGE)):
+            argv = [*command.split(), flag, value]
+            if command.startswith("experiment"):
+                argv += ["--trials", "1", *["--K", "3"] * (flag != "--K"),
+                         *["--H", "3"] * (flag != "--H")]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+            assert code in (0, 1), argv
+            if code == 1 and not out.getvalue():
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), argv
+                assert len(lines[0]) < 200, (argv, lines[0][:200])

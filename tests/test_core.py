@@ -38,6 +38,7 @@ from prefix_oracle.core import (
     rollout,
     sample_trajectory,
     serialize_model,
+    shown,
     signal_probs,
     trajectory_logprob,
     trajectory_prob,
@@ -369,6 +370,43 @@ def test_bridge_instance_validation():
     with pytest.raises(ValueError, match="overflows at R = 1.0, beta = 1e-300"):
         BridgeInstance(**kw, beta=1e-300, reward_scale=1.0)  # R/beta is inf
     assert math.isfinite(GibbsPolicy(BridgeInstance(**kw, beta=1.0, reward_scale=709.0)).Z)
+
+
+@pytest.mark.parametrize("K, D, L, message", [
+    (2**64, 1, 1, "^18446744073709551616 tokens exceed cap 1000000$"),
+    (1, 1, 1, "vocabulary size must be >= 2, got 1"),
+    (2, -1, 1, "scaffold and suffix lengths must be >= 1"),
+    (2, 1, 0, "scaffold and suffix lengths must be >= 1"),
+    (2, 2**64, 1, "^<39 digits> prefix tokens exceed cap 1000000$"),
+    (2, 1, 10**400, "^<800 digits> prefix tokens exceed cap 1000000$"),
+    (2, 1.5, 1, "scaffold and suffix lengths must be integers, got D=1.5, L=1"),
+])
+def test_random_bridge_instance_refuses_bad_sizes_before_drawing(K, D, L, message):
+    rng = RNG(0)
+    with pytest.raises(ValueError, match=message):
+        random_bridge_instance(K, D, L, 1.0, 0.5, 1.0, rng)
+    assert rng.bit_generator.state == RNG(0).bit_generator.state
+    # valid sizes draw what they drew before the check: scaffold, suffix, bit
+    rng = RNG(4)
+    inst = random_bridge_instance(3, 2, 2, 1.0, 0.5, 1.0, rng)
+    ref = RNG(4)
+    assert inst.scaffold == tuple(int(t) for t in ref.integers(1, 4, size=2))
+    assert inst.suffix == tuple(int(t) for t in ref.integers(1, 4, size=2))
+    assert inst.bit == int(ref.integers(0, 2))
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_shown_names_a_long_int_by_its_digit_count():
+    assert shown(10**20 - 1) == "99999999999999999999"
+    assert shown(-(10**20 - 1)) == "-99999999999999999999"
+    assert shown(10**20) == "<21 digits>"
+    assert shown(-10**400) == "-<401 digits>"
+    assert shown(10**400 - 1) == "<400 digits>"
+    # past 4300 digits str() of an int raises; the count does not need it
+    assert shown(10**5000) == "<5001 digits>" and shown(10**5000 - 1) == "<5000 digits>"
+    assert shown(2**64) == "18446744073709551616"
+    for other in (1.5, math.inf, True, np.int64(7), 1e300):
+        assert shown(other) == str(other)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -5,11 +5,12 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from prefix_oracle.algorithms import majority_budget
-from prefix_oracle.core import signal_probs
+from prefix_oracle.core import BridgeInstance, signal_probs
 from prefix_oracle.experiments import (
     ENV_SEED,
     RUNNERS,
@@ -62,6 +63,60 @@ def test_config_rejects_negative_q():
     with pytest.raises(ValueError, match="q must be >= 0"):
         ExperimentConfig(name="x", q="4,-1")
     assert ExperimentConfig(name="x", q=0).q == (0,)  # a coin flip, ceiling 1/2
+
+
+# Values a caller may pass where an int or a float belongs: huge and negative
+# ints, bools, NaN, infinities, and floats where ints belong.
+HOSTILE = st.one_of(
+    st.sampled_from([10**400, -10**400, 2**64, -2**64, 2**53 + 1, -1, 0, 1, 2, 3, True, False,
+                     math.nan, math.inf, -math.inf, 0.5, 1.5, 2.0, -0.5, 1e308, 5e-324]),
+    st.integers(), st.floats())
+VALID_BRIDGE = dict(K=2, D=1, L=1, scaffold=(1,), suffix=(2,), bit=0, lam=1.0, eta=0.5, beta=1.0)
+BRIDGE_FIELDS = ("K", "D", "L", "bit", "lam", "eta", "beta", "tau0", "tau1", "reward_scale",
+                 "scaffold", "suffix")
+CONFIG_FIELDS = ("trials", "seed", "K", "H", "lam", "delta", "xi", "S", "q", "D", "L", "eta",
+                 "beta", "qr")
+SEQUENCES = ("scaffold", "suffix", "H", "q")  # given as a short tuple of hostile entries
+
+
+@st.composite
+def hostile_fields(draw, names):
+    chosen = draw(st.lists(st.sampled_from(names), min_size=1, max_size=3, unique=True))
+    return {name: tuple(draw(st.lists(HOSTILE, min_size=1, max_size=2))) if name in SEQUENCES
+            else draw(HOSTILE) for name in chosen}
+
+
+def _builds_or_refuses(cls, **kw):
+    try:
+        cls(**kw)
+    except ValueError:
+        pass  # anything else fails the test
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_fields(BRIDGE_FIELDS))
+@example({"beta": 10**400})  # R = beta*log(4/q0) once raised OverflowError
+@example({"reward_scale": 10**400})
+@example({"D": 10**400, "L": 1.5})  # D + L + 1 once raised OverflowError
+def test_bridge_instance_fields_build_or_raise_value_error(fields):
+    _builds_or_refuses(BridgeInstance, **{**VALID_BRIDGE, **fields})
+
+
+@settings(max_examples=300, deadline=None)
+@given(hostile_fields(CONFIG_FIELDS))
+@example({"xi": 10**400})  # 2*xi once raised OverflowError
+@example({"H": (math.inf,)})  # int(inf) once raised OverflowError
+def test_experiment_config_fields_build_or_raise_value_error(fields):
+    _builds_or_refuses(ExperimentConfig, name="x", **fields)
+
+
+def test_config_sweeps_take_only_integers():
+    for bad in [(1.5,), (math.inf,), (math.nan,), (True,), "1.5", "inf"]:
+        for key in ("H", "q"):
+            with pytest.raises(ValueError, match="invalid literal for int"):
+                ExperimentConfig(name="x", **{key: bad})
+    cfg = ExperimentConfig(name="x", H=(4, "6"), q=[np.int64(3)])
+    assert (cfg.H, cfg.q) == ((4, 6), (3,)) and all(type(v) is int for v in cfg.H + cfg.q)
 
 
 def test_config_rejects_a_repeated_sweep_value():

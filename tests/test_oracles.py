@@ -249,6 +249,30 @@ def test_enumeration_asks_callable_once_per_prefix_before_any_zero_step(K, H):
     assert all(law[y] == math.exp(_reference_logprob(model, y)) for y in vocab.completions())
 
 
+def test_completions_are_checked_where_they_enter(monkeypatch):
+    """The enumeration builds its completions itself and checks none of them;
+    a score without a shared list, and a sequence-score query, check y once."""
+    model = HiddenPathModel(VocabSpec(2, 4), 1.0, (1, 2, 1, 2))
+    session = OracleSession(model)
+    checked = []
+    real_check = VocabSpec.check_completion
+
+    def counting_check(self, y):
+        checked.append(y)
+        return real_check(self, y)
+
+    monkeypatch.setattr(VocabSpec, "check_completion", counting_check)
+    law = completion_distribution(model)
+    assert checked == [] and len(law) == 16
+    for y in [(1, 2, 1, 2), (2, 2, 1, 1), (1, 1, 1, 1)]:
+        del checked[:]
+        assert trajectory_logprob(model, y) == _reference_logprob(model, y)
+        assert checked == [y]
+        del checked[:]
+        assert session.query_seqscore(y) == _reference_logprob(model, y)
+        assert checked == [y]
+
+
 @pytest.mark.parametrize("bad", [(1.5,), (True,), (1, 2.0), (np.float64(1.0),)])
 def test_refused_non_integer_prefix_leaves_session_untouched(bad):
     # (1,) and (1, 2) are answered first, so an equal non-integer prefix
