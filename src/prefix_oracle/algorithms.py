@@ -22,6 +22,7 @@ from .core import (
     BridgeInstance,
     HiddenPathModel,
     LeaderTrie,
+    check_count,
     leader_trie_params,
     shown,
     walk_trie,
@@ -66,12 +67,17 @@ def _stage_samples(m: float) -> int:
     return math.ceil(m)
 
 
+def check_failure_budget(delta: float) -> None:
+    """The failure-budget rule of every success guarantee: 0 < delta < 1."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"failure budget must be in (0, 1), got {shown(delta)}")
+
+
 def majority_budget(gap: float, rounds: int, K: int, delta: float) -> int:
     """Samples per stage so that all ``rounds`` majority votes over K tokens
     with per-sample advantage ``gap`` jointly succeed with probability
     1 - delta: ceil((2/gap^2) * log(rounds*(K-1)/delta))."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"failure budget must be in (0, 1), got {delta}")
+    check_failure_budget(delta)
     if gap <= 0.0:
         raise ValueError(f"per-sample advantage must be positive, got {gap}")
     return _stage_samples(2.0 / gap**2 * math.log(rounds * (K - 1) / delta))
@@ -80,10 +86,8 @@ def majority_budget(gap: float, rounds: int, K: int, delta: float) -> int:
 def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     """Samples per node for threshold tests at up to S nodes:
     ceil((1/(2*margin^2)) * log(2*(K-1)*S/delta))."""
-    if not (0.0 < delta < 1.0):
-        raise ValueError(f"failure budget must be in (0, 1), got {delta}")
-    if not 1 <= S <= MAX_BUDGET:
-        raise ValueError(f"node budget S must be in 1..2^53, got {shown(S)}")
+    check_failure_budget(delta)
+    check_count(S, "node budget S", 1, MAX_BUDGET)
     return _stage_samples(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
 
 
@@ -299,6 +303,7 @@ def distinguish_no_reset_baseline(
     stem = model_a.z[: H - 1]
     if model_b.z[: H - 1] != stem or model_a.z[-1] == model_b.z[-1]:
         raise ValueError("models must agree on the stem and differ in the final token")
+    check_count(q, "rollout budget q", 0, MAX_BUDGET)
     for _ in range(q):
         reply = session.query_pathfull(rng)
         if reply.y[: H - 1] == stem:

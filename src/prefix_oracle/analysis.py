@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import MAX_BUDGET, PROB_ATOL, BridgeInstance, completion_distribution, shown
+from .core import MAX_BUDGET, PROB_ATOL, BridgeInstance, check_count, completion_distribution, shown
 
 MU_QUANTUM = 1e-12
 
@@ -263,10 +263,8 @@ def lower_bound_certificate(inst: BridgeInstance, q_g: int, q_r: int) -> float:
     """Success-probability ceiling for any algorithm limited to q_g no-reset
     generator queries and q_r < N outcome-reward queries:
     q_g * p_plus^D + q_r/N + 4/(N - q_r)."""
-    if not 0 <= q_g <= MAX_BUDGET:
-        raise ValueError(f"generator budget q_g must be in 0..2^53, got {shown(q_g)}")
-    if q_r < 0:
-        raise ValueError("query budgets must be nonnegative")
+    check_count(q_g, "generator budget q_g", 0, MAX_BUDGET)
+    check_count(q_r, "reward budget q_r", 0)
     if q_r >= inst.N:
         raise ValueError(f"reward budget {shown(q_r)} must be below N = {shown(inst.N)}")
     # 4 / (N - q_r) divides ints, which is exact where a float N would overflow

@@ -60,6 +60,12 @@ def shown(n) -> str:
     return f"{'-' if n < 0 else ''}<{d} digits>"
 
 
+def check_count(n, what: str, lo: int, hi=math.inf) -> None:
+    """The one integer rule: an int or numpy integer, not a bool, in ``lo..hi``."""
+    if not ((type(n) is int or isinstance(n, np.integer)) and lo <= n <= hi):
+        raise ValueError(f"{what} must be an integer in {lo}..{shown(hi)}, got {shown(n)}")
+
+
 def check_enumeration(n: int, what: str) -> None:
     """The one size rule: refuse ``n`` items of ``what`` beyond the cap,
     before anything is allocated."""
@@ -75,10 +81,8 @@ class VocabSpec:
     H: int
 
     def __post_init__(self):
-        if self.K < 2:
-            raise ValueError(f"vocabulary size must be >= 2, got {shown(self.K)}")
-        if self.H < 1:
-            raise ValueError(f"horizon must be >= 1, got {shown(self.H)}")
+        check_count(self.K, "vocabulary size K", 2)
+        check_count(self.H, "horizon H", 1)
         check_enumeration(self.K, "tokens")
         # the tokens in the H proper prefixes of one completion: what a
         # chain's key map holds and what one rollout or score walks
@@ -355,8 +359,7 @@ class LeaderTrie:
 
     def __post_init__(self):
         K, H = self.vocab.K, self.vocab.H
-        if K < 3:
-            raise ValueError(f"leader tries need K >= 3, got K={K}")
+        leader_trie_params(K)  # the family's K rule
         branch = dict(self.branch)
         object.__setattr__(self, "branch", branch)
 
@@ -559,11 +562,8 @@ class BridgeInstance:
 def bridge_vocab(K: int, D: int, L: int) -> VocabSpec:
     """The vocabulary of a bridge with scaffold length D and suffix length L:
     the one place their rules sit."""
-    if not all(type(n) is int or isinstance(n, np.integer) for n in (D, L)):
-        raise ValueError(f"scaffold and suffix lengths must be integers, got D={shown(D)}, "
-                         f"L={shown(L)}")
-    if D < 1 or L < 1:
-        raise ValueError("scaffold and suffix lengths must be >= 1")
+    check_count(D, "scaffold length D", 1)
+    check_count(L, "suffix length L", 1)
     return VocabSpec(K, D + L + 1)
 
 

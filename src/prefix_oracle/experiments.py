@@ -14,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import sys
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -22,6 +21,7 @@ import numpy as np
 
 from .algorithms import (
     bridge_posttrain,
+    check_failure_budget,
     distinguish_no_reset_baseline,
     exact_reward_oracle,
     majority_budget,
@@ -38,6 +38,7 @@ from .core import (
     LeaderTrieModel,
     VocabSpec,
     bridge_vocab,
+    check_count,
     leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
@@ -45,7 +46,7 @@ from .core import (
     shown,
     signal_probs,
 )
-from .oracles import NOISE_ADVERSARIAL, NOISE_RANDOM, OracleSession, audit_discipline
+from .oracles import NOISE_RANDOM, OracleSession, audit_discipline, check_noise
 
 ENV_SEED = "PREFIX_ORACLE_SEED"
 
@@ -80,7 +81,10 @@ def _parse_int_list(value) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment configuration; unused fields are ignored by runners."""
+    """Flat experiment configuration. The counts, sweeps, ``delta`` and the
+    noise settings are checked when it is built, whether or not the runner
+    reads them; ``lam``, ``D``, ``L``, ``eta`` and ``beta`` are checked by the
+    runner that reads them, before its first trial."""
 
     name: str
     trials: int = 200
@@ -109,26 +113,17 @@ class ExperimentConfig:
             if len(set(sweep)) < len(sweep):
                 raise ValueError(
                     f"sweep {key} repeats a value, got ({', '.join(map(shown, sweep))})")
-        if self.trials < 1:
-            raise ValueError(f"trial count must be >= 1, got {shown(self.trials)}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {shown(self.seed)}")
+        check_count(self.trials, "trial count", 1)
+        check_count(self.seed, "seed", 0)
         for q in self.q:
-            if not 0 <= q <= MAX_BUDGET:
-                raise ValueError(f"query budgets q must be >= 0 and at most 2^53, got {shown(q)}")
+            check_count(q, "query budget q", 0, MAX_BUDGET)
         for H in self.H:  # every horizon, with the caps, before the first trial
             VocabSpec(self.K, H)
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"failure budget must be in (0, 1), got {self.delta}")
-        if not 0.0 <= self.xi <= sys.float_info.max / 2:
-            raise ValueError(
-                f"noise radius xi must be finite and >= 0, and 2*xi finite, got {self.xi}")
-        if self.noise not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
-            raise ValueError(f"unknown noise mode {self.noise!r}")
-        if self.S is not None and self.S < 1:
-            raise ValueError(f"node budget S must be >= 1, got {shown(self.S)}")
-        if self.qr < 0:
-            raise ValueError(f"reward-query budget qr must be >= 0, got {shown(self.qr)}")
+        check_failure_budget(self.delta)
+        check_noise(self.xi, self.noise)
+        if self.S is not None:
+            check_count(self.S, "node budget S", 1, MAX_BUDGET)
+        check_count(self.qr, "reward-query budget qr", 0)
 
 
 # Each config key and the parser of its text form, from the field types.
@@ -155,20 +150,25 @@ def parse_config_text(text: str) -> dict:
 
 def config_from_mapping(mapping: dict, name: Optional[str] = None) -> ExperimentConfig:
     """Build a config from string key=value pairs, applying the environment
-    seed override. CLI flags are applied on top by the caller."""
+    seed override. CLI flags are applied on top by the caller. A value that
+    does not parse is refused naming its key, or the environment variable."""
+    entries = [(f"config key {key!r}", KEY_ALIASES.get(key, key), value)
+               for key, value in mapping.items()]
+    env_seed = os.environ.get(ENV_SEED)
+    if env_seed is not None:  # last, so it overrides the mapping
+        entries.append((ENV_SEED, "seed", env_seed))
     kwargs = {}
-    for key, value in mapping.items():
-        key = KEY_ALIASES.get(key, key)
+    for source, key, value in entries:
         if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-        kwargs[key] = CONFIG_KEYS[key](value)
+        try:
+            kwargs[key] = CONFIG_KEYS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{source}: {exc}") from None
     if name is not None:
         kwargs["name"] = name
     if "name" not in kwargs:
         raise ValueError("config needs an experiment name")
-    env_seed = os.environ.get(ENV_SEED)
-    if env_seed is not None:
-        kwargs["seed"] = int(env_seed)
     return ExperimentConfig(**kwargs)
 
 

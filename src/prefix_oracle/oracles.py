@@ -11,6 +11,7 @@ one rollout.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, groupby
@@ -25,9 +26,11 @@ from .core import (
     LeaderTrieModel,
     Prefix,
     Token,
+    check_count,
     format_prefix,
     leader_trie_params,
     rollout,
+    shown,
     trajectory_logprob,
 )
 
@@ -72,6 +75,14 @@ class DisciplineAudit:
         return "ok" if self.ok else "violation"
 
 
+def check_noise(xi: float, mode: str) -> None:
+    """The noise rule: 0 <= xi <= max/2, so a draw's width 2*xi is finite; a known mode."""
+    if not 0.0 <= xi <= sys.float_info.max / 2:
+        raise ValueError(f"noise radius xi must be finite, >= 0 and 2*xi finite, got {shown(xi)}")
+    if mode not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
+        raise ValueError(f"unknown noise mode {mode!r}")
+
+
 @dataclass(frozen=True)
 class NoisePolicy:
     """Perturbation applied to logit and score replies, always inside the
@@ -89,11 +100,7 @@ class NoisePolicy:
     target: Optional[float] = None
 
     def __post_init__(self):
-        if not 0.0 <= 2.0 * self.xi < math.inf:  # 2*xi: the width of a random draw
-            raise ValueError(
-                f"noise radius xi must be finite and >= 0, and 2*xi finite, got {self.xi}")
-        if self.mode not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
+        check_noise(self.xi, self.mode)
         if self.mode == NOISE_ADVERSARIAL and self.xi > 0 and self.target is None:
             raise ValueError("adversarial-threshold noise needs a target")
 
@@ -270,8 +277,7 @@ class OracleSession:
         return self.query_no_reset(rng, postprocess_logprobs, OUTPUT_LOGPROBS)
 
     def query_output_with_topk(self, rng: np.random.Generator, k: int):
-        if not (1 <= k <= self.vocab.K):
-            raise ValueError(f"k must be in 1..{self.vocab.K}, got {k}")
+        check_count(k, "top-k size k", 1, self.vocab.K)  # before the rollout is drawn
         return self.query_no_reset(rng, lambda r: postprocess_topk(r, k), OUTPUT_TOPK)
 
     # -- chosen-prefix interfaces -------------------------------------------

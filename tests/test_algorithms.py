@@ -2,6 +2,7 @@
 adversarial noise, discipline trails, and the post-training pipeline."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -167,6 +168,15 @@ def test_majority_budget_independent_arithmetic():
         majority_budget(gap, 10, 2, 1.0)
     with pytest.raises(ValueError):
         majority_budget(0.0, 10, 2, 0.1)
+
+
+def test_both_budgets_refuse_a_failure_budget_by_one_rule():
+    for bad, shown in [(0.0, "0.0"), (1.0, "1.0"), (math.nan, "nan"), (10**400, "<401 digits>")]:
+        message = rf"^failure budget must be in \(0, 1\), got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            majority_budget(0.5, 3, 2, bad)
+        with pytest.raises(ValueError, match=message):
+            trie_sample_budget(0.1, 3, 7, bad)
 
 
 def test_majority_budget_delta_ratio():
@@ -507,6 +517,16 @@ def test_distinguisher_validation_and_budget():
     with pytest.raises(ValueError):
         d = HiddenPathModel(vocab, 0.5, a.z)  # different signal strength
         distinguish_no_reset_baseline(OracleSession(a), a, d, 3, RNG(0))
+
+
+@pytest.mark.parametrize("q", [2.5, 3.0, -3, True, 2**53 + 1, math.nan])
+def test_distinguisher_refuses_a_bad_budget_before_any_rollout(q):
+    a, b = twin_hidden_path_models(VocabSpec(2, 3), 1.0, (1, 1), 1, 2)
+    session, rng = OracleSession(a), RNG(0)
+    with pytest.raises(ValueError, match=r"^rollout budget q must be an integer in 0\.\.9007"):
+        distinguish_no_reset_baseline(session, a, b, q, rng)
+    assert rng.bit_generator.state == RNG(0).bit_generator.state
+    assert session.ledger.rollouts == 0
 
 
 def test_distinguisher_trivial_cases():

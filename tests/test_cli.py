@@ -136,7 +136,7 @@ def test_experiment_rejects_negative_seed_and_q(capsys):
                         (["hidden-path-scaling", "--seed", "-1"], "seed")]:
         assert main(["experiment", *argv, "--trials", "1"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and f"{field} must be >= 0" in err
+        assert err.startswith("error:") and f"{field} must be an integer in 0.." in err
         assert "non-negative integer" not in err  # numpy's message
 
 
@@ -269,6 +269,29 @@ def test_experiment_seed_precedence(tmp_path, capsys, monkeypatch):
     assert out_flag.read_bytes() == out_ref.read_bytes()
 
 
+@pytest.mark.parametrize("line, message", [
+    ("trials=abc", "config key 'trials': invalid literal for int() with base 10: 'abc'"),
+    ("lambda=log:0", "config key 'lambda': math domain error"),
+])
+def test_a_config_value_that_does_not_parse_names_its_key(line, message, tmp_path, capsys,
+                                                          monkeypatch):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"K=2\n{line}\n")
+    assert main(["experiment", "hidden-path-scaling", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_an_environment_seed_that_does_not_parse_names_the_variable(capsys, monkeypatch):
+    monkeypatch.setenv(ENV_SEED, "abc")
+    assert main(["experiment", "hidden-path-scaling", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {ENV_SEED}: invalid literal for int() with base 10: 'abc'\n"
+
+
 def test_experiment_violations_exit_1(capsys, monkeypatch):
     from prefix_oracle import experiments as exp
 
@@ -375,7 +398,9 @@ def test_leader_trie_matrix_sweep_is_one_error_line(capsys):
 @pytest.mark.parametrize("argv, message", [
     (["--H", "4", "--qr", "99"], "reward budget 99 must be below N = 8"),
     (["--H", "4,6", "--D", "1", "--L", "2"], "D=1, L=2 incompatible with H=6"),
-    (["--H", "4,2"], "lengths must be >= 1"),
+    # an explicit id keeps the name this case had before the message changed
+    pytest.param(["--H", "4,2"], "scaffold length D must be an integer in 1..inf, got 0",
+                 id="argv2-lengths must be >= 1"),
 ])
 def test_bridge_separation_validates_every_horizon_first(argv, message, capsys, monkeypatch):
     calls = []
@@ -389,7 +414,9 @@ def test_bridge_separation_validates_every_horizon_first(argv, message, capsys, 
 
 @pytest.mark.parametrize("argv, message", [
     (["bridge", "--K", str(2**64)], "18446744073709551616 tokens exceed cap 1000000"),
-    (["bridge", "--D", "-1"], "scaffold and suffix lengths must be >= 1"),
+    # an explicit id keeps the name this case had before the message changed
+    pytest.param(["bridge", "--D", "-1"], "scaffold length D must be an integer in 1..inf, got -1",
+                 id="argv1-scaffold and suffix lengths must be >= 1"),
     (["bridge", "--D", str(2**64)], "<39 digits> prefix tokens exceed cap 1000000"),
     (["analyze", "objective", "--L", str(2**64)], "<39 digits> prefix tokens exceed cap 1000000"),
 ])
@@ -402,7 +429,10 @@ def test_bridge_sizes_are_refused_by_their_rule_before_any_draw(argv, message, c
 
 @pytest.mark.parametrize("flag, message", [
     ("--K", "error: <401 digits> tokens exceed cap 1000000"),
-    ("--q", "error: query budgets q must be >= 0 and at most 2^53, got <401 digits>"),
+    # an explicit id keeps the name this case had before the message changed
+    pytest.param(
+        "--q", "error: query budget q must be an integer in 0..9007199254740992, got <401 digits>",
+        id="--q-error: query budgets q must be >= 0 and at most 2^53, got <401 digits>"),
 ])
 def test_an_error_line_names_a_huge_value_by_its_digit_count(flag, message, capsys):
     argv = ["experiment", "hidden-path-scaling", flag, str(10**400), "--trials", "1"]

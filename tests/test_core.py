@@ -374,12 +374,16 @@ def test_bridge_instance_validation():
 
 @pytest.mark.parametrize("K, D, L, message", [
     (2**64, 1, 1, "^18446744073709551616 tokens exceed cap 1000000$"),
-    (1, 1, 1, "vocabulary size must be >= 2, got 1"),
-    (2, -1, 1, "scaffold and suffix lengths must be >= 1"),
-    (2, 1, 0, "scaffold and suffix lengths must be >= 1"),
+    (1, 1, 1, "vocabulary size K must be an integer in 2..inf, got 1"),
+    # explicit ids keep the names these cases had before their messages changed
+    pytest.param(2, -1, 1, "scaffold length D must be an integer in 1..inf, got -1",
+                 id="2--1-1-scaffold and suffix lengths must be >= 1"),
+    pytest.param(2, 1, 0, "suffix length L must be an integer in 1..inf, got 0",
+                 id="2-1-0-scaffold and suffix lengths must be >= 1"),
     (2, 2**64, 1, "^<39 digits> prefix tokens exceed cap 1000000$"),
     (2, 1, 10**400, "^<800 digits> prefix tokens exceed cap 1000000$"),
-    (2, 1.5, 1, "scaffold and suffix lengths must be integers, got D=1.5, L=1"),
+    pytest.param(2, 1.5, 1, "scaffold length D must be an integer in 1..inf, got 1.5",
+                 id="2-1.5-1-scaffold and suffix lengths must be integers, got D=1.5, L=1"),
 ])
 def test_random_bridge_instance_refuses_bad_sizes_before_drawing(K, D, L, message):
     rng = RNG(0)

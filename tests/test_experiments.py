@@ -9,8 +9,21 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prefix_oracle.algorithms import majority_budget
-from prefix_oracle.core import BridgeInstance, signal_probs
+from prefix_oracle.algorithms import (
+    distinguish_no_reset_baseline,
+    majority_budget,
+    trie_sample_budget,
+)
+from prefix_oracle.analysis import lower_bound_certificate
+from prefix_oracle.core import (
+    MAX_BUDGET,
+    BridgeInstance,
+    UniformModel,
+    VocabSpec,
+    bridge_vocab,
+    signal_probs,
+    twin_hidden_path_models,
+)
 from prefix_oracle.experiments import (
     ENV_SEED,
     RUNNERS,
@@ -28,6 +41,7 @@ from prefix_oracle.experiments import (
     run_leader_trie_matrix,
     run_no_reset_hardness,
 )
+from prefix_oracle.oracles import OracleSession
 
 
 def test_config_validation():
@@ -41,7 +55,8 @@ def test_config_validation():
     assert cfg.H == (5, 10)
     assert cfg.q == (4,)
     # rejected before any trial runs
-    for bad, message in [(dict(S=0), "S must be >= 1"), (dict(qr=-1), "qr must be >= 0"),
+    for bad, message in [(dict(S=0), "S must be an integer in 1..9007199254740992, got 0"),
+                         (dict(qr=-1), "qr must be an integer in 0..inf, got -1"),
                          (dict(noise="bogus"), "unknown noise mode"),
                          (dict(xi=math.nan), "xi must be finite"),
                          (dict(xi=1e308), "xi must be finite"),
@@ -54,13 +69,13 @@ def test_config_validation():
 
 
 def test_config_rejects_negative_seed():
-    with pytest.raises(ValueError, match="seed must be >= 0"):
+    with pytest.raises(ValueError, match="seed must be an integer in 0..inf, got -1"):
         ExperimentConfig(name="x", seed=-1)
     assert ExperimentConfig(name="x", seed=0).seed == 0
 
 
 def test_config_rejects_negative_q():
-    with pytest.raises(ValueError, match="q must be >= 0"):
+    with pytest.raises(ValueError, match="q must be an integer in 0..9007199254740992, got -1"):
         ExperimentConfig(name="x", q="4,-1")
     assert ExperimentConfig(name="x", q=0).q == (0,)  # a coin flip, ceiling 1/2
 
@@ -86,11 +101,21 @@ def hostile_fields(draw, names):
             else draw(HOSTILE) for name in chosen}
 
 
-def _builds_or_refuses(cls, **kw):
+def _builds_or_refuses(cls, counts, **kw):
+    """Build ``cls``; once it builds, each of its ``counts`` fields that is set
+    (and each entry of a sweep) is an integer."""
     try:
-        cls(**kw)
+        built = cls(**kw)
     except ValueError:
-        pass  # anything else fails the test
+        return  # anything else fails the test
+    for name in counts:
+        value = getattr(built, name)
+        if value is not None:
+            assert all(map(_is_integer, value if isinstance(value, tuple) else (value,))), name
+
+
+def _is_integer(n) -> bool:
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 @settings(max_examples=300, deadline=None)
@@ -98,16 +123,63 @@ def _builds_or_refuses(cls, **kw):
 @example({"beta": 10**400})  # R = beta*log(4/q0) once raised OverflowError
 @example({"reward_scale": 10**400})
 @example({"D": 10**400, "L": 1.5})  # D + L + 1 once raised OverflowError
+@example({"K": 2.5})  # once built
 def test_bridge_instance_fields_build_or_raise_value_error(fields):
-    _builds_or_refuses(BridgeInstance, **{**VALID_BRIDGE, **fields})
+    _builds_or_refuses(BridgeInstance, ("K", "D", "L"), **{**VALID_BRIDGE, **fields})
 
 
 @settings(max_examples=300, deadline=None)
 @given(hostile_fields(CONFIG_FIELDS))
 @example({"xi": 10**400})  # 2*xi once raised OverflowError
 @example({"H": (math.inf,)})  # int(inf) once raised OverflowError
+@example({"trials": True})  # once built, and ran one trial
 def test_experiment_config_fields_build_or_raise_value_error(fields):
-    _builds_or_refuses(ExperimentConfig, name="x", **fields)
+    _builds_or_refuses(ExperimentConfig, ("trials", "seed", "K", "S", "qr", "H", "q"),
+                       name="x", **fields)
+
+
+# Every entry point that takes a count: a call on one value, and the range the
+# value must be in once the call returns.
+RNG = np.random.default_rng
+_INST = BridgeInstance(**VALID_BRIDGE)  # N = 4, so q_r < 4
+_TWINS = twin_hidden_path_models(VocabSpec(2, 1), 1.0, (), 1, 2)  # each rollout reaches the stem
+COUNT_ENTRY_POINTS = {
+    "VocabSpec K": (lambda n: VocabSpec(n, 3), 2, math.inf),
+    "VocabSpec H": (lambda n: VocabSpec(2, n), 1, math.inf),
+    "bridge_vocab D": (lambda n: bridge_vocab(2, n, 1), 1, math.inf),
+    "bridge_vocab L": (lambda n: bridge_vocab(2, 1, n), 1, math.inf),
+    "trie_sample_budget S": (lambda n: trie_sample_budget(0.1, 3, n, 0.1), 1, MAX_BUDGET),
+    "lower_bound_certificate q_g": (lambda n: lower_bound_certificate(_INST, n, 1), 0, MAX_BUDGET),
+    "lower_bound_certificate q_r": (lambda n: lower_bound_certificate(_INST, 1, n), 0, 3),
+    "ExperimentConfig trials": (lambda n: ExperimentConfig(name="x", trials=n), 1, math.inf),
+    "ExperimentConfig seed": (lambda n: ExperimentConfig(name="x", seed=n), 0, math.inf),
+    "ExperimentConfig K": (lambda n: ExperimentConfig(name="x", K=n), 2, math.inf),
+    "ExperimentConfig S": (lambda n: ExperimentConfig(name="x", S=n), 1, MAX_BUDGET),
+    "ExperimentConfig qr": (lambda n: ExperimentConfig(name="x", qr=n), 0, math.inf),
+    "query_output_with_topk k": (
+        lambda n: OracleSession(UniformModel(VocabSpec(3, 2))).query_output_with_topk(RNG(0), n),
+        1, 3),
+    "distinguish_no_reset_baseline q": (
+        lambda n: distinguish_no_reset_baseline(OracleSession(_TWINS[0]), *_TWINS, n, RNG(0)),
+        0, MAX_BUDGET),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(COUNT_ENTRY_POINTS)), HOSTILE)
+@example("VocabSpec K", 2.5)  # each of these once returned or raised TypeError
+@example("VocabSpec H", True)
+@example("lower_bound_certificate q_r", 0.5)
+@example("ExperimentConfig seed", 1.5)
+@example("query_output_with_topk k", 1.5)
+@example("distinguish_no_reset_baseline q", -3)
+def test_a_count_is_taken_only_as_an_integer_in_range(entry, n):
+    call, lo, hi = COUNT_ENTRY_POINTS[entry]
+    try:
+        call(n)
+    except ValueError:
+        return  # anything else fails the test
+    assert _is_integer(n) and lo <= n <= hi
 
 
 def test_config_sweeps_take_only_integers():

@@ -351,10 +351,28 @@ def test_no_reset_ledger_counts_one_rollout_per_query():
     assert session.ledger.count(OUTPUT_LOGPROBS) == 1
 
 
+def test_a_huge_int_noise_radius_is_refused_by_the_noise_rule():
+    model = UniformModel(VocabSpec(2, 2))
+    for build in (lambda: NoisePolicy(10**400), lambda: OracleSession(model, xi=10**400)):
+        with pytest.raises(ValueError, match=r"^noise radius xi .* got <401 digits>$"):
+            build()
+
+
 def test_topk_validates_k():
     session = OracleSession(UniformModel(VocabSpec(2, 2)))
     with pytest.raises(ValueError):
         session.query_output_with_topk(RNG(0), 3)
+
+
+@pytest.mark.parametrize("k", [1.5, 2.0, True, 0, 3, 2**64, math.nan])
+def test_topk_refuses_a_k_that_is_not_an_integer_in_range_before_drawing(k):
+    session, rng = OracleSession(UniformModel(VocabSpec(2, 2))), RNG(0)
+    with pytest.raises(ValueError, match=r"^top-k size k must be an integer in 1\.\.2, got "):
+        session.query_output_with_topk(rng, k)
+    assert rng.bit_generator.state == RNG(0).bit_generator.state
+    assert session.ledger.records == []
+    y, steps = session.query_output_with_topk(rng, np.int64(2))  # a numpy integer is a count
+    assert len(steps) == 2 and all(len(step) == 2 for step in steps)
 
 
 def test_topk_reports_zero_probability_entries_as_minus_inf():
