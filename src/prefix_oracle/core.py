@@ -248,11 +248,11 @@ class CallableModel(_CachedDistModel):
 def signal_probs(K: int, lam: float) -> tuple:
     """The (favored, unfavored) per-step probabilities for signal strength lam."""
     if not 0.0 <= lam < math.inf:
-        raise ValueError(f"signal strength lambda must be finite and >= 0, got {lam}")
+        raise ValueError(f"signal strength lambda must be finite and >= 0, got {shown(lam)}")
     try:
         e = math.exp(lam)
     except OverflowError:
-        raise ValueError(f"signal strength lambda {lam} overflows exp(lambda)") from None
+        raise ValueError(f"signal strength lambda {shown(lam)} overflows exp(lambda)") from None
     return e / (e + K - 1), 1.0 / (e + K - 1)
 
 
@@ -486,13 +486,8 @@ class BridgeInstance:
             raise ValueError(f"tokens {tokens} are not all integers in 1..{self.K}")
         if self.tau0 == self.tau1:
             raise ValueError("terminal tokens must be distinct")
-        if self.bit not in (0, 1):
-            raise ValueError(f"reward bit must be 0 or 1, got {self.bit}")
-        if not (0.0 < self.eta <= 1.0):
-            raise ValueError(f"hard-prompt mass must be in (0, 1], got {shown(self.eta)}")
-        if not 0.0 < self.beta <= sys.float_info.max:  # an int past it is not finite either
-            raise ValueError(
-                f"KL coefficient beta must be finite and positive, got {shown(self.beta)}")
+        check_count(self.bit, "reward bit", 0, 1)
+        check_objective_weights(self.eta, self.beta)
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
         object.__setattr__(self, "_chain", _ChainModel(vocab, self.lam, self.path))  # validates lam
@@ -557,6 +552,15 @@ class BridgeInstance:
 
     def easy_model(self) -> UniformModel:
         return UniformModel(self.vocab)
+
+
+def check_objective_weights(eta: float, beta: float) -> None:
+    """The rules of the post-training objective's weights: the hard-prompt
+    mass eta in (0, 1] and a finite positive KL coefficient beta."""
+    if not (0.0 < eta <= 1.0):
+        raise ValueError(f"hard-prompt mass eta must be in (0, 1], got {shown(eta)}")
+    if not 0.0 < beta <= sys.float_info.max:  # an int past it is not finite either
+        raise ValueError(f"KL coefficient beta must be finite and positive, got {shown(beta)}")
 
 
 def bridge_vocab(K: int, D: int, L: int) -> VocabSpec:

@@ -39,6 +39,7 @@ from .core import (
     VocabSpec,
     bridge_vocab,
     check_count,
+    check_objective_weights,
     leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
@@ -81,10 +82,12 @@ def _parse_int_list(value) -> tuple:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Flat experiment configuration. The counts, sweeps, ``delta`` and the
-    noise settings are checked when it is built, whether or not the runner
-    reads them; ``lam``, ``D``, ``L``, ``eta`` and ``beta`` are checked by the
-    runner that reads them, before its first trial."""
+    """Flat experiment configuration. Every numeric field and the noise
+    mode are checked when it is built, whether or not the runner reads
+    them, by the rule the library applies to each: the counts (``D`` and
+    ``L`` when given), the sweeps, ``lam``, ``delta``, the noise settings,
+    ``eta`` and ``beta``. A runner checks only how fields combine, such as
+    a bridge split that does not fit a horizon, before its first trial."""
 
     name: str
     trials: int = 200
@@ -119,10 +122,16 @@ class ExperimentConfig:
             check_count(q, "query budget q", 0, MAX_BUDGET)
         for H in self.H:  # every horizon, with the caps, before the first trial
             VocabSpec(self.K, H)
+        signal_probs(self.K, self.lam)
         check_failure_budget(self.delta)
         check_noise(self.xi, self.noise)
         if self.S is not None:
             check_count(self.S, "node budget S", 1, MAX_BUDGET)
+        if self.D is not None:
+            check_count(self.D, "scaffold length D", 1)
+        if self.L is not None:
+            check_count(self.L, "suffix length L", 1)
+        check_objective_weights(self.eta, self.beta)
         check_count(self.qr, "reward-query budget qr", 0)
 
 

@@ -147,8 +147,10 @@ def _payloads(records: list, kinds: frozenset):
 class QueryLedger:
     """The queries one session answered: one ``(kind, payload, reply)`` record
     per query, in order. The payload is the prefix of a chosen-prefix query,
-    the completion of a SeqScore query and None for a no-reset query. Counts
-    and trails are views of the records; a refused query is in none of them."""
+    the completion of a SeqScore query and None for a no-reset query. Equal
+    samples at one admitted prefix share one record tuple, still one entry
+    per answered query. Counts and trails are views of the records; a
+    refused query is in none of them."""
 
     records: list = field(default_factory=list)
 
@@ -229,7 +231,9 @@ class OracleSession:
     unless the local-reset rule allows it, and then looked up in the model's
     cached ``(probs, edges, logs)`` entry. A refused prefix raises before the
     model is asked and before the query is recorded or draws from its stream.
-    SeqScore reads ``logs`` through ``trajectory_logprob``.
+    Admitting a prefix also starts its token -> record map, so equal samples
+    there append one shared record tuple; the ledger still holds one record
+    per answered query. SeqScore reads ``logs`` through ``trajectory_logprob``.
     """
 
     def __init__(
@@ -248,7 +252,8 @@ class OracleSession:
         self.noise = NoisePolicy(xi, noise, target)
         self.ledger = QueryLedger()
         self._seen = set() if strict_discipline else None  # None: not strict
-        self._last_prefix = self._last_entry = None  # the last admitted tuple
+        # the last admitted tuple, its model entry and its token -> sample record map
+        self._last_prefix = self._last_entry = self._last_records = None
 
     @property
     def vocab(self):
@@ -296,6 +301,7 @@ class OracleSession:
                 raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
             self._last_entry = self.model._lookup(p)
             self._last_prefix = p
+            self._last_records = {}
             if seen is not None:  # after the lookup, so a failed one admits nothing
                 seen.add(p)
         return self._last_entry
@@ -303,12 +309,18 @@ class OracleSession:
     def query_prefix_sample(self, p: Prefix, rng) -> Token:
         """One next-token sample at ``p``. ``rng`` is a numpy Generator or any
         object whose ``random()`` returns the next double in [0, 1); the
-        sample draws exactly one, after ``p`` is admitted."""
-        p = tuple(p)
-        # the same-tuple path of _admit, taken without the call
-        entry = self._last_entry if p is self._last_prefix else self._admit(p)
-        tok = bisect_right(entry[1], rng.random())
-        self.ledger.records.append((PREFIX_SAMPLE, p, tok))
+        sample draws exactly one, after ``p`` is admitted. It appends one
+        ledger record, ``(PREFIX_SAMPLE, p, token)``, built on the token's
+        first draw at the admitted ``p`` and shared by its later draws there,
+        so such a later draw allocates nothing but its ledger slot."""
+        if p is not self._last_prefix:  # else the same-tuple path of _admit, without the call
+            self._admit(tuple(p))
+        tok = bisect_right(self._last_entry[1], rng.random())
+        shared = self._last_records
+        record = shared.get(tok)
+        if record is None:
+            record = shared[tok] = (PREFIX_SAMPLE, self._last_prefix, tok)
+        self.ledger.records.append(record)
         return tok
 
     def query_prefix_top(self, p: Prefix) -> Optional[Token]:

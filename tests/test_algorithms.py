@@ -1,7 +1,9 @@
 """Recovery procedures: sample budgets, exactness, tightness under
 adversarial noise, discipline trails, and the post-training pipeline."""
 
+import itertools
 import math
+import operator
 import re
 
 import numpy as np
@@ -137,6 +139,94 @@ def test_sample_counts_refuse_an_invalid_prefix_before_any_draw(bad):
         _sample_counts(session, bad, 50, rng)
     assert session.ledger.records == []
     assert rng.bit_generator.state == state
+
+
+def _reference_token(model, p, u):
+    # the first token whose cumulative mass exceeds u, from the public lookup
+    cdf = model.next_cdf(p)
+    return next((i + 1 for i, c in enumerate(cdf) if u < c), len(cdf))
+
+
+def _refused_prefixes(vocab, seen, strict):
+    """Prefixes a session refuses: invalid ones, and in strict mode the valid
+    ones the local-reset rule forbids after ``seen``."""
+    K, H = vocab.K, vocab.H
+    bad = [(0,), (K + 1,), (1,) * H, (1.5,)]
+    if strict:
+        valid = [p for n in range(H) for p in itertools.product(range(1, K + 1), repeat=n)]
+        bad += [p for p in valid
+                if not ((p in seen or p[:-1] in seen) if seen else p == ROOT)]
+    return bad
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(SAMPLE_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 5),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+    strict=st.booleans(),
+    ops=st.lists(st.tuples(st.sampled_from(["stage", "top", "logit", "refused"]),
+                           st.integers(0, 10**6), st.integers(1, 40), st.booleans()),
+                 min_size=1, max_size=10),
+)
+def test_equal_samples_at_an_admitted_prefix_share_one_record(
+        family, K, H, model_seed, seed, strict, ops):
+    """Vote stages at several prefixes, with top and logit queries and refused
+    prefixes in between, record what one record per sample would: each
+    ``(PREFIX_SAMPLE, p, token)`` in order. Equal samples at one admitted
+    prefix are one record object, so a stage holds at most K of them, and a
+    refused prefix leaves the ledger and the admitted prefix's records alone."""
+    assume(family != "leader-trie" or K >= 3)
+    vocab = VocabSpec(K, H)
+    model = SAMPLE_FAMILIES[family](vocab, RNG(model_seed))
+    session = OracleSession(model, strict_discipline=strict)
+    rng, ref_rng = RNG(seed), RNG(seed)
+    expected, asked = [], []  # the reference records; the admitted prefixes, in order
+    admitted, shared = None, {}  # the last admitted prefix object; its token -> record
+    for op, pick, m, copy in ops:
+        records = session.ledger.records
+        if op == "refused":
+            before = list(records)
+            bad = _refused_prefixes(vocab, set(asked), strict)
+            p = bad[pick % len(bad)]
+            query = (lambda: _sample_counts(session, p, m, rng),
+                     lambda: session.query_prefix_top(p),
+                     lambda: session.query_prefix_logit(p))[pick % 3]
+            with pytest.raises((InvalidPrefixError, DisciplineViolationError)):
+                query()
+            assert len(records) == len(before) and all(map(operator.is_, records, before))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+            continue
+        legal = asked + [a + (t,) for a in asked if len(a) < H - 1 for t in range(1, K + 1)
+                         if a + (t,) not in asked]
+        p = legal[pick % len(legal)] if asked else ROOT
+        if copy:
+            p = tuple(list(p))  # an equal tuple, admitted afresh (but () is one object)
+        if p not in asked:
+            asked.append(p)
+        if p is not admitted:
+            admitted, shared = p, {}
+        start = len(records)
+        if op == "top":
+            expected.append((PREFIX_TOP, p, session.query_prefix_top(p)))
+        elif op == "logit":
+            expected.append((PREFIX_LOGIT, p, session.query_prefix_logit(p)))
+        else:
+            counts = _sample_counts(session, p, m, rng)
+            draws = [ref_rng.random()] + ref_rng.random(m - 1).tolist()
+            tokens = [_reference_token(model, p, u) for u in draws]
+            assert counts == [tokens.count(t) for t in range(1, K + 1)]
+            expected += [(PREFIX_SAMPLE, p, t) for t in tokens]
+            stage = records[start:]
+            assert len(set(map(id, stage))) <= K
+            for record, t in zip(stage, tokens):
+                assert type(record[1]) is tuple and record[1] == p  # the prefix drawn at
+                assert shared.setdefault(t, record) is record  # one record per token at p
+        assert records == expected
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert session.ledger.records == expected
 
 
 def test_sample_counts_refuse_an_illegal_first_query_before_any_draw():

@@ -195,6 +195,24 @@ def test_non_finite_floats_are_one_error_line(capsys, argv, field):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--lambda", "nan", "--eta", "7", "--beta", "-1"],
+     "signal strength lambda must be finite and >= 0, got nan"),
+    (["--eta", "7"], "hard-prompt mass eta must be in (0, 1], got 7.0"),
+    (["--beta", "-1"], "KL coefficient beta must be finite and positive, got -1.0"),
+    (["--D", "0"], "scaffold length D must be an integer in 1..inf, got 0"),
+    (["--L", "-2"], "suffix length L must be an integer in 1..inf, got -2"),
+])
+def test_fields_the_runner_does_not_read_are_checked_when_the_config_is_built(
+        capsys, flags, message):
+    # leader-trie-matrix reads none of these; the report's config line once echoed them
+    argv = ["experiment", "leader-trie-matrix", "--K", "3", "--H", "2", "--trials", "1"]
+    assert main(argv + flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_recover_trie_over_node_cap_is_one_error_line(capsys):
     assert main(["recover-trie-logit", "--H", "30"]) == 1
     captured = capsys.readouterr()

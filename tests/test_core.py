@@ -372,6 +372,17 @@ def test_bridge_instance_validation():
     assert math.isfinite(GibbsPolicy(BridgeInstance(**kw, beta=1.0, reward_scale=709.0)).Z)
 
 
+def test_reward_bit_is_an_integer_so_the_text_round_trip_holds():
+    kw = dict(K=2, D=1, L=1, scaffold=(1,), suffix=(2,), lam=1.0, eta=0.5, beta=1.0)
+    for bad in (1.0, True, 0.0, False, 2, -1, np.float64(1.0)):
+        # once built, bit=1.0 was written as "bit 1.0", which parse_model refused
+        with pytest.raises(ValueError, match=r"^reward bit must be an integer in 0\.\.1, got "):
+            BridgeInstance(**kw, bit=bad)
+    for bit in (0, 1, np.int64(1)):
+        inst = BridgeInstance(**kw, bit=bit)
+        assert parse_model(serialize_model(inst)) == inst
+
+
 @pytest.mark.parametrize("K, D, L, message", [
     (2**64, 1, 1, "^18446744073709551616 tokens exceed cap 1000000$"),
     (1, 1, 1, "vocabulary size K must be an integer in 2..inf, got 1"),
@@ -431,6 +442,8 @@ def test_overflowing_floats_rejected_naming_the_field():
     assert signal_probs(2, 709.0) == (1.0, 1.0 / (math.exp(709.0) + 1))
     with pytest.raises(ValueError, match="^signal strength lambda 710.0 overflows exp"):
         signal_probs(2, 710.0)
+    with pytest.raises(ValueError, match="^signal strength lambda <401 digits> overflows exp"):
+        signal_probs(2, 10**400)
     with pytest.raises(ValueError, match="lambda"):
         HiddenPathModel(VocabSpec(2, 2), 1000.0, (1, 2))
     with pytest.raises(ValueError, match="lambda"):

@@ -4,6 +4,7 @@ runs of every experiment."""
 import math
 import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -101,9 +102,21 @@ def hostile_fields(draw, names):
             else draw(HOSTILE) for name in chosen}
 
 
+# Once built, each of these fields that is set is in its range.
+IN_RANGE = {
+    "lam": lambda v: 0.0 <= v < 710.0,  # exp(lam) is finite
+    "eta": lambda v: 0.0 < v <= 1.0,
+    "beta": lambda v: 0.0 < v <= sys.float_info.max,
+    "D": lambda v: v >= 1,
+    "L": lambda v: v >= 1,
+    "bit": lambda v: v in (0, 1),
+}
+
+
 def _builds_or_refuses(cls, counts, **kw):
     """Build ``cls``; once it builds, each of its ``counts`` fields that is set
-    (and each entry of a sweep) is an integer."""
+    (and each entry of a sweep) is an integer, and each field of ``IN_RANGE``
+    that is set is in its range."""
     try:
         built = cls(**kw)
     except ValueError:
@@ -112,6 +125,10 @@ def _builds_or_refuses(cls, counts, **kw):
         value = getattr(built, name)
         if value is not None:
             assert all(map(_is_integer, value if isinstance(value, tuple) else (value,))), name
+    for name, in_range in IN_RANGE.items():
+        value = getattr(built, name, None)
+        if value is not None:
+            assert in_range(value), (name, value)
 
 
 def _is_integer(n) -> bool:
@@ -124,8 +141,10 @@ def _is_integer(n) -> bool:
 @example({"reward_scale": 10**400})
 @example({"D": 10**400, "L": 1.5})  # D + L + 1 once raised OverflowError
 @example({"K": 2.5})  # once built
+@example({"bit": 1.0})  # once built, and "bit 1.0" did not parse back
+@example({"bit": True})
 def test_bridge_instance_fields_build_or_raise_value_error(fields):
-    _builds_or_refuses(BridgeInstance, ("K", "D", "L"), **{**VALID_BRIDGE, **fields})
+    _builds_or_refuses(BridgeInstance, ("K", "D", "L", "bit"), **{**VALID_BRIDGE, **fields})
 
 
 @settings(max_examples=300, deadline=None)
@@ -133,8 +152,10 @@ def test_bridge_instance_fields_build_or_raise_value_error(fields):
 @example({"xi": 10**400})  # 2*xi once raised OverflowError
 @example({"H": (math.inf,)})  # int(inf) once raised OverflowError
 @example({"trials": True})  # once built, and ran one trial
+@example({"lam": math.nan, "D": 1.5, "L": -2})  # each once built
+@example({"eta": 7.0, "beta": -1.0})
 def test_experiment_config_fields_build_or_raise_value_error(fields):
-    _builds_or_refuses(ExperimentConfig, ("trials", "seed", "K", "S", "qr", "H", "q"),
+    _builds_or_refuses(ExperimentConfig, ("trials", "seed", "K", "S", "qr", "H", "q", "D", "L"),
                        name="x", **fields)
 
 

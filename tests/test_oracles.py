@@ -2,6 +2,7 @@
 collapse, and the local-reset discipline auditor."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -403,6 +404,38 @@ def test_prefix_sample_on_path_frequency():
     hits = sum(session.query_prefix_sample(prefix, rng) == model.z[p] for _ in range(n))
     margin = 3 * math.sqrt(model.p_plus * (1 - model.p_plus) / n)
     assert abs(hits / n - model.p_plus) <= margin
+
+
+class _Draws:
+    """Serves pre-drawn doubles through ``random()``, as a vote stage does."""
+
+    def __init__(self, draws):
+        self.random = iter(draws).__next__
+
+
+def test_a_stage_of_samples_at_one_prefix_keeps_under_16_bytes_per_sample():
+    # a sample appends its prefix's shared record for the drawn token, so the
+    # ledger grows by one list slot (8 bytes plus over-allocation) per sample;
+    # a fresh (kind, prefix, token) tuple per sample kept about 73 bytes
+    n = 50_000
+    session = OracleSession(UniformModel(VocabSpec(3, 4)))
+    rng = RNG(0)
+    prefix = (2, 1)
+    for p in (ROOT, (2,), prefix):  # admit the prefix and build its K records first
+        for _ in range(30):
+            session.query_prefix_sample(p, rng)
+    draws = _Draws(rng.random(n).tolist())
+    sample = session.query_prefix_sample
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(n):
+            sample(prefix, draws)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert session.ledger.count(PREFIX_SAMPLE) == 90 + n
+    assert kept / n < 16, f"{kept / n:.1f} bytes kept per sample"
 
 
 def test_prefix_top_replies():
