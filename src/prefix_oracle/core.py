@@ -16,7 +16,7 @@ from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
@@ -64,6 +64,13 @@ def check_count(n, what: str, lo: int, hi=math.inf) -> None:
     """The one integer rule: an int or numpy integer, not a bool, in ``lo..hi``."""
     if not ((type(n) is int or isinstance(n, np.integer)) and lo <= n <= hi):
         raise ValueError(f"{what} must be an integer in {lo}..{shown(hi)}, got {shown(n)}")
+
+
+def check_real(x, what: str) -> None:
+    """The one float rule: an int, float or numpy integer or float, not a
+    bool; each caller checks the range."""
+    if type(x) is bool or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{what} must be a real number, got {type(x).__name__} {shown(x)}")
 
 
 def check_enumeration(n: int, what: str) -> None:
@@ -219,13 +226,15 @@ class CallableModel(_CachedDistModel):
     """Generator defined by an arbitrary prefix -> probabilities function.
 
     Intended for tests and user-supplied models. The callable may tell every
-    prefix apart, so the cache is keyed by the prefix itself. ``fn`` must be
+    prefix apart, so ``_keys`` maps each prefix to itself. ``fn`` must be
     a pure function of the prefix: the model calls it once per distinct
     prefix and reuses the answer; an invalid answer is never stored.
     """
 
     vocab: VocabSpec
     fn: Callable[[Prefix], object]
+
+    _keys = SimpleNamespace(get=lambda p, default=0: p)  # each prefix is its own class key
 
     def _build(self, p: Prefix):
         vec = np.asarray(self.fn(p), dtype=float)
@@ -238,15 +247,13 @@ class CallableModel(_CachedDistModel):
             raise ValueError(f"distribution at {p} sums to {total!r}, not 1")
         return vec
 
-    def _lookup(self, p: Prefix):
-        return self._dist_cache[p]
-
     def _off_entry(self):
         return None  # the callable may tell every prefix apart
 
 
 def signal_probs(K: int, lam: float) -> tuple:
     """The (favored, unfavored) per-step probabilities for signal strength lam."""
+    check_real(lam, "signal strength lambda")
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"signal strength lambda must be finite and >= 0, got {shown(lam)}")
     try:
@@ -491,7 +498,9 @@ class BridgeInstance:
         object.__setattr__(self, "scaffold", tuple(self.scaffold))
         object.__setattr__(self, "suffix", tuple(self.suffix))
         object.__setattr__(self, "_chain", _ChainModel(vocab, self.lam, self.path))  # validates lam
-        if self.reward_scale is None and (self.q0 == 0.0 or math.isinf(4.0 / self.q0)):
+        if self.reward_scale is not None:
+            check_real(self.reward_scale, "reward scale R")
+        elif self.q0 == 0.0 or math.isinf(4.0 / self.q0):
             raise ValueError(f"target mass q0 = p_plus^(D+L)/K = {self.q0!r} is too small "
                              f"for R = beta*log(4/q0) at D+L={self.D + self.L}, K={self.K}")
         if not -sys.float_info.max <= self.R <= sys.float_info.max:
@@ -557,6 +566,8 @@ class BridgeInstance:
 def check_objective_weights(eta: float, beta: float) -> None:
     """The rules of the post-training objective's weights: the hard-prompt
     mass eta in (0, 1] and a finite positive KL coefficient beta."""
+    check_real(eta, "hard-prompt mass eta")
+    check_real(beta, "KL coefficient beta")
     if not (0.0 < eta <= 1.0):
         raise ValueError(f"hard-prompt mass eta must be in (0, 1], got {shown(eta)}")
     if not 0.0 < beta <= sys.float_info.max:  # an int past it is not finite either
@@ -641,14 +652,14 @@ def trajectory_prob(model, y: Completion) -> float:
 
 def rollout(model, rng: np.random.Generator) -> tuple:
     """Root-to-leaf rollout ``(y, mus)`` with ``mus[t]`` the probabilities at
-    ``y[:t]``; its prefixes hold sampled tokens, so none is re-checked. Each
-    draw u picks token ``bisect_right(edges, u)``. Once y reaches the off
-    entry, the remaining draws are mapped through it in one pass."""
-    lookup, off = model._lookup, model._off_entry()
+    ``y[:t]``. Each step reads the cache at the prefix's class key, unchecked
+    (prefixes hold sampled tokens); a draw u picks ``bisect_right(edges, u)``.
+    Past the off entry, the remaining draws are mapped through it in one pass."""
+    cache, key, off = model._dist_cache, model._keys.get, model._off_entry()
     draws = rng.random(model.vocab.H).tolist()  # same doubles as H scalar draws
     y, mus = (), []
     for u in draws:
-        entry = lookup(y)
+        entry = cache[key(y, 0)]
         probs, edges, _ = entry
         if entry is off:
             t = len(y)

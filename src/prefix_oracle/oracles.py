@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, groupby
 from operator import countOf, indexOf, itemgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .core import (
     Prefix,
     Token,
     check_count,
+    check_real,
     format_prefix,
     leader_trie_params,
     rollout,
@@ -56,10 +57,9 @@ class DisciplineViolationError(RuntimeError):
     """Raised in strict mode when a prefix query breaks the local-reset rule."""
 
 
-@dataclass(frozen=True)
-class PathFullReply:
-    """One canonical rollout: the trajectory plus every visited next-token
-    distribution (``mus[t]`` is the distribution at ``y[:t]``)."""
+class PathFullReply(NamedTuple):
+    """One canonical rollout, the ``(y, mus)`` pair of ``core.rollout``: the
+    trajectory and every visited distribution, ``mus[t]`` the one at ``y[:t]``."""
 
     y: Completion
     mus: tuple  # H tuples of K floats
@@ -77,6 +77,7 @@ class DisciplineAudit:
 
 def check_noise(xi: float, mode: str) -> None:
     """The noise rule: 0 <= xi <= max/2, so a draw's width 2*xi is finite; a known mode."""
+    check_real(xi, "noise radius xi")
     if not 0.0 <= xi <= sys.float_info.max / 2:
         raise ValueError(f"noise radius xi must be finite, >= 0 and 2*xi finite, got {shown(xi)}")
     if mode not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
@@ -201,24 +202,25 @@ def audit_discipline(ledger: QueryLedger) -> DisciplineAudit:
 
 
 def postprocess_output_only(reply: PathFullReply) -> Completion:
-    return reply.y
+    return reply[0]
 
 
 def postprocess_logprobs(reply: PathFullReply):
     """Generated-token log probabilities along the sampled trajectory."""
-    lps = tuple(math.log(reply.mus[t][reply.y[t] - 1]) for t in range(len(reply.y)))
-    return reply.y, lps
+    y, mus = reply
+    return y, tuple(math.log(mus[t][y[t] - 1]) for t in range(len(y)))
 
 
 def postprocess_topk(reply: PathFullReply, k: int):
     """Per-step top-k (token, log probability) lists, ties broken by token;
     a zero-probability entry is reported as -inf."""
+    y, mus = reply
     steps = []
-    for mu in reply.mus:
+    for mu in mus:
         order = sorted(range(len(mu)), key=lambda i: (-mu[i], i))[:k]
         steps.append(tuple((i + 1, math.log(mu[i]) if mu[i] > 0.0 else -math.inf)
                            for i in order))
-    return reply.y, tuple(steps)
+    return y, tuple(steps)
 
 
 class OracleSession:
@@ -267,13 +269,13 @@ class OracleSession:
 
     def query_no_reset(self, rng: np.random.Generator, post: Callable, kind: str):
         """Generic no-reset query of ``kind``: one fresh rollout, then a
-        post-processing of the canonical reply."""
-        out = post(PathFullReply(*rollout(self.model, rng)))
+        post-processing of its ``(y, mus)`` pair, the canonical reply."""
+        out = post(rollout(self.model, rng))
         self.ledger.records.append((kind, None, out))
         return out
 
     def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
-        return self.query_no_reset(rng, lambda r: r, PATHFULL)
+        return self.query_no_reset(rng, PathFullReply._make, PATHFULL)
 
     def query_output_only(self, rng: np.random.Generator) -> Completion:
         return self.query_no_reset(rng, postprocess_output_only, OUTPUT_ONLY)
@@ -369,8 +371,8 @@ def _summarize_reply(kind: str, reply) -> str:
         return f"{reply:.12g}"
     if kind in PREFIX_KINDS:
         return "bot" if reply is None else str(int(reply))
-    # a PathFull reply, a completion, or (completion, per-step payload)
-    y = reply.y if kind == PATHFULL else reply if kind == OUTPUT_ONLY else reply[0]
+    # a completion, or a pair (completion, per-step payload) such as PathFull's
+    y = reply if kind == OUTPUT_ONLY else reply[0]
     return "y=" + format_prefix(y)
 
 

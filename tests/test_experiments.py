@@ -19,6 +19,7 @@ from prefix_oracle.analysis import lower_bound_certificate
 from prefix_oracle.core import (
     MAX_BUDGET,
     BridgeInstance,
+    HiddenPathModel,
     UniformModel,
     VocabSpec,
     bridge_vocab,
@@ -42,7 +43,7 @@ from prefix_oracle.experiments import (
     run_leader_trie_matrix,
     run_no_reset_hardness,
 )
-from prefix_oracle.oracles import OracleSession
+from prefix_oracle.oracles import NoisePolicy, OracleSession
 
 
 def test_config_validation():
@@ -88,6 +89,7 @@ HOSTILE = st.one_of(
                      math.nan, math.inf, -math.inf, 0.5, 1.5, 2.0, -0.5, 1e308, 5e-324]),
     st.integers(), st.floats())
 VALID_BRIDGE = dict(K=2, D=1, L=1, scaffold=(1,), suffix=(2,), bit=0, lam=1.0, eta=0.5, beta=1.0)
+FLOAT_FIELDS = ("lam", "eta", "beta", "xi", "reward_scale")
 BRIDGE_FIELDS = ("K", "D", "L", "bit", "lam", "eta", "beta", "tau0", "tau1", "reward_scale",
                  "scaffold", "suffix")
 CONFIG_FIELDS = ("trials", "seed", "K", "H", "lam", "delta", "xi", "S", "q", "D", "L", "eta",
@@ -129,6 +131,8 @@ def _builds_or_refuses(cls, counts, **kw):
         value = getattr(built, name, None)
         if value is not None:
             assert in_range(value), (name, value)
+    for name in FLOAT_FIELDS:
+        assert not isinstance(getattr(built, name, None), (bool, np.bool_)), name
 
 
 def _is_integer(n) -> bool:
@@ -201,6 +205,42 @@ def test_a_count_is_taken_only_as_an_integer_in_range(entry, n):
     except ValueError:
         return  # anything else fails the test
     assert _is_integer(n) and lo <= n <= hi
+
+
+def _bridge(name):
+    return lambda x: BridgeInstance(**{**VALID_BRIDGE, name: x})
+
+
+def _config(name):
+    return lambda x: ExperimentConfig(name="x", **{name: x})
+
+
+# Every entry point that takes a float: a call on one value, and the words of
+# the field's name that its refusal must carry.
+FLOAT_ENTRY_POINTS = {
+    "signal_probs lam": (lambda x: signal_probs(2, x), "lambda"),
+    "HiddenPathModel lam": (lambda x: HiddenPathModel(VocabSpec(2, 2), x, (1, 2)), "lambda"),
+    "NoisePolicy xi": (NoisePolicy, "xi"),
+    "OracleSession xi": (lambda x: OracleSession(UniformModel(VocabSpec(2, 2)), xi=x), "xi"),
+    "BridgeInstance lam": (_bridge("lam"), "lambda"),
+    "BridgeInstance eta": (_bridge("eta"), "eta"),
+    "BridgeInstance beta": (_bridge("beta"), "beta"),
+    "BridgeInstance reward_scale": (_bridge("reward_scale"), "reward scale R"),
+    "ExperimentConfig lam": (_config("lam"), "lambda"),
+    "ExperimentConfig eta": (_config("eta"), "eta"),
+    "ExperimentConfig beta": (_config("beta"), "beta"),
+    "ExperimentConfig xi": (_config("xi"), "xi"),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, np.True_], ids=repr)
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRY_POINTS))
+def test_a_float_field_refuses_a_bool_naming_the_field(entry, bad):
+    call, words = FLOAT_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError, match=f"{words} must be a real number, got bool"):
+        call(bad)
+    for good in (1, np.int64(1), np.float64(1.0), 1.0):  # ints and numpy numbers stay
+        call(good)
 
 
 def test_config_sweeps_take_only_integers():

@@ -18,10 +18,12 @@ from prefix_oracle.core import (
     UniformModel,
     VocabSpec,
     completion_distribution,
+    format_prefix,
     leader_trie_params,
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
+    rollout,
     sample_trajectory,
     trajectory_logprob,
     trajectory_prob,
@@ -338,6 +340,32 @@ def test_no_reset_replies_reconstruct_from_pathfull():
         assert OracleSession(model).query_output_only(RNG(seed)) == postprocess_output_only(reply)
         assert OracleSession(model).query_output_with_logprobs(RNG(seed)) == postprocess_logprobs(reply)
         assert OracleSession(model).query_output_with_topk(RNG(seed), 2) == postprocess_topk(reply, 2)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(ROLLOUT_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 6),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pathfull_reply_is_the_rollout_pair(family, K, H, model_seed, seed):
+    """A PathFull reply is the ``(y, mus)`` pair that ``rollout`` draws from
+    the same stream, named and without an instance dict, and every
+    post-processor answers the same for it as for a plain pair."""
+    assume(family != "leader-trie" or K >= 3)
+    model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    reply = OracleSession(model).query_pathfull(RNG(seed))
+    pair = rollout(model, RNG(seed))
+    assert type(reply) is PathFullReply and type(pair) is tuple and reply == pair
+    y, mus = reply
+    assert (y, mus) == (reply.y, reply.mus) and len(y) == len(mus) == H
+    assert not hasattr(reply, "__dict__")
+    assert postprocess_output_only(reply) == postprocess_output_only(pair) == y
+    assert postprocess_logprobs(reply) == postprocess_logprobs(pair)
+    for k in range(1, K + 1):
+        assert postprocess_topk(reply, k) == postprocess_topk(pair, k)
 
 
 def test_no_reset_ledger_counts_one_rollout_per_query():
@@ -919,3 +947,15 @@ def test_ledger_csv_export():
     assert lines[4].startswith("4,SeqScore,1.2,")
     # deterministic rendering
     assert csv == ledger_to_csv(session.ledger)
+
+
+def test_no_reset_ledger_csv_rows_render_the_reply_completion():
+    model = random_hidden_path_model(VocabSpec(3, 4), 1.0, RNG(0))
+    session = OracleSession(model)
+    rng = RNG(4)
+    ys = [session.query_pathfull(rng).y, session.query_output_only(rng),
+          session.query_output_with_logprobs(rng)[0], session.query_output_with_topk(rng, 2)[0]]
+    kinds = (PATHFULL, OUTPUT_ONLY, OUTPUT_LOGPROBS, OUTPUT_TOPK)
+    assert ledger_to_csv(session.ledger).splitlines()[1:] == [
+        f"{i},{kind},,y={format_prefix(y)}" for i, (kind, y) in enumerate(zip(kinds, ys), start=1)]
+    assert all(len(y) == 4 for y in ys) and len(set(ys)) > 1
