@@ -9,6 +9,7 @@ closed forms are used where they exist.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
@@ -111,9 +112,9 @@ def pathfull_law(model) -> dict:
     A reply key is ``(y, mus)``: the trajectory y and, for t = 0..H-1, the
     distribution at ``y[:t]`` as a tuple of integers ``round(p / MU_QUANTUM)``.
     Replies that are identical across two models land on the same key, so
-    their laws compare directly."""
-    H = model.vocab.H
-    return {(y, tuple(_quantize(model.next_probs(y[:t])) for t in range(H))): prob
+    their laws compare directly; each distinct distribution is quantized once."""
+    H, lookup, quantize = model.vocab.H, model._lookup, functools.cache(_quantize)
+    return {(y, tuple(quantize(lookup(y[:t])[0]) for t in range(H))): prob
             for y, prob in completion_distribution(model).items()}
 
 

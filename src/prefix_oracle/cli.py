@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from . import algorithms, analysis, experiments
 from .core import (
@@ -188,8 +187,7 @@ def _cmd_experiment(args) -> int:
     if args.config:
         with open(args.config) as fh:
             mapping = experiments.parse_config_text(fh.read())
-    cfg = config_from_mapping(mapping, name=args.name)
-    cfg = replace(cfg, **{k: getattr(args, k) for k in CONFIG_KEYS if getattr(args, k) is not None})
+    cfg = config_from_mapping(mapping, **{key: getattr(args, key) for key in CONFIG_KEYS})
     report = experiments.run_experiment(cfg)
     record = {
         "command": f"experiment-{cfg.name}",

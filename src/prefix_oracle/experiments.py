@@ -72,7 +72,7 @@ def parse_number(text: str) -> float:
     return float(text)
 
 
-def _parse_int_list(value) -> tuple:
+def parse_sweep(value) -> tuple:
     """A sweep from an int, a sequence or comma-separated text; each entry
     must read as an integer, so 1.5, inf and True are refused."""
     if not isinstance(value, (list, tuple)):
@@ -108,8 +108,8 @@ class ExperimentConfig:
     qr: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "H", _parse_int_list(self.H))
-        object.__setattr__(self, "q", _parse_int_list(self.q))
+        object.__setattr__(self, "H", parse_sweep(self.H))
+        object.__setattr__(self, "q", parse_sweep(self.q))
         for key, sweep in (("H", self.H), ("q", self.q)):
             if not sweep:
                 raise ValueError(f"sweep {key} is empty")
@@ -136,9 +136,8 @@ class ExperimentConfig:
 
 
 # Each config key and the parser of its text form, from the field types.
-# Sweeps stay strings here; ExperimentConfig.__post_init__ parses them.
 _TYPE_PARSERS = {"int": int, "Optional[int]": int, "float": parse_number,
-                 "tuple": str, "str": str, "Optional[str]": str}
+                 "tuple": parse_sweep, "str": str, "Optional[str]": str}
 CONFIG_KEYS = {f.name: _TYPE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 KEY_ALIASES = {"lambda": "lam"}  # config-file key or CLI flag -> field
 
@@ -157,10 +156,11 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def config_from_mapping(mapping: dict, name: Optional[str] = None) -> ExperimentConfig:
-    """Build a config from string key=value pairs, applying the environment
-    seed override. CLI flags are applied on top by the caller. A value that
-    does not parse is refused naming its key, or the environment variable."""
+def config_from_mapping(mapping: dict, **overrides) -> ExperimentConfig:
+    """Build a config from a config file's key=value text pairs, then the
+    environment seed, then ``overrides`` (parsed field values, None for not
+    given): a later source wins. A text value that does not parse is refused,
+    naming its key or the variable; only the winning values are checked, once."""
     entries = [(f"config key {key!r}", KEY_ALIASES.get(key, key), value)
                for key, value in mapping.items()]
     env_seed = os.environ.get(ENV_SEED)
@@ -174,8 +174,7 @@ def config_from_mapping(mapping: dict, name: Optional[str] = None) -> Experiment
             kwargs[key] = CONFIG_KEYS[key](value)
         except ValueError as exc:
             raise ValueError(f"{source}: {exc}") from None
-    if name is not None:
-        kwargs["name"] = name
+    kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     if "name" not in kwargs:
         raise ValueError("config needs an experiment name")
     return ExperimentConfig(**kwargs)

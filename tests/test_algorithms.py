@@ -661,3 +661,70 @@ def test_all_algorithms_pass_discipline_audit_sweep():
         bridge_session = OracleSession(inst.hard_model())
         bridge_posttrain(inst, bridge_session, exact_reward_oracle(inst), 0.3, rng)
         assert audit_discipline(bridge_session.ledger).ok
+
+
+def test_seqscore_refuses_a_padding_rule_of_the_wrong_length():
+    session = OracleSession(HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1)))
+    with pytest.raises(ValueError, match="^padding rule returned length 3 at stage 1$"):
+        recover_hidden_path_seqscore(session, lambda stage, length: (1,) * (length + 1))
+    assert session.ledger.records == []
+
+
+def test_tester_refuses_a_model_that_is_not_a_hidden_path():
+    model = HiddenPathModel(VocabSpec(2, 3), 1.0, (1, 2, 1))
+    session = OracleSession(model)
+    for a, b in [(UniformModel(model.vocab), model), (model, UniformModel(model.vocab))]:
+        with pytest.raises(ValueError, match="^the tester needs two hidden-path models$"):
+            distinguish_no_reset_baseline(session, a, b, 1, RNG(0))
+    assert session.ledger.records == []
+
+
+# The query guarantees of PAPER.md, for all small instances: each procedure
+# appends exactly its budget of records to the ledger, and the trail passes
+# the local-reset audit.
+GUARANTEE_SIZES = dict(
+    K=st.integers(2, 4),
+    lam=st.sampled_from([0.5, 1.0, 3.0]),
+    delta=st.sampled_from([0.05, 0.1, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    earlier=st.integers(0, 3),
+    strict=st.booleans(),
+)
+
+
+def _session(model, earlier, strict):
+    """A session that has already answered ``earlier`` root queries."""
+    session = OracleSession(model, strict_discipline=strict)
+    for _ in range(earlier):
+        session.query_prefix_top(ROOT)
+    return session
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(H=st.integers(1, 5), **GUARANTEE_SIZES)
+def test_recover_hidden_path_appends_exactly_H_m_records(H, K, lam, delta, seed, earlier, strict):
+    model = random_hidden_path_model(VocabSpec(K, H), lam, RNG(seed))
+    session = _session(model, earlier, strict)
+    m = majority_budget(model.delta, H, K, delta)
+    result = recover_hidden_path(session, delta, RNG(seed + 1))
+    assert result.queries_used == len(session.ledger.records) - earlier == H * m
+    assert audit_discipline(session.ledger).ok
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(D=st.integers(1, 3), L=st.integers(1, 3), **GUARANTEE_SIZES)
+def test_bridge_posttrain_appends_its_budget_and_asks_one_reward_query(
+        D, L, K, lam, delta, seed, earlier, strict):
+    inst = random_bridge_instance(K, D, L, lam, 0.5, 1.0, RNG(seed))
+    session = _session(inst.hard_model(), earlier, strict)
+    asked, oracle = [], exact_reward_oracle(inst)
+
+    def reward_query(*args):
+        asked.append(args)
+        return oracle(*args)
+
+    m = majority_budget(inst.delta, L, K, delta)
+    out = bridge_posttrain(inst, session, reward_query, delta, RNG(seed + 1))
+    assert out.generator_queries == len(session.ledger.records) - earlier == (D + 1) + L * m
+    assert out.reward_queries == len(asked) == 1
+    assert audit_discipline(session.ledger).ok

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prefix_oracle import analysis
 from prefix_oracle.analysis import (
     AgreementError,
     GibbsPolicy,
@@ -465,3 +466,28 @@ def test_certificate_vanishes_only_at_large_horizons():
     assert values[21] > 1 / 3
     assert values[60] > 1 / 3
     assert values[101] < 1 / 3
+
+
+@pytest.mark.parametrize("family", sorted(LAW_FAMILIES))
+def test_pathfull_law_quantizes_each_distinct_distribution_once(family, monkeypatch):
+    calls, real = [], analysis._quantize
+    monkeypatch.setattr(analysis, "_quantize", lambda mu: calls.append(mu) or real(mu))
+    vocab = VocabSpec(3, 4)
+    model = LAW_FAMILIES[family](vocab, RNG(5))
+    law = pathfull_law(model)
+    distinct = {model.next_probs(p) for p in vocab.prefixes()}
+    assert len(calls) == len(distinct) and set(calls) == distinct
+    assert list(law.items()) == list(_reference_pathfull_law(model).items())
+
+
+def test_analysis_edge_paths():
+    # models on different vocabularies never agree
+    assert not models_agree_outside(UniformModel(VocabSpec(2, 3)), UniformModel(VocabSpec(2, 4)),
+                                    set())
+    assert kl_divergence({(1,): 0.0, (2,): 1.0}, {(2,): 1.0}) == 0.0  # a zero entry adds nothing
+    assert binary_kl(0.5, 1.0) == math.inf
+    inst = random_bridge_instance(2, 1, 2, 1.0, 0.5, 1.0, RNG(0))
+    outside = (0,) * inst.vocab.H  # not a completion, so the base gives it no mass
+    assert hard_prompt_objective(inst, {outside: 1.0}) == -math.inf
+    policy = PromptPolicy(hard=GibbsPolicy(inst).hard, easy={outside: 1.0})
+    assert evaluate_objective(inst, policy) == -math.inf

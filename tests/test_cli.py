@@ -397,6 +397,132 @@ def test_experiment_flag_and_config_key_agree(key, tmp_path, capsys, monkeypatch
         assert flag_cfg.lam == math.log(3)
 
 
+# per config key: a value the config refuses, then a valid one for the flag,
+# which sets a quick hidden-path-scaling run
+OUT_OF_RANGE = {
+    "name": ("bogus", None), "trials": ("0", "2"), "seed": ("-1", "5"),
+    "out": ("/nonexistent-dir-xyz/r.csv", "report.csv"), "K": ("1", "3"), "H": ("0", "3"),
+    "lam": ("nan", "log:3"), "delta": ("0", "0.2"), "xi": ("-1", "0.1"),
+    "noise": ("bogus", "adversarial-threshold"), "S": ("0", "2"), "q": ("-1", "1,4"),
+    "D": ("0", "2"), "L": ("-2", "3"), "eta": ("7", "0.25"), "beta": ("-1", "2"),
+    "qr": ("-1", "2"),
+}
+
+
+def _text_key(key):
+    """The config-file key and the flag name of a field."""
+    return {"lam": "lambda"}.get(key, key)
+
+
+def _configs_built(monkeypatch):
+    """The configs an ``experiment`` command hands to the real runner."""
+    configs, real = [], experiments.run_experiment
+
+    def capture(cfg):
+        configs.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(experiments, "run_experiment", capture)
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    return configs
+
+
+@pytest.mark.parametrize("key", sorted(CONFIG_KEYS))
+def test_a_flag_overrides_a_config_value_the_config_refuses(key, tmp_path, capsys,
+                                                            monkeypatch):
+    configs = _configs_built(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    bad, good = OUT_OF_RANGE[key]
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"{_text_key(key)}={bad}\n")
+    flags = {"trials": "1", "H": "2", key: good}
+    argv = ["experiment", "hidden-path-scaling", "--config", str(config)]
+    for name, value in flags.items():
+        if name != "name":  # the positional argument overrides the file's name
+            argv += [f"--{_text_key(name)}", value]
+    assert main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    (cfg,) = configs
+    expected = "hidden-path-scaling" if key == "name" else CONFIG_KEYS[key](good)
+    assert getattr(cfg, key) == expected
+    if key == "out":
+        assert (tmp_path / "report.csv").is_file()
+
+
+@pytest.mark.parametrize("env, flag, winner", [
+    (None, None, 1), ("42", None, 42), ("42", "7", 7), ("-1", "7", 7),
+])
+def test_a_flag_beats_the_environment_seed_which_beats_the_file(env, flag, winner, tmp_path,
+                                                                 capsys, monkeypatch):
+    configs = _configs_built(monkeypatch)
+    if env is not None:
+        monkeypatch.setenv(ENV_SEED, env)
+    config = tmp_path / "exp.cfg"
+    config.write_text("seed=1\ntrials=1\nH=2\n")
+    argv = ["experiment", "hidden-path-scaling", "--config", str(config)]
+    assert main(argv + (["--seed", flag] if flag else [])) == 0
+    capsys.readouterr()
+    assert [cfg.seed for cfg in configs] == [winner]
+
+
+# per config key with a malformed text form: a text that does not parse, and
+# the message; every text parses as a str, so name, out and noise have none
+MALFORMED = {
+    **{key: ("abc", "invalid literal for int() with base 10: 'abc'")
+       for key in ("trials", "seed", "K", "S", "D", "L", "qr")},
+    **{key: ("1.5", "invalid literal for int() with base 10: '1.5'") for key in ("H", "q")},
+    **{key: ("abc", "could not convert string to float: 'abc'")
+       for key in ("lam", "delta", "xi", "eta", "beta")},
+}
+
+
+def test_every_config_key_but_the_str_ones_has_a_malformed_text():
+    assert set(MALFORMED) == {key for key, parse in CONFIG_KEYS.items() if parse is not str}
+
+
+@pytest.mark.parametrize("key", sorted(MALFORMED))
+def test_a_malformed_config_value_is_refused_even_under_a_flag(key, tmp_path, capsys,
+                                                               monkeypatch):
+    configs = _configs_built(monkeypatch)
+    text, message = MALFORMED[key]
+    name = _text_key(key)
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"{name}={text}\n")
+    good = OUT_OF_RANGE[key][1]
+    argv = ["experiment", "hidden-path-scaling", "--config", str(config), f"--{name}", good]
+    assert main(argv + ["--trials", "1"] * (key != "trials")) == 1
+    captured = capsys.readouterr()
+    assert configs == [] and captured.out == ""
+    assert captured.err == f"error: config key {name!r}: {message}\n"
+
+
+def test_a_malformed_environment_seed_is_refused_even_under_a_flag(capsys, monkeypatch):
+    configs = _configs_built(monkeypatch)
+    monkeypatch.setenv(ENV_SEED, "1.5")
+    assert main(["experiment", "hidden-path-scaling", "--seed", "3", "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert configs == [] and captured.out == ""
+    assert captured.err == f"error: {ENV_SEED}: invalid literal for int() with base 10: '1.5'\n"
+
+
+def test_an_experiment_command_builds_one_config(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    built, check = [], ExperimentConfig.__post_init__
+
+    def counted(cfg):
+        built.append(cfg)
+        check(cfg)
+
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    config = tmp_path / "exp.cfg"
+    config.write_text("K=3\ntrials=4\n")
+    argv = ["experiment", "hidden-path-scaling", "--config", str(config), "--trials", "1",
+            "--H", "2"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == 1 and (built[0].K, built[0].trials, built[0].H) == (3, 1, (2,))
+
+
 def test_experiment_bad_noise_is_one_error_line(capsys):
     assert main(["experiment", "leader-trie-matrix", "--K", "3", "--noise", "bogus"]) == 1
     captured = capsys.readouterr()

@@ -722,3 +722,14 @@ def test_a_damaged_model_text_raises_only_value_error(text, data):
         parse_model("\n".join(lines) + "\n")
     except ValueError:
         pass
+
+
+def test_callable_model_refuses_a_distribution_of_the_wrong_shape():
+    model = CallableModel(VocabSpec(2, 3), lambda p: [1.0])
+    with pytest.raises(ValueError, match=r"^distribution at \(\) has shape \(1,\)$"):
+        model.next_probs(ROOT)
+
+
+def test_serialize_model_refuses_a_model_it_has_no_format_for():
+    with pytest.raises(TypeError, match="^cannot serialize CallableModel$"):
+        serialize_model(CallableModel(VocabSpec(2, 3), lambda p: [0.5, 0.5]))

@@ -5,11 +5,13 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from prefix_oracle import experiments
 from prefix_oracle.algorithms import (
     distinguish_no_reset_baseline,
     majority_budget,
@@ -490,3 +492,92 @@ def test_every_runner_reports_whole_groups_and_rates_in_unit_interval(name, tria
               for x in re.findall(r"(?:success|rate) (-?[\d.]+(?:e-?\d+)?)", v)]
     assert all(0.0 <= rate <= 1.0 for rate in rates)
     assert report_to_csv(run_experiment(cfg)) == report_to_csv(report)
+
+
+# Runner self-checks. Each case swaps one name in ``experiments`` for a wrapper
+# of the real object that breaks one promise, runs two trials, and gives the
+# report's exact violation lines, from the report and what the wrapper saw.
+
+
+def _rollout_past_budget(real, seen):
+    def tester(session, model_a, model_b, q, rng):
+        guess = real(session, model_a, model_b, q, rng)
+        while session.ledger.rollouts <= q:
+            session.query_pathfull(rng)
+        return guess
+    return tester
+
+
+def _wrong_top(real, seen):
+    class Session(real):
+        def query_prefix_top(self, p):
+            return 2
+    return Session
+
+
+def _result(**changes):
+    """The real result with ``changes``; a callable change maps the real value."""
+    def wrap(real, seen):
+        def call(*args):
+            result = real(*args)
+            return replace(result, **{key: change(getattr(result, key)) if callable(change)
+                                      else change for key, change in changes.items()})
+        return call
+    return wrap
+
+
+def _objective_off_by_one(real, seen):
+    def evaluate(inst, policy):
+        value = real(inst, policy) + 1.0
+        seen.append(f"objective {value} != optimal "
+                    f"{inst.eta * inst.beta * math.log(5.0 - inst.q0)}")
+        return value
+    return evaluate
+
+
+def _each_trial(param, message):
+    return lambda report, seen: [f"{param} trial={t}: {message(report)}" for t in (0, 1)]
+
+
+TRIE = dict(name="leader-trie-matrix", K=3, H=(2,))
+BRIDGE = dict(name="bridge-separation", H=(4,))
+RUNNER_CHECKS = {
+    "no-reset rollouts over q": (
+        dict(name="no-reset-hardness", H=(2,), q=(1,)),
+        "distinguish_no_reset_baseline", _rollout_past_budget,
+        _each_trial("H=2,q=1", lambda report: "2 rollouts > budget 1")),
+    "top reply not the leader": (
+        TRIE, "OracleSession", _wrong_top,
+        _each_trial("iface=top", lambda report: "non-leader top reply [2, 2, 2]")),
+    "logit queries off |I(T)|": (
+        TRIE, "recover_leader_trie_logit", _result(queries_used=lambda n: n + 1),
+        _each_trial("iface=logit", lambda report: "queries 4 != 3")),
+    "logit not exact below the margin": (
+        TRIE, "recover_leader_trie_logit", _result(recovered=None),
+        lambda report, seen: ["iface=logit: sub-threshold noise must recover exactly, rate 0.0"]),
+    "sample queries over S*m": (
+        TRIE, "recover_leader_trie_sample", _result(queries_used=10**9),
+        _each_trial("iface=sample", lambda report:
+                    f"queries 1000000000 > {int(report.theory['sample_budget'])}")),
+    "bridge reward queries": (
+        BRIDGE, "bridge_posttrain", _result(reward_queries=2),
+        _each_trial("H=4", lambda report: "2 reward queries")),
+    "bridge generator queries": (
+        BRIDGE, "bridge_posttrain", _result(generator_queries=lambda n: n + 1),
+        _each_trial("H=4", lambda report: "queries {} != {}".format(
+            int(report.theory["budget(H=4)"]) + 1, int(report.theory["budget(H=4)"])))),
+    "bridge objective off optimal": (
+        BRIDGE, "evaluate_objective", _objective_off_by_one,
+        lambda report, seen: [f"H=4 trial={t}: {line}" for t, line in enumerate(seen)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUNNER_CHECKS))
+def test_each_runner_self_check_reports_its_violation(case, monkeypatch):
+    fields, name, wrap, expected = RUNNER_CHECKS[case]
+    seen = []
+    monkeypatch.setattr(experiments, name, wrap(getattr(experiments, name), seen))
+    report = run_experiment(ExperimentConfig(trials=2, seed=0, **fields))
+    assert list(report.violations) == expected(report, seen)
+    if name == "evaluate_objective":
+        assert len(seen) == 2  # both trials succeeded, so both were checked
