@@ -36,6 +36,24 @@ from .experiments import CONFIG_KEYS, KEY_ALIASES, config_from_mapping, parse_nu
 from .oracles import OracleSession, audit_discipline, write_ledger_csv
 
 
+def _flag_type(parse, takes: str):
+    """``parse`` as an argparse type: text it refuses is a usage error that
+    says the flag takes ``takes``, where argparse would name ``parse``."""
+
+    def convert(text):
+        try:
+            return parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {takes}, got {text!r}") from None
+
+    return convert
+
+
+_NUMBER = _flag_type(parse_number, "a number or log:X with X > 0")
+_SWEEP = _flag_type(experiments.parse_sweep, "integers separated by commas")
+_FLAG_TYPES = {parse_number: _NUMBER, experiments.parse_sweep: _SWEEP}  # by config-key parser
+
+
 def parse_prefix_set(text: str, z=None):
     """Comma-separated prefixes with dot-joined tokens; '-' (or an empty
     piece) is the root, and 'tip' expands to the depth H-1 stem of z."""
@@ -210,7 +228,7 @@ def _add_family_flags(sub, horizon=True, lam=True):
     if horizon:
         sub.add_argument("--H", type=int, default=5, help="horizon")
     if lam:
-        sub.add_argument("--lambda", dest="lam", type=parse_number, default=1.0,
+        sub.add_argument("--lambda", dest="lam", type=_NUMBER, default=1.0,
                          help="signal strength (accepts log:X)")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
 
@@ -218,8 +236,8 @@ def _add_family_flags(sub, horizon=True, lam=True):
 def _add_bridge_flags(sub):
     sub.add_argument("--D", type=int, default=3, help="scaffold length")
     sub.add_argument("--L", type=int, default=4, help="hidden suffix length")
-    sub.add_argument("--eta", type=parse_number, default=0.5, help="hard-prompt mass")
-    sub.add_argument("--beta", type=parse_number, default=1.0, help="KL coefficient")
+    sub.add_argument("--eta", type=_NUMBER, default=0.5, help="hard-prompt mass")
+    sub.add_argument("--beta", type=_NUMBER, default=1.0, help="KL coefficient")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,13 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("recover-hidden-path", help="majority-vote path recovery")
     _add_family_flags(sub)
-    sub.add_argument("--delta", type=parse_number, default=0.1)
+    sub.add_argument("--delta", type=_NUMBER, default=0.1)
     sub.add_argument("--out", help="write the query ledger CSV here")
     sub.set_defaults(fn=_cmd_run, build=_hidden_path)
 
     sub = subs.add_parser("recover-trie-logit", help="breadth-first trie recovery from logits")
     _add_family_flags(sub, lam=False)
-    sub.add_argument("--xi", type=parse_number, default=0.0, help="logit noise radius")
+    sub.add_argument("--xi", type=_NUMBER, default=0.0, help="logit noise radius")
     sub.add_argument("--noise", choices=["random", "adversarial-threshold"], default="random")
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_run, build=_trie_logit, K=3)
@@ -245,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("recover-trie-sample", help="breadth-first trie recovery from samples")
     _add_family_flags(sub, lam=False)
     sub.add_argument("--S", type=int, default=None, help="node budget (default |I(T)|)")
-    sub.add_argument("--delta", type=parse_number, default=0.1)
+    sub.add_argument("--delta", type=_NUMBER, default=0.1)
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_run, build=_trie_sample, K=3)
 
@@ -257,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("bridge", help="scaffold-walk post-training procedure")
     _add_family_flags(sub, horizon=False)
     _add_bridge_flags(sub)
-    sub.add_argument("--delta", type=parse_number, default=0.1)
+    sub.add_argument("--delta", type=_NUMBER, default=0.1)
     sub.add_argument("--out")
     sub.set_defaults(fn=_cmd_run, build=_bridge)
 
@@ -279,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     flags = {key: flag for flag, key in KEY_ALIASES.items()}
     for key, parse in CONFIG_KEYS.items():
         if key != "name":  # the positional argument
-            sub.add_argument(f"--{flags.get(key, key)}", dest=key, type=parse)
+            sub.add_argument(f"--{flags.get(key, key)}", dest=key,
+                             type=_FLAG_TYPES.get(parse, parse))
     sub.set_defaults(fn=_cmd_experiment)
 
     return parser

@@ -142,12 +142,15 @@ def _dist_entry(probs) -> tuple:
     probability tuple, the token edges ``(0.0, c_1, ..., c_{K-1})``, where
     ``c_i`` are the partial sums of ``probs``, and the log-probabilities,
     -inf at a zero probability. A draw u in [0, 1) picks token
-    ``bisect_right(edges, u)``: the first token i with u < c_i, or K if no
-    token below K has one. Scores add ``logs`` entries, so ``math.log`` runs
-    once per token and class key."""
+    ``bisect_right(edges, u)``: the first token i with u < c_i, or else the
+    last positive-probability token, whose later edges are +inf so that it
+    absorbs a sum short of 1 (K when no token is positive). Scores and logit
+    replies read ``logs``, so ``math.log`` runs once per token and class key."""
     probs = tuple(float(x) for x in probs)
     logs = tuple(math.log(p) if p > 0.0 else -math.inf for p in probs)
-    return probs, (0.0, *itertools.accumulate(probs[:-1])), logs
+    last = max((i for i, p in enumerate(probs) if p > 0.0), default=len(probs) - 1)
+    edges = (0.0, *itertools.accumulate(probs[:last]))
+    return probs, edges + (math.inf,) * (len(probs) - 1 - last), logs
 
 
 class _DistCache(dict):
@@ -737,9 +740,15 @@ def serialize_model(model) -> str:
 
 
 def _body_fields(body: list, names: tuple) -> dict:
-    """The ``name value`` lines of a model body, each of ``names`` present; a
-    line with no value maps its name to the empty string."""
-    fields = dict((*ln.split(None, 1), "")[:2] for ln in body)
+    """The ``name value`` lines of a model body, each of ``names`` present
+    and none repeated; a line with no value maps its name to the empty
+    string."""
+    fields = {}
+    for ln in body:
+        name, value = (*ln.split(None, 1), "")[:2]
+        if name in fields:
+            raise ValueError(f"model text repeats the {name!r} line")
+        fields[name] = value
     for name in names:
         if name not in fields:
             raise ValueError(f"model text has no {name!r} line")
@@ -767,7 +776,10 @@ def parse_model(text: str):
         branch = {}
         for ln in body:
             loc, _, tok = ln.partition(":")
-            branch[parse_prefix(loc)] = int(tok)
+            p = parse_prefix(loc)
+            if p in branch:
+                raise ValueError(f"model text repeats node {p}")
+            branch[p] = int(tok)
         return LeaderTrieModel(LeaderTrie(vocab, branch))
     if family == "bridge":
         fields = _body_fields(body, ("D", "L", "scaffold", "suffix", "bit", "tau", "lambda",

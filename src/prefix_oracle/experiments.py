@@ -143,7 +143,8 @@ KEY_ALIASES = {"lambda": "lam"}  # config-file key or CLI flag -> field
 
 
 def parse_config_text(text: str) -> dict:
-    """Parse the flat key=value config format (blank lines and # comments ok)."""
+    """Parse the flat key=value config format (blank lines and # comments
+    ok); a key given on two lines is refused."""
     out = {}
     for ln_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -152,17 +153,24 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {ln_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"line {ln_no}: config key {key!r} is given twice")
+        out[key] = value.strip()
     return out
 
 
 def config_from_mapping(mapping: dict, **overrides) -> ExperimentConfig:
     """Build a config from a config file's key=value text pairs, then the
     environment seed, then ``overrides`` (parsed field values, None for not
-    given): a later source wins. A text value that does not parse is refused,
-    naming its key or the variable; only the winning values are checked, once."""
+    given): a later source wins. A text value that does not parse, or two
+    mapping keys for one field (``lam`` and ``lambda``), is refused, naming
+    its key or the variable; only the winning values are checked, once."""
     entries = [(f"config key {key!r}", KEY_ALIASES.get(key, key), value)
                for key, value in mapping.items()]
+    for alias, key in KEY_ALIASES.items():
+        if alias in mapping and key in mapping:
+            raise ValueError(f"config keys {key!r} and {alias!r} both set {key}")
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:  # last, so it overrides the mapping
         entries.append((ENV_SEED, "seed", env_seed))

@@ -86,15 +86,12 @@ def check_noise(xi: float, mode: str) -> None:
 
 @dataclass(frozen=True)
 class NoisePolicy:
-    """Perturbation applied to logit and score replies, always inside the
-    L-infinity ball of radius xi.
-
-    ``random`` adds i.i.d. uniform noise on [-xi, xi] per coordinate per
-    call. ``adversarial-threshold`` moves every finite coordinate by exactly
-    xi toward ``target`` (the trie-recovery decision threshold), the worst
-    in-ball vector for threshold tests; scores are shifted by -xi in this
-    mode since no threshold applies to them.
-    """
+    """The one noise rule: logit and score replies are perturbed inside the
+    L-infinity ball of radius xi. ``random`` adds i.i.d. uniform noise on
+    [-xi, xi] per finite coordinate per call. ``adversarial-threshold`` moves
+    every finite coordinate by exactly xi toward ``target``, the worst
+    in-ball vector for threshold tests; a session passes the leader-trie
+    ``log_threshold`` for a leader-trie model. Scores shift by -xi in this mode."""
 
     xi: float = 0.0
     mode: str = NOISE_RANDOM
@@ -103,21 +100,23 @@ class NoisePolicy:
     def __post_init__(self):
         check_noise(self.xi, self.mode)
         if self.mode == NOISE_ADVERSARIAL and self.xi > 0 and self.target is None:
-            raise ValueError("adversarial-threshold noise needs a target")
+            raise ValueError("adversarial noise with xi > 0 needs a leader-trie model's target")
 
-    def perturb_logits(self, exact: np.ndarray, rng) -> np.ndarray:
-        if self.xi == 0:
+    def perturb_logits(self, exact: tuple, rng) -> tuple:
+        """The reply for the exact log-probability tuple ``exact``: ``exact``
+        itself at xi = 0, else a new tuple with each finite entry moved; random
+        noise makes one ``rng.uniform(-xi, xi, size=n)`` draw for the n finite entries."""
+        xi = self.xi
+        if xi == 0:
             return exact
-        finite = np.isfinite(exact)
-        out = exact.copy()
         if self.mode == NOISE_RANDOM:
             if rng is None:
                 raise ValueError("random noise needs an rng stream")
-            out[finite] += rng.uniform(-self.xi, self.xi, size=int(finite.sum()))
-        else:
-            shift = np.sign(self.target - out[finite]) * self.xi
-            out[finite] += shift
-        return out
+            finite = [math.isfinite(v) for v in exact]
+            draws = iter(rng.uniform(-xi, xi, size=sum(finite)).tolist())
+            return tuple(v + next(draws) if f else v for v, f in zip(exact, finite))
+        target = self.target  # -inf + xi is -inf, so -inf entries stay
+        return tuple(v + (xi if v < target else -xi if v > target else 0.0) for v in exact)
 
     def perturb_score(self, exact: float, rng) -> float:
         if self.xi == 0 or not math.isfinite(exact):
@@ -226,16 +225,18 @@ def postprocess_topk(reply: PathFullReply, k: int):
 class OracleSession:
     """Single-owner mutable access channel over an immutable generator.
 
-    Noise applies to PrefixLogit and SeqScore replies. Adversarial noise
-    aims at the leader-trie decision threshold, so with ``xi > 0`` it needs a
-    leader-trie generator. A chosen-prefix query admits its prefix in three
-    steps: the prefix is checked, then, with ``strict_discipline``, refused
-    unless the local-reset rule allows it, and then looked up in the model's
-    cached ``(probs, edges, logs)`` entry. A refused prefix raises before the
-    model is asked and before the query is recorded or draws from its stream.
+    Noise applies to PrefixLogit and SeqScore replies by the rule of its
+    ``NoisePolicy``, whose target is the leader-trie decision threshold when
+    the generator is a leader trie. A chosen-prefix query admits its prefix
+    in three steps: the prefix is checked, then, with ``strict_discipline``,
+    refused unless the local-reset rule allows it, and then looked up in the
+    model's cached ``(probs, edges, logs)`` entry. A refused prefix raises
+    before the model is asked and before the query is recorded or draws from
+    its stream.
     Admitting a prefix also starts its token -> record map, so equal samples
     there append one shared record tuple; the ledger still holds one record
-    per answered query. SeqScore reads ``logs`` through ``trajectory_logprob``.
+    per answered query. PrefixLogit replies with ``logs``, and SeqScore reads
+    it through ``trajectory_logprob``.
     """
 
     def __init__(
@@ -245,11 +246,8 @@ class OracleSession:
         noise: str = NOISE_RANDOM,
         strict_discipline: bool = False,
     ):
-        target = None
-        if noise == NOISE_ADVERSARIAL and xi > 0:
-            if not isinstance(model, LeaderTrieModel):
-                raise ValueError("adversarial noise needs a leader-trie model")
-            target = leader_trie_params(model.vocab.K)["log_threshold"]
+        target = (leader_trie_params(model.vocab.K)["log_threshold"]
+                  if isinstance(model, LeaderTrieModel) else None)
         self.model = model
         self.noise = NoisePolicy(xi, noise, target)
         self.ledger = QueryLedger()
@@ -295,7 +293,7 @@ class OracleSession:
         allows it, then look it up. A query at the very tuple the last
         admitted query used skips all three; an equal tuple such as ``(1.0,)``
         for ``(1,)`` is checked, and refused on every ask. Samples read
-        ``edges``, and PrefixTop and PrefixLogit ``probs``."""
+        ``edges``, PrefixTop ``probs`` and PrefixLogit ``logs``."""
         if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
             seen = self._seen
@@ -337,14 +335,11 @@ class OracleSession:
         return tok
 
     def query_prefix_logit(self, p: Prefix, rng=None) -> tuple:
-        """Log-probability vector, exact at xi=0, otherwise perturbed within
-        the L-infinity ball. Zero-probability entries surface as -inf and are
-        exempt from the noise contract."""
+        """The admitted entry's cached ``logs`` tuple through
+        ``NoisePolicy.perturb_logits``: that very tuple at xi=0. Zero-probability
+        entries surface as -inf and are exempt from the noise contract."""
         p = tuple(p)
-        dist = np.array(self._admit(p)[0])
-        with np.errstate(divide="ignore"):
-            exact = np.log(dist)
-        out = tuple(float(v) for v in self.noise.perturb_logits(exact, rng))
+        out = self.noise.perturb_logits(self._admit(p)[2], rng)
         self.ledger.records.append((PREFIX_LOGIT, p, out))
         return out
 

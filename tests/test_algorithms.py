@@ -728,3 +728,46 @@ def test_bridge_posttrain_appends_its_budget_and_asks_one_reward_query(
     assert out.generator_queries == len(session.ledger.records) - earlier == (D + 1) + L * m
     assert out.reward_queries == len(asked) == 1
     assert audit_discipline(session.ledger).ok
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.integers(3, 5),
+    H=st.integers(1, 5),
+    noise=st.sampled_from(["random", "adversarial-threshold"]),
+    fraction=st.floats(0.0, 0.999),
+    seed=st.integers(0, 2**32 - 1),
+    earlier=st.integers(0, 3),
+    strict=st.booleans(),
+)
+def test_recover_leader_trie_logit_asks_one_query_per_node_and_is_exact_below_the_margin(
+        K, H, noise, fraction, seed, earlier, strict):
+    trie = random_leader_trie(VocabSpec(K, H), RNG(seed))
+    xi = fraction * leader_trie_params(K)["log_margin"]
+    session = OracleSession(LeaderTrieModel(trie), xi, noise, strict_discipline=strict)
+    for _ in range(earlier):
+        session.query_prefix_top(ROOT)
+    result = recover_leader_trie_logit(session, RNG(seed + 1))
+    assert result.queries_used == len(session.ledger.records) - earlier == 2**H - 1
+    assert result.recovered == trie and result.halted == ()
+    assert audit_discipline(session.ledger).ok
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    K=st.integers(3, 4),
+    H=st.integers(1, 3),
+    S=st.integers(1, 9),
+    delta=st.sampled_from([0.05, 0.1, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+    earlier=st.integers(0, 3),
+    strict=st.booleans(),
+)
+def test_recover_leader_trie_sample_asks_at_most_S_m_queries(K, H, S, delta, seed, earlier,
+                                                              strict):
+    session = _session(LeaderTrieModel(random_leader_trie(VocabSpec(K, H), RNG(seed))),
+                       earlier, strict)
+    m = trie_sample_budget(leader_trie_params(K)["prob_margin"], K, S, delta)
+    result = recover_leader_trie_sample(session, S, delta, RNG(seed + 1))
+    assert result.queries_used == len(session.ledger.records) - earlier <= S * m
+    assert audit_discipline(session.ledger).ok

@@ -263,6 +263,21 @@ def test_tv_bounded_by_reachability_on_twins():
     assert tv > 0
 
 
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.integers(2, 4),
+    H=st.integers(1, 4),
+    lam=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_tv_of_twin_hidden_paths_is_bounded_by_reaching_the_stem(K, H, lam, seed, data):
+    stem = tuple(int(t) for t in RNG(seed).integers(1, K + 1, size=H - 1))
+    last_a, last_b = data.draw(st.lists(st.integers(1, K), min_size=2, max_size=2, unique=True))
+    a, b = twin_hidden_path_models(VocabSpec(K, H), lam, stem, last_a, last_b)
+    assert tv_distance(pathfull_law(a), pathfull_law(b)) <= reachability(a, {stem}) + 1e-10
+
+
 def test_tv_bounded_by_reachability_on_random_agreeing_pairs():
     rng = RNG(9)
     vocab = VocabSpec(2, 4)
@@ -361,6 +376,23 @@ def test_optimal_objective_closed_form():
         inst.eta * inst.beta * math.log(5.0 - inst.q0), abs=1e-10)
     assert gp.optimal_value == pytest.approx(
         inst.eta * inst.beta * math.log(5.0 - inst.q0), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    K=st.integers(2, 3),
+    D=st.integers(1, 2),
+    L=st.integers(1, 2),
+    lam=st.floats(0.0, 4.0),
+    eta=st.floats(0.01, 1.0),
+    beta=st.floats(0.1, 10.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_gibbs_closed_forms_hold_on_every_calibrated_instance(K, D, L, lam, eta, beta, seed):
+    inst = random_bridge_instance(K, D, L, lam, eta, beta, RNG(seed))
+    expected = eta * beta * math.log(5.0 - inst.q0)
+    assert math.isclose(GibbsPolicy(inst).Z, 5.0 - inst.q0, rel_tol=1e-12)
+    assert math.isclose(evaluate_objective(inst, GibbsPolicy(inst)), expected, rel_tol=1e-9)
 
 
 def test_hard_prompt_decomposition_identity():

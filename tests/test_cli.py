@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from prefix_oracle import experiments
 from prefix_oracle.algorithms import majority_budget
-from prefix_oracle.cli import main, parse_number, parse_prefix_set
+from prefix_oracle.cli import build_parser, main, parse_number, parse_prefix_set
 from prefix_oracle.core import signal_probs
 from prefix_oracle.experiments import CONFIG_KEYS, ENV_SEED, ExperimentConfig, ExperimentReport
 from prefix_oracle.oracles import DisciplineAudit
@@ -300,6 +300,39 @@ def test_a_config_value_that_does_not_parse_names_its_key(line, message, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("K=2\ntrials=1\nK=5\n", "line 3: config key 'K' is given twice"),
+    ("lam=0.5\ntrials=1\nlambda=2\n", "config keys 'lam' and 'lambda' both set lam"),
+], ids=["K twice", "lam and lambda"])
+def test_a_repeated_config_key_is_refused_naming_it(text, message, tmp_path, capsys,
+                                                    monkeypatch):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    config = tmp_path / "exp.cfg"
+    config.write_text(text)
+    assert main(["experiment", "hidden-path-scaling", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def _typed_flags():
+    """(command words, flag) for each flag of each command whose type can
+    refuse text; the words hold each positional argument's first choice."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    cases = []
+    for command, sub in commands.items():
+        head = [command] + [a.choices[0] for a in sub._actions if not a.option_strings]
+        cases += [pytest.param(head, a.option_strings[0], id=f"{command} {a.option_strings[0]}")
+                  for a in sub._actions if a.option_strings and a.type not in (None, str)]
+    return cases
+
+
+@pytest.mark.parametrize("head, flag", _typed_flags())
+def test_a_usage_error_says_what_a_flag_takes(head, flag, capsys):
+    assert main([*head, flag, "x"]) == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {flag}: " in line and "parse_" not in line, line
 
 
 def test_an_environment_seed_that_does_not_parse_names_the_variable(capsys, monkeypatch):

@@ -494,11 +494,12 @@ def test_sample_trajectory_point_mass_and_determinism():
     assert sample_trajectory(model, RNG(9)) == sample_trajectory(model, RNG(9))
 
 
-def _linear_scan_token(cdf, u):
+def _linear_scan_token(cdf, u, weights):
     for i, c in enumerate(cdf):
         if u < c:
             return i + 1
-    return len(cdf)
+    # a total short of u falls to the last positive-weight token, or K if none is positive
+    return max((i + 1 for i, w in enumerate(weights) if w > 0), default=len(cdf))
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -512,7 +513,7 @@ def test_edges_token_matches_linear_scan(weights, u, edge):
     cdf = tuple(itertools.accumulate(weights))
     if edge is not None and cdf[edge % len(cdf)] < 1.0:
         u = cdf[edge % len(cdf)]
-    assert bisect_right(_dist_entry(weights)[1], u) == _linear_scan_token(cdf, u)
+    assert bisect_right(_dist_entry(weights)[1], u) == _linear_scan_token(cdf, u, weights)
     assert _dist_entry(weights)[2] == tuple(math.log(w) if w > 0 else -math.inf for w in weights)
 
 
@@ -689,6 +690,20 @@ def test_parse_model_rejects_garbage():
         parse_model(bridge.replace("tau 1 2\n", ""))
     with pytest.raises(ValueError, match=r"^bridge header has H=99, but D\+L\+1=3$"):
         parse_model(bridge.replace("2 3 bridge", "2 99 bridge"))
+
+
+def test_parse_model_refuses_a_repeated_line():
+    hidden = "3 3 hidden-path\nlambda 1.0\npath 1 2 1\npath 2 2 2\n"
+    with pytest.raises(ValueError, match="^model text repeats the 'path' line$"):
+        parse_model(hidden)
+    bridge = serialize_model(BridgeInstance(K=2, D=1, L=1, scaffold=(1,), suffix=(2,), bit=0,
+                                            lam=1.0, eta=0.5, beta=1.0))
+    with pytest.raises(ValueError, match="^model text repeats the 'bit' line$"):
+        parse_model(bridge + "bit 1\n")
+    trie = serialize_model(LeaderTrieModel(random_leader_trie(VocabSpec(3, 2), RNG(0))))
+    for again in ("-:2\n", "1:2\n"):  # the root, as '-', and node (1,)
+        with pytest.raises(ValueError, match=r"^model text repeats node \((1,)?\)$"):
+            parse_model(trie + again)
 
 
 _SERIALIZED = [serialize_model(m) for m in (

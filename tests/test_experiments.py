@@ -22,9 +22,11 @@ from prefix_oracle.core import (
     MAX_BUDGET,
     BridgeInstance,
     HiddenPathModel,
+    LeaderTrieModel,
     UniformModel,
     VocabSpec,
     bridge_vocab,
+    random_leader_trie,
     signal_probs,
     twin_hidden_path_models,
 )
@@ -45,7 +47,7 @@ from prefix_oracle.experiments import (
     run_leader_trie_matrix,
     run_no_reset_hardness,
 )
-from prefix_oracle.oracles import NoisePolicy, OracleSession
+from prefix_oracle.oracles import NOISE_ADVERSARIAL, NoisePolicy, OracleSession
 
 
 def test_config_validation():
@@ -217,6 +219,18 @@ def _config(name):
     return lambda x: ExperimentConfig(name="x", **{name: x})
 
 
+def _adversarial_session_on_uniform(x):
+    """An adversarial-threshold session on a uniform model, where a real
+    xi > 0 is refused for want of a leader trie; any other refusal raises."""
+    try:
+        OracleSession(UniformModel(VocabSpec(3, 2)), xi=x, noise=NOISE_ADVERSARIAL)
+    except ValueError as exc:
+        if "leader-trie" not in str(exc):
+            raise
+
+
+_TRIE = LeaderTrieModel(random_leader_trie(VocabSpec(3, 2), np.random.default_rng(0)))
+
 # Every entry point that takes a float: a call on one value, and the words of
 # the field's name that its refusal must carry.
 FLOAT_ENTRY_POINTS = {
@@ -224,6 +238,9 @@ FLOAT_ENTRY_POINTS = {
     "HiddenPathModel lam": (lambda x: HiddenPathModel(VocabSpec(2, 2), x, (1, 2)), "lambda"),
     "NoisePolicy xi": (NoisePolicy, "xi"),
     "OracleSession xi": (lambda x: OracleSession(UniformModel(VocabSpec(2, 2)), xi=x), "xi"),
+    "OracleSession adversarial xi on a leader trie": (
+        lambda x: OracleSession(_TRIE, xi=x, noise=NOISE_ADVERSARIAL), "xi"),
+    "OracleSession adversarial xi on a uniform model": (_adversarial_session_on_uniform, "xi"),
     "BridgeInstance lam": (_bridge("lam"), "lambda"),
     "BridgeInstance eta": (_bridge("eta"), "eta"),
     "BridgeInstance beta": (_bridge("beta"), "beta"),
@@ -243,6 +260,18 @@ def test_a_float_field_refuses_a_bool_naming_the_field(entry, bad):
         call(bad)
     for good in (1, np.int64(1), np.float64(1.0), 1.0):  # ints and numpy numbers stay
         call(good)
+
+
+@pytest.mark.parametrize("bad", ["0.1", None, 1j], ids=repr)
+@pytest.mark.parametrize("entry", sorted(FLOAT_ENTRY_POINTS))
+def test_a_float_field_refuses_a_non_number_naming_the_field(entry, bad):
+    call, words = FLOAT_ENTRY_POINTS[entry]
+    if bad is None and entry == "BridgeInstance reward_scale":
+        call(bad)  # None selects the calibrated scale
+        return
+    refusal = f"{words} must be a real number, got {type(bad).__name__}"
+    with pytest.raises(ValueError, match=refusal):
+        call(bad)
 
 
 def test_config_sweeps_take_only_integers():
@@ -292,6 +321,14 @@ def test_parse_config_text():
         config_from_mapping({"mystery": "1"}, name="x")
     with pytest.raises(ValueError):
         config_from_mapping({"K": "3"})  # no name anywhere
+
+
+def test_a_repeated_config_key_is_refused():
+    with pytest.raises(ValueError, match=r"^line 4: config key 'K' is given twice$"):
+        parse_config_text("K=2\nH=4\n# again\nK=5\n")
+    for text in ("lam=0.5\nlambda=2\n", "lambda=2\nlam=0.5\n"):
+        with pytest.raises(ValueError, match=r"^config keys 'lam' and 'lambda' both set lam$"):
+            config_from_mapping(parse_config_text(text), name="x")
 
 
 def test_env_seed_override(monkeypatch):

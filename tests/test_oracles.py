@@ -864,6 +864,68 @@ def test_adversarial_score_noise_shifts_down_by_xi():
     assert noise.perturb_score(-math.inf, None) == -math.inf
 
 
+@pytest.mark.parametrize("family", sorted(ROLLOUT_FAMILIES))
+def test_an_exact_logit_reply_is_the_cached_logs_tuple(family):
+    vocab = VocabSpec(3, 4)
+    model = ROLLOUT_FAMILIES[family](vocab, RNG(5))
+    session = OracleSession(model)
+    for p in vocab.prefixes():
+        reply = session.query_prefix_logit(p)
+        assert reply is model._lookup(p)[2] and session.ledger.records[-1][2] is reply
+
+
+def _array_logit_reply(model, p, xi, noise, rng):
+    """A noisy logit reply by the array formula: np.log of the probabilities,
+    then the noise added to the finite entries in place."""
+    with np.errstate(divide="ignore"):
+        out = np.log(np.array(model.next_probs(p)))
+    finite = np.isfinite(out)
+    if noise == "random":
+        out[finite] += rng.uniform(-xi, xi, size=int(finite.sum()))
+    else:
+        target = leader_trie_params(model.vocab.K)["log_threshold"]
+        out[finite] += np.sign(target - out[finite]) * xi
+    return tuple(float(v) for v in out)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    K=st.integers(3, 6),
+    H=st.integers(1, 4),
+    xi=st.floats(1e-300, 3.0),
+    noise=st.sampled_from(["random", "adversarial-threshold"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_noisy_logit_replies_on_leader_tries_match_the_array_formula(K, H, xi, noise, seed):
+    model = LeaderTrieModel(random_leader_trie(VocabSpec(K, H), RNG(seed)))
+    session = OracleSession(model, xi=xi, noise=noise)
+    rng, ref_rng = RNG(seed + 1), RNG(seed + 1)
+    for p in model.vocab.prefixes():
+        reply = session.query_prefix_logit(p, rng)
+        assert list(map(float.hex, reply)) == list(
+            map(float.hex, _array_logit_reply(model, p, xi, noise, ref_rng)))
+    assert rng.random() == ref_rng.random()
+
+
+class _LastDouble:
+    """A stream whose every double is the largest below 1, 1 - 2**-53."""
+
+    def random(self, size=None):
+        u = 1.0 - 2.0**-53
+        return u if size is None else np.full(size, u)
+
+
+def test_no_draw_picks_a_zero_probability_token():
+    # the sum, 1 - 1e-13, passes the check; token 3 has probability 0
+    model = CallableModel(VocabSpec(3, 2), lambda p: [0.3, 0.7 - 1e-13, 0.0])
+    session = OracleSession(model)
+    assert session.query_prefix_sample(ROOT, _LastDouble()) == 2
+    y, logprobs = session.query_output_with_logprobs(_LastDouble())
+    assert y == (2, 2) and logprobs == (math.log(0.7 - 1e-13),) * 2
+    assert trajectory_logprob(model, y) == sum(logprobs)
+    assert trajectory_logprob(model, (3, 1)) == -math.inf
+
+
 # Reference loops: the per-record ledger passes the views replaced, kept
 # here as the specification of what each view reads.
 
