@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,27 +92,16 @@ def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     return _stage_samples(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
 
 
-class _Uniforms:
-    """Serves pre-drawn doubles in order through ``random()``, the one draw
-    ``query_prefix_sample`` makes; a draw past the last one raises
-    StopIteration."""
-
-    __slots__ = ("random",)
-
-    def __init__(self, draws: list):
-        self.random = iter(draws).__next__
-
-
 def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
     """Per-token counts of m >= 1 chosen-prefix samples at ``p``, one query
     each. The first query draws from ``rng`` itself, so an invalid or refused
     prefix raises before any draw; the other m - 1 doubles come from one
     ``rng.random(m - 1)`` call, the same doubles and end state as m - 1
-    scalar draws."""
+    scalar draws, served in order by a stand-in stream's ``random()``."""
     counts = [0] * session.vocab.K
     sample = session.query_prefix_sample
     counts[sample(p, rng) - 1] += 1
-    draws = _Uniforms(rng.random(m - 1).tolist())
+    draws = SimpleNamespace(random=iter(rng.random(m - 1).tolist()).__next__)
     for _ in range(m - 1):
         counts[sample(p, draws) - 1] += 1
     return counts
@@ -145,6 +135,22 @@ def recover_hidden_path(
     return RecoveryResult(path, len(session.ledger.records) - start)
 
 
+def _recover_trie(session: OracleSession, statistic: Callable, threshold: float,
+                  limit=None) -> RecoveryResult:
+    """Breadth-first leader-trie recovery by ``walk_trie``: p's hidden children
+    are the a in 2..K with ``statistic(p)[a - 1] > threshold``, over at most ``limit``
+    prefixes; it recovers None if a node halted or the queue outlived the budget."""
+    K, start = session.vocab.K, len(session.ledger.records)
+
+    def hidden_children(p):
+        stat = statistic(p)
+        return [a for a in range(2, K + 1) if stat[a - 1] > threshold]
+
+    branch, halted, queued = walk_trie(session.vocab, hidden_children, limit)
+    recovered = None if queued or halted else LeaderTrie(session.vocab, branch)
+    return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
+
+
 def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResult:
     """Reconstruct a leader trie from chosen-prefix logit queries.
 
@@ -155,17 +161,8 @@ def recover_leader_trie_logit(session: OracleSession, rng=None) -> RecoveryResul
     Exact with one query per internal node whenever the reply noise stays
     below the log-space margin.
     """
-    K = session.vocab.K
-    threshold = leader_trie_params(K)["log_threshold"]
-    start = len(session.ledger.records)
-
-    def hidden_children(p):
-        logits = session.query_prefix_logit(p, rng)
-        return [a for a in range(2, K + 1) if logits[a - 1] > threshold]
-
-    branch, halted, queued = walk_trie(session.vocab, hidden_children)
-    recovered = None if queued or halted else LeaderTrie(session.vocab, branch)
-    return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
+    threshold = leader_trie_params(session.vocab.K)["log_threshold"]
+    return _recover_trie(session, lambda p: session.query_prefix_logit(p, rng), threshold)
 
 
 def recover_leader_trie_sample(
@@ -182,16 +179,8 @@ def recover_leader_trie_sample(
     K = session.vocab.K
     params = leader_trie_params(K)
     m = trie_sample_budget(params["prob_margin"], K, S, delta)
-    threshold = params["prob_threshold"]
-    start = len(session.ledger.records)
-
-    def hidden_children(p):
-        counts = _sample_counts(session, p, m, rng)
-        return [a for a in range(2, K + 1) if counts[a - 1] / m > threshold]
-
-    branch, halted, queued = walk_trie(session.vocab, hidden_children, limit=S)
-    recovered = None if queued or halted else LeaderTrie(session.vocab, branch)
-    return RecoveryResult(recovered, len(session.ledger.records) - start, halted)
+    return _recover_trie(session, lambda p: [c / m for c in _sample_counts(session, p, m, rng)],
+                         params["prob_threshold"], S)
 
 
 def constant_suffix_rule(token: int = 1) -> Callable[[int, int], tuple]:

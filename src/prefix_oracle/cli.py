@@ -61,7 +61,13 @@ def parse_prefix_set(text: str, z=None):
         if z is None:
             raise ValueError("'tip' needs a hidden path")
         return frozenset({tuple(z[:-1])})
-    return frozenset(parse_prefix(piece.strip()) for piece in text.split(","))
+    prefixes = set()
+    for piece in text.split(","):
+        try:
+            prefixes.add(parse_prefix(piece.strip()))
+        except ValueError as exc:
+            raise ValueError(f"--U cannot read the prefix {piece!r}: {exc}") from None
+    return frozenset(prefixes)
 
 
 def _emit(record: dict) -> None:

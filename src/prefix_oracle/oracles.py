@@ -232,7 +232,8 @@ class OracleSession:
     refused unless the local-reset rule allows it, and then looked up in the
     model's cached ``(probs, edges, logs)`` entry. A refused prefix raises
     before the model is asked and before the query is recorded or draws from
-    its stream.
+    its stream. For strict mode as for the audit, a prefix counts as visited
+    once a query there is answered, not when it is admitted.
     Admitting a prefix also starts its token -> record map, so equal samples
     there append one shared record tuple; the ledger still holds one record
     per answered query. PrefixLogit replies with ``logs``, and SeqScore reads
@@ -296,15 +297,17 @@ class OracleSession:
         ``edges``, PrefixTop ``probs`` and PrefixLogit ``logs``."""
         if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
-            seen = self._seen
-            if seen is not None and not _reset_legal(seen, p):
+            if self._seen is not None and not _reset_legal(self._seen, p):
                 raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
             self._last_entry = self.model._lookup(p)
             self._last_prefix = p
             self._last_records = {}
-            if seen is not None:  # after the lookup, so a failed one admits nothing
-                seen.add(p)
         return self._last_entry
+
+    def _visit(self, p: Prefix) -> None:
+        """Mark ``p`` visited for strict mode once a query there is answered."""
+        if self._seen is not None:
+            self._seen.add(p)
 
     def query_prefix_sample(self, p: Prefix, rng) -> Token:
         """One next-token sample at ``p``. ``rng`` is a numpy Generator or any
@@ -320,6 +323,7 @@ class OracleSession:
         record = shared.get(tok)
         if record is None:
             record = shared[tok] = (PREFIX_SAMPLE, self._last_prefix, tok)
+            self._visit(self._last_prefix)
         self.ledger.records.append(record)
         return tok
 
@@ -331,6 +335,7 @@ class OracleSession:
         cutoff = m - m * TOP_TIE_RTOL
         winners = [i for i, q in enumerate(probs) if q >= cutoff]
         tok = winners[0] + 1 if len(winners) == 1 else None
+        self._visit(p)
         self.ledger.records.append((PREFIX_TOP, p, tok))
         return tok
 
@@ -340,6 +345,7 @@ class OracleSession:
         entries surface as -inf and are exempt from the noise contract."""
         p = tuple(p)
         out = self.noise.perturb_logits(self._admit(p)[2], rng)
+        self._visit(p)
         self.ledger.records.append((PREFIX_LOGIT, p, out))
         return out
 

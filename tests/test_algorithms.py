@@ -12,7 +12,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.algorithms import (
     _sample_counts,
-    _Uniforms,
     bridge_posttrain,
     constant_suffix_rule,
     distinguish_no_reset_baseline,
@@ -237,13 +236,6 @@ def test_sample_counts_refuse_an_illegal_first_query_before_any_draw():
         _sample_counts(session, (1,), 50, rng)
     assert session.ledger.records == []
     assert rng.bit_generator.state == state
-
-
-def test_uniforms_serve_each_draw_once():
-    draws = _Uniforms([0.25, 0.5])
-    assert (draws.random(), draws.random()) == (0.25, 0.5)
-    with pytest.raises(StopIteration):
-        draws.random()
 
 
 def test_majority_budget_independent_arithmetic():

@@ -118,6 +118,14 @@ def test_analyze_tv_over_enumeration_cap_is_one_error_line(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+def test_analyze_reach_names_a_prefix_it_cannot_read(capsys):
+    code = main(["analyze", "reach", "--U", "1.x"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: --U cannot read the prefix '1.x': ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_analyze_tv_at_horizon_one_is_at_most_one(capsys):
     # each law sums slightly above 1 in floating point; TV is clamped to 1
     code, record = _run(capsys, ["analyze", "tv", "--H", "1"])

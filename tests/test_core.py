@@ -3,6 +3,7 @@ sampling, and serialization."""
 
 import itertools
 import math
+import re
 import sys
 from bisect import bisect_right
 from dataclasses import replace
@@ -704,6 +705,22 @@ def test_parse_model_refuses_a_repeated_line():
     for again in ("-:2\n", "1:2\n"):  # the root, as '-', and node (1,)
         with pytest.raises(ValueError, match=r"^model text repeats node \((1,)?\)$"):
             parse_model(trie + again)
+
+
+@pytest.mark.parametrize("text, named", [
+    ("3 2 leader-trie\n:2\n1\n", "line '1'"),
+    ("3 3 leader-trie\n:2\n1:x\n", "line '1:x'"),
+    ("2 3 hidden-path\nlambda 1.0\npath 1 x 1\n", "'path' line"),
+    ("2 3 hidden-path\nlambda one\npath 1 2 1\n", "'lambda' line"),
+    ("2 x hidden-path\nlambda 1.0\npath 1 2\n", "header"),
+    ("2 5\n", "header"),
+    ("2 3 bridge\nD 1\nL 1\nscaffold 1\nsuffix 2\nbit 0\ntau 1\nlambda 1.0\neta 0.5\n"
+     "beta 1.0\nreward paper\n", "'tau' line"),
+])
+def test_parse_model_names_the_line_it_cannot_read(text, named):
+    with pytest.raises(ValueError, match=f"^model text {re.escape(named)}: ") as info:
+        parse_model(text)
+    assert "\n" not in str(info.value)
 
 
 _SERIALIZED = [serialize_model(m) for m in (

@@ -633,6 +633,74 @@ def test_strict_refusal_matches_audit(trail):
     assert len(strict.ledger.records) == strict.ledger.count(PREFIX_SAMPLE) == answered
 
 
+@pytest.mark.parametrize("ask", [
+    lambda session, p, rng: session.query_prefix_logit(p, rng),
+    lambda session, p, rng: session.query_prefix_sample(p, rng),
+], ids=["logit", "sample"])
+def test_a_failed_root_query_does_not_open_its_children_in_strict_mode(ask):
+    """A root query that raises with no rng is not answered, so the root is
+    not visited and a strict session refuses a child query there, as the
+    audit of a loose session flags it."""
+    rng = RNG(0)
+    for strict in (True, False):
+        session = OracleSession(UniformModel(VocabSpec(2, 3)), xi=0.1, strict_discipline=strict)
+        with pytest.raises((ValueError, AttributeError)):
+            ask(session, ROOT, None)
+        if strict:
+            with pytest.raises(DisciplineViolationError):
+                ask(session, (1,), rng)
+            assert session.ledger.records == []
+            assert audit_discipline(session.ledger).ok
+        else:
+            ask(session, (1,), rng)
+            assert audit_discipline(session.ledger).offending_index == 1
+
+
+_TRAIL_QUERY = st.tuples(st.sampled_from([PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT]),
+                         st.lists(st.integers(1, 3), max_size=2).map(tuple), st.booleans())
+
+
+def _ask_or_fail(session, kind, p, rng):
+    """One chosen-prefix query; False when it raised without being refused for
+    the discipline (no rng for a sample or a noisy logit, or a bad prefix)."""
+    try:
+        if kind == PREFIX_TOP:
+            session.query_prefix_top(p)
+        else:
+            (session.query_prefix_sample if kind == PREFIX_SAMPLE
+             else session.query_prefix_logit)(p, rng)
+    except (ValueError, AttributeError):  # a DisciplineViolationError passes through
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_TRAIL_QUERY, max_size=12), st.integers(0, 2**32 - 1))
+def test_strict_mode_and_the_audit_agree_when_queries_fail(queries, seed):
+    """Queries of every chosen-prefix kind, some of which raise (no rng, or
+    a token out of range), asked of a strict session and of its loose twin:
+    the strict ledger audits clean, and the first query the loose twin
+    answers but the strict session refuses is the one the loose audit flags."""
+    model = random_hidden_path_model(VocabSpec(2, 3), 1.0, RNG(seed))
+    loose = OracleSession(model, xi=0.1)
+    strict = OracleSession(model, xi=0.1, strict_discipline=True)
+    loose_rng, strict_rng = RNG(seed), RNG(seed)
+    refused = None
+    for kind, p, has_rng in queries:
+        before = len(loose.ledger.records)
+        answered = _ask_or_fail(loose, kind, p, loose_rng if has_rng else None)
+        try:
+            _ask_or_fail(strict, kind, p, strict_rng if has_rng else None)
+        except DisciplineViolationError:
+            if answered and refused is None:
+                refused = before + 1  # the loose record's 1-based trail index
+    assert audit_discipline(strict.ledger).ok
+    flagged = audit_discipline(loose.ledger).offending_index
+    assert refused == flagged
+    if flagged is not None:
+        assert strict.ledger.records[: flagged - 1] == loose.ledger.records[: flagged - 1]
+
+
 def _reference_prefix_query(model, noise, kind, p, rng):
     """One chosen-prefix reply through the validated public lookups, with no
     session state: the answer a session must give whatever it has seen."""
