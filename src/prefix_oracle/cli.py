@@ -152,7 +152,7 @@ def _cmd_run(args) -> int:
 
 def _build_analysis_model(args, rng):
     vocab = VocabSpec(args.K, args.H)
-    if args.family == "hidden-path":
+    if args.family in (None, "hidden-path"):  # the default family
         return random_hidden_path_model(vocab, args.lam, rng)
     if args.family == "leader-trie":
         return LeaderTrieModel(random_leader_trie(vocab, rng))
@@ -160,14 +160,19 @@ def _build_analysis_model(args, rng):
 
 
 def _cmd_analyze(args) -> int:
+    if args.what != "reach":  # only reach builds a model of a family, over a prefix set
+        for flag, value in (("--family", args.family), ("--U", args.U)):
+            if value is not None:
+                raise ValueError(f"analyze {args.what} does not read {flag}")
     rng = trial_rng(args.seed, 0, 0)
     ok = True  # false only for a failed tv bound
     if args.what == "reach":
         model = _build_analysis_model(args, rng)
         z = model.z if isinstance(model, HiddenPathModel) else None
+        U = parse_prefix_set("tip" if args.U is None else args.U, z)
         record = {
             "command": "analyze-reach",
-            "reachability": analysis.reachability(model, parse_prefix_set(args.U, z)),
+            "reachability": analysis.reachability(model, U),
             "model": serialize_model(model).strip().replace("\n", "; "),
         }
     elif args.what == "tv":
@@ -288,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("analyze", help="exact analysis computations")
     sub.add_argument("what", choices=["tv", "reach", "gibbs", "objective", "certificate"])
     sub.add_argument("--family", choices=["hidden-path", "leader-trie", "uniform"],
-                     default="hidden-path")
+                     help="reach only: model family (default hidden-path)")
     _add_family_flags(sub)
     _add_bridge_flags(sub)
-    sub.add_argument("--U", default="tip",
-                     help="prefix set: 'tip', or comma-separated dot-joined prefixes ('-' = root)")
+    sub.add_argument("--U", help="reach only: prefix set, 'tip' (the default) or "
+                     "comma-separated dot-joined prefixes ('-' = root)")
     sub.add_argument("--qg", type=int, default=1, help="generator-query budget")
     sub.add_argument("--qr", type=int, default=1, help="reward-query budget")
     sub.set_defaults(fn=_cmd_analyze)

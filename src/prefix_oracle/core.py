@@ -657,7 +657,9 @@ def rollout(model, rng: np.random.Generator) -> tuple:
     """Root-to-leaf rollout ``(y, mus)`` with ``mus[t]`` the probabilities at
     ``y[:t]``. Each step reads the cache at the prefix's class key, unchecked
     (prefixes hold sampled tokens); a draw u picks ``bisect_right(edges, u)``.
-    Past the off entry, the remaining draws are mapped through it in one pass."""
+    Past the off entry, the remaining draws are mapped through it in one pass.
+    ``rng`` is read once, as ``rng.random(H).tolist()``: any stand-in whose
+    ``random(H)`` returns an array of H doubles with ``.tolist()`` serves."""
     cache, key, off = model._dist_cache, model._keys.get, model._off_entry()
     draws = rng.random(model.vocab.H).tolist()  # same doubles as H scalar draws
     y, mus = (), []
@@ -778,11 +780,14 @@ def _read(where: str, parse: Callable, text: str):
 
 def _body_fields(body: list, names: tuple) -> dict:
     """The values of the ``name value`` lines of a model body, each of
-    ``names`` present, none repeated, and each read by its parser in
-    ``_LINE_PARSERS``; a line with no value has the empty string as value."""
+    ``names`` present, no other name, none repeated, and each read by its
+    parser in ``_LINE_PARSERS``; a line with no value has the empty string as
+    value."""
     fields = {}
     for ln in body:
         name, value = (*ln.split(None, 1), "")[:2]
+        if name not in names:
+            raise ValueError(f"model text has an unknown {name!r} line")
         if name in fields:
             raise ValueError(f"model text repeats the {name!r} line")
         fields[name] = value
@@ -801,6 +806,7 @@ def parse_model(text: str):
     vocab, family = _read("header", _header, lines[0])
     body = lines[1:]
     if family == "uniform":
+        _body_fields(body, ())  # a uniform model has no body lines
         return UniformModel(vocab)
     if family == "hidden-path":
         fields = _body_fields(body, ("lambda", "path"))

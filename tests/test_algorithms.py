@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from prefix_oracle.algorithms import (
+    ROLLOUT_BLOCK,
     _sample_counts,
     bridge_posttrain,
     constant_suffix_rule,
@@ -609,6 +610,47 @@ def test_distinguisher_refuses_a_bad_budget_before_any_rollout(q):
         distinguish_no_reset_baseline(session, a, b, q, rng)
     assert rng.bit_generator.state == RNG(0).bit_generator.state
     assert session.ledger.rollouts == 0
+
+
+def _scalar_tester(session, model_a, model_b, q, rng):
+    # one query_pathfull per rollout, each drawing from the stream itself;
+    # returns the guess and whether a rollout reached the stem
+    H = model_a.vocab.H
+    for _ in range(q):
+        reply = session.query_pathfull(rng)
+        if reply.y[: H - 1] == model_a.z[: H - 1]:
+            mu = reply.mus[H - 1]
+            return (0 if mu[model_a.z[-1] - 1] > mu[model_b.z[-1] - 1] else 1), True
+    return int(rng.integers(0, 2)), False
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    K=st.integers(2, 3),
+    H=st.integers(1, 6),
+    lam=st.floats(0.0, 2.0),
+    stem_seed=st.integers(0, 2**32 - 1),
+    truth=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+    q=st.sampled_from([ROLLOUT_BLOCK - 1, ROLLOUT_BLOCK, ROLLOUT_BLOCK + 1, 2 * ROLLOUT_BLOCK])
+    | st.integers(0, 3 * ROLLOUT_BLOCK + 5),
+)
+def test_block_tester_equals_one_draw_per_rollout(K, H, lam, stem_seed, truth, seed, q):
+    """Drawing a block of rollouts' uniforms at once gives the guess and
+    ledger records of one draw per rollout, and the same stream state when
+    no rollout reached the stem."""
+    stem_rng = RNG(stem_seed)
+    stem = tuple(int(t) for t in stem_rng.integers(1, K + 1, size=H - 1))
+    last_a, last_b = (int(t) + 1 for t in stem_rng.permutation(K)[:2])
+    a, b = twin_hidden_path_models(VocabSpec(K, H), lam, stem, last_a, last_b)
+    sessions = [OracleSession((a, b)[truth]) for _ in range(2)]
+    rngs = [RNG(seed), RNG(seed)]
+    guess = distinguish_no_reset_baseline(sessions[0], a, b, q, rngs[0])
+    expected, informative = _scalar_tester(sessions[1], a, b, q, rngs[1])
+    assert guess == expected
+    assert sessions[0].ledger.records == sessions[1].ledger.records
+    if not informative:
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_distinguisher_trivial_cases():

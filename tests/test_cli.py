@@ -139,6 +139,26 @@ def test_analyze_has_no_out_flag(capsys, tmp_path):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("what", ["tv", "gibbs", "objective", "certificate"])
+@pytest.mark.parametrize("flag, value", [
+    ("--family", "uniform"), ("--family", "leader-trie"), ("--family", "hidden-path"),
+    ("--U", "tip"), ("--U", "-"),
+])
+def test_analyze_refuses_the_reach_only_flags_elsewhere(capsys, what, flag, value):
+    code = main(["analyze", what, "--K", "2", "--H", "3", flag, value])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: analyze {what} does not read {flag}\n"
+
+
+def test_analyze_reach_defaults_to_the_hidden_path_tip(capsys):
+    argv = ["analyze", "reach", "--K", "2", "--H", "4", "--seed", "7"]
+    code, record = _run(capsys, argv)
+    assert code == 0
+    assert record["model"].startswith("2 4 hidden-path;")
+    assert _run(capsys, [*argv, "--family", "hidden-path", "--U", "tip"]) == (code, record)
+
+
 def test_experiment_rejects_negative_seed_and_q(capsys):
     for argv, field in [(["no-reset-hardness", "--q", "-1"], "q"),
                         (["hidden-path-scaling", "--seed", "-1"], "seed")]:

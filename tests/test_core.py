@@ -707,6 +707,15 @@ def test_parse_model_refuses_a_repeated_line():
             parse_model(trie + again)
 
 
+@pytest.mark.parametrize("text, name", [
+    ("2 3 hidden-path\nlambda 1.0\npath 1 2 1\nfoo 1\nbit 7\n", "foo"),
+    ("2 3 uniform\ngarbage here\n", "garbage"),
+])
+def test_parse_model_refuses_a_line_its_family_does_not_define(text, name):
+    with pytest.raises(ValueError, match=f"^model text has an unknown '{name}' line$"):
+        parse_model(text)
+
+
 @pytest.mark.parametrize("text, named", [
     ("3 2 leader-trie\n:2\n1\n", "line '1'"),
     ("3 3 leader-trie\n:2\n1:x\n", "line '1:x'"),
