@@ -8,7 +8,8 @@ assertion or acceptance failure, or rejected input (reported as one
 
 Float flags, like float keys in experiment config files, accept plain
 decimals or ``log:X`` for the natural log of X (e.g. ``--lambda log:3``).
-The ``experiment`` command has one flag per config key.
+The ``experiment`` command has one flag per config key. A flag that its
+``analyze`` subcommand does not read is rejected input: it exits 1.
 """
 
 from __future__ import annotations
@@ -150,26 +151,26 @@ def _cmd_run(args) -> int:
     return 0 if ok else 1
 
 
-def _build_analysis_model(args, rng):
-    vocab = VocabSpec(args.K, args.H)
-    if args.family in (None, "hidden-path"):  # the default family
-        return random_hidden_path_model(vocab, args.lam, rng)
-    if args.family == "leader-trie":
-        return LeaderTrieModel(random_leader_trie(vocab, rng))
-    return UniformModel(vocab)
-
-
 def _cmd_analyze(args) -> int:
-    if args.what != "reach":  # only reach builds a model of a family, over a prefix set
-        for flag, value in (("--family", args.family), ("--U", args.U)):
-            if value is not None:
-                raise ValueError(f"analyze {args.what} does not read {flag}")
+    reads, given = _ANALYZE_READS[args.what].split(), vars(args)
+    for flag, kw in _FLAGS.items():  # in table order, so a reach-only flag is named first
+        dest = kw.get("dest", flag[2:])
+        if flag in reads:
+            given.setdefault(dest, kw["default"])
+        elif dest in given:
+            raise ValueError(f"analyze {args.what} does not read {flag}")
     rng = trial_rng(args.seed, 0, 0)
     ok = True  # false only for a failed tv bound
     if args.what == "reach":
-        model = _build_analysis_model(args, rng)
+        vocab = VocabSpec(args.K, args.H)
+        if args.family == "hidden-path":
+            model = random_hidden_path_model(vocab, args.lam, rng)
+        elif args.family == "leader-trie":
+            model = LeaderTrieModel(random_leader_trie(vocab, rng))
+        else:
+            model = UniformModel(vocab)
         z = model.z if isinstance(model, HiddenPathModel) else None
-        U = parse_prefix_set("tip" if args.U is None else args.U, z)
+        U = parse_prefix_set(args.U, z)
         record = {
             "command": "analyze-reach",
             "reachability": analysis.reachability(model, U),
@@ -234,21 +235,51 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _add_family_flags(sub, horizon=True, lam=True):
-    sub.add_argument("--K", type=int, default=2, help="vocabulary size")
-    if horizon:
-        sub.add_argument("--H", type=int, default=5, help="horizon")
-    if lam:
-        sub.add_argument("--lambda", dest="lam", type=_NUMBER, default=1.0,
-                         help="signal strength (accepts log:X)")
-    sub.add_argument("--seed", type=int, default=0, help="master seed")
+# Each recover, bridge and analyze flag, declared once; a command reads the default when absent
+_FLAGS = {
+    "--family": dict(choices=["hidden-path", "leader-trie", "uniform"], default="hidden-path",
+                     help="reach only: model family (default hidden-path)"),
+    "--U": dict(default="tip", help="reach only: prefix set, 'tip' (the default) or "
+                "comma-separated dot-joined prefixes ('-' = root)"),
+    "--K": dict(type=int, default=2, help="vocabulary size"),
+    "--H": dict(type=int, default=5, help="horizon"),
+    "--lambda": dict(dest="lam", type=_NUMBER, default=1.0,
+                     help="signal strength (accepts log:X)"),
+    "--seed": dict(type=int, default=0, help="master seed"),
+    "--D": dict(type=int, default=3, help="scaffold length"),
+    "--L": dict(type=int, default=4, help="hidden suffix length"),
+    "--eta": dict(type=_NUMBER, default=0.5, help="hard-prompt mass"),
+    "--beta": dict(type=_NUMBER, default=1.0, help="KL coefficient"),
+    "--qg": dict(type=int, default=1, help="generator-query budget"),
+    "--qr": dict(type=int, default=1, help="reward-query budget"),
+    "--delta": dict(type=_NUMBER, default=0.1),
+    "--xi": dict(type=_NUMBER, default=0.0, help="logit noise radius"),
+    "--noise": dict(choices=["random", "adversarial-threshold"], default="random"),
+    "--S": dict(type=int, default=None, help="node budget (default |I(T)|)"),
+    "--out": dict(help="write the query ledger CSV here"),
+}
 
+# (command, help, flags it reads, builder, default K)
+_RUN_COMMANDS = (
+    ("recover-hidden-path", "majority-vote path recovery",
+     "--K --H --lambda --seed --delta --out", _hidden_path, 2),
+    ("recover-trie-logit", "breadth-first trie recovery from logits",
+     "--K --H --seed --xi --noise --out", _trie_logit, 3),
+    ("recover-trie-sample", "breadth-first trie recovery from samples",
+     "--K --H --seed --S --delta --out", _trie_sample, 3),
+    ("recover-seqscore", "path recovery from exact sequence scores",
+     "--K --H --lambda --seed --out", _seqscore, 2),
+    ("bridge", "scaffold-walk post-training procedure",
+     "--K --lambda --seed --D --L --eta --beta --delta --out", _bridge, 2),
+)
 
-def _add_bridge_flags(sub):
-    sub.add_argument("--D", type=int, default=3, help="scaffold length")
-    sub.add_argument("--L", type=int, default=4, help="hidden suffix length")
-    sub.add_argument("--eta", type=_NUMBER, default=0.5, help="hard-prompt mass")
-    sub.add_argument("--beta", type=_NUMBER, default=1.0, help="KL coefficient")
+# analyze subcommand -> the flags it reads; it refuses every other flag
+_ANALYZE_READS = {
+    "reach": "--family --K --H --lambda --U --seed",
+    "tv": "--K --H --lambda --seed",
+    **dict.fromkeys(("gibbs", "objective"), "--K --D --L --lambda --eta --beta --seed"),
+    "certificate": "--K --D --L --lambda --eta --beta --seed --qg --qr",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -258,48 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("recover-hidden-path", help="majority-vote path recovery")
-    _add_family_flags(sub)
-    sub.add_argument("--delta", type=_NUMBER, default=0.1)
-    sub.add_argument("--out", help="write the query ledger CSV here")
-    sub.set_defaults(fn=_cmd_run, build=_hidden_path)
-
-    sub = subs.add_parser("recover-trie-logit", help="breadth-first trie recovery from logits")
-    _add_family_flags(sub, lam=False)
-    sub.add_argument("--xi", type=_NUMBER, default=0.0, help="logit noise radius")
-    sub.add_argument("--noise", choices=["random", "adversarial-threshold"], default="random")
-    sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_run, build=_trie_logit, K=3)
-
-    sub = subs.add_parser("recover-trie-sample", help="breadth-first trie recovery from samples")
-    _add_family_flags(sub, lam=False)
-    sub.add_argument("--S", type=int, default=None, help="node budget (default |I(T)|)")
-    sub.add_argument("--delta", type=_NUMBER, default=0.1)
-    sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_run, build=_trie_sample, K=3)
-
-    sub = subs.add_parser("recover-seqscore", help="path recovery from exact sequence scores")
-    _add_family_flags(sub)
-    sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_run, build=_seqscore)
-
-    sub = subs.add_parser("bridge", help="scaffold-walk post-training procedure")
-    _add_family_flags(sub, horizon=False)
-    _add_bridge_flags(sub)
-    sub.add_argument("--delta", type=_NUMBER, default=0.1)
-    sub.add_argument("--out")
-    sub.set_defaults(fn=_cmd_run, build=_bridge)
+    for command, summary, flags, build, K in _RUN_COMMANDS:
+        sub = subs.add_parser(command, help=summary)
+        for flag in flags.split():
+            sub.add_argument(flag, **_FLAGS[flag])
+        sub.set_defaults(fn=_cmd_run, build=build, K=K)
 
     sub = subs.add_parser("analyze", help="exact analysis computations")
-    sub.add_argument("what", choices=["tv", "reach", "gibbs", "objective", "certificate"])
-    sub.add_argument("--family", choices=["hidden-path", "leader-trie", "uniform"],
-                     help="reach only: model family (default hidden-path)")
-    _add_family_flags(sub)
-    _add_bridge_flags(sub)
-    sub.add_argument("--U", help="reach only: prefix set, 'tip' (the default) or "
-                     "comma-separated dot-joined prefixes ('-' = root)")
-    sub.add_argument("--qg", type=int, default=1, help="generator-query budget")
-    sub.add_argument("--qr", type=int, default=1, help="reward-query budget")
+    sub.add_argument("what", choices=list(_ANALYZE_READS))
+    for flag in dict.fromkeys(" ".join(_ANALYZE_READS.values()).split()):  # see _cmd_analyze
+        sub.add_argument(flag, **{**_FLAGS[flag], "default": argparse.SUPPRESS})
     sub.set_defaults(fn=_cmd_analyze)
 
     sub = subs.add_parser("experiment", help="run a named experiment")

@@ -395,9 +395,13 @@ class LeaderTrie:
 def random_leader_trie(vocab: VocabSpec, rng: np.random.Generator) -> LeaderTrie:
     """Sample a leader trie by growing breadth-first to depth H with the
     hidden child drawn uniformly from 2..K at each internal node; raises
-    before allocating when its 2^H - 1 nodes exceed the enumeration cap."""
-    check_enumeration(2**vocab.H - 1, "leader-trie nodes")
-    branch, _, _ = walk_trie(vocab, lambda p: (int(rng.integers(2, vocab.K + 1)),))
+    before allocating when its 2^H - 1 nodes exceed the enumeration cap.
+    One draw of all the children, served in walk order, leaves the values
+    and the stream state of one scalar draw per node."""
+    n = 2**vocab.H - 1
+    check_enumeration(n, "leader-trie nodes")
+    draws = iter(rng.integers(2, vocab.K + 1, size=n).tolist())
+    branch, _, _ = walk_trie(vocab, lambda p: (next(draws),))
     return LeaderTrie(vocab, branch)
 
 

@@ -4,8 +4,10 @@ config-file/flag round trips."""
 import io
 import json
 import math
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -741,3 +743,55 @@ def test_every_int_flag_refuses_a_huge_value_in_one_short_line(command):
                 lines = err.getvalue().splitlines()
                 assert len(lines) == 1 and lines[0].startswith("error: "), argv
                 assert len(lines[0]) < 200, (argv, lines[0][:200])
+
+
+# the README's analyze table: each subcommand and the flags it reads
+BRIDGE_READS = {"--K", "--D", "--L", "--lambda", "--eta", "--beta", "--seed"}
+ANALYZE_READS = {
+    "reach": {"--family", "--K", "--H", "--lambda", "--U", "--seed"},
+    "tv": {"--K", "--H", "--lambda", "--seed"},
+    "gibbs": BRIDGE_READS, "objective": BRIDGE_READS,
+    "certificate": BRIDGE_READS | {"--qg", "--qr"},
+}
+
+
+def test_the_analyze_table_names_every_analyze_flag():
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    flags = {a.option_strings[0] for a in commands["analyze"]._actions if a.option_strings}
+    assert flags - {"-h"} == set(ANALYZE) == set().union(*ANALYZE_READS.values())
+
+
+@pytest.mark.parametrize("what", sorted(ANALYZE_READS))
+@pytest.mark.parametrize("flag", ANALYZE)
+def test_analyze_reads_the_flags_of_its_table_row_and_refuses_the_rest(what, flag, capsys):
+    code = main(["analyze", what, flag, SMALL[flag][0]])
+    captured = capsys.readouterr()
+    if flag in ANALYZE_READS[what]:
+        assert code == 0, captured.err
+        assert json.loads(captured.out)["command"] == f"analyze-{what}"
+    else:
+        assert (code, captured.out) == (1, "")
+        assert captured.err == f"error: analyze {what} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ("analyze tv --K 2 --H 3 --D 5", "--D"),
+    ("analyze gibbs --H 9 --qr 4", "--H"),
+])
+def test_analyze_refuses_an_unread_flag_among_read_ones(argv, flag, capsys):
+    assert main(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: analyze {argv.split()[1]} does not read {flag}\n"
+
+
+def test_every_readme_example_parses_and_its_analyze_examples_run(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```", 1)[0] for block in readme.split("```console\n")[1:]]
+    examples = [shlex.split(line)[1:] for block in blocks for line in block.splitlines()
+                if line.startswith("prefix-oracle ")]
+    assert any(argv[0] == "analyze" for argv in examples)
+    for argv in examples:
+        build_parser().parse_args(argv)  # a usage error exits
+        if argv[0] == "analyze":
+            assert main(argv) == 0, (argv, capsys.readouterr().err)

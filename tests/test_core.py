@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from prefix_oracle.core import (
     PROB_ATOL,
@@ -242,7 +242,8 @@ def test_random_leader_trie_caps_size_before_drawing():
 
 def _list_frontier_branch(vocab, rng) -> dict:
     """Reference copy of the list-frontier growth loop that random_leader_trie
-    replaced: the draws, and the branch items in insertion order."""
+    replaced, with one scalar draw per node: the draws, and the branch items
+    in insertion order."""
     branch = {}
     frontier = [ROOT]
     while frontier:
@@ -257,7 +258,9 @@ def _list_frontier_branch(vocab, rng) -> dict:
 
 
 @settings(max_examples=60, deadline=None, database=None)
-@given(K=st.integers(3, 5), H=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+@given(K=st.one_of(st.integers(3, 5), st.sampled_from([7, 300, 10**6])), H=st.integers(1, 7),
+       seed=st.integers(0, 2**32 - 1))
+@example(K=10**6, H=12, seed=0)  # 4095 hidden children from one draw
 def test_random_leader_trie_matches_list_frontier_reference(K, H, seed):
     vocab = VocabSpec(K, H)
     rng, ref_rng = RNG(seed), RNG(seed)
