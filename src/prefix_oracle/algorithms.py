@@ -28,7 +28,7 @@ from .core import (
     shown,
     walk_trie,
 )
-from .oracles import OracleSession
+from .oracles import ROLLOUT_BLOCK, OracleSession
 
 
 @dataclass(frozen=True)
@@ -60,9 +60,6 @@ class BridgeOutput:
 # Most samples one vote stage may ask for (80 MB of doubles): a larger budget
 # is refused before any draw.
 MAX_STAGE_SAMPLES = 10**7
-# Most root-start rollouts whose uniforms the tester draws in one call: 64*H
-# doubles, at most 724 KB at the largest horizon the caps allow (H = 1414).
-ROLLOUT_BLOCK = 64
 
 
 def _stage_samples(m: float) -> int:
@@ -287,12 +284,12 @@ def distinguish_no_reset_baseline(
     there then reveals the favored final token. Uninformative budgets end in
     a fair coin flip. Returns 0 for the first model, 1 for the second.
 
-    The uniforms are drawn in blocks of at most ``ROLLOUT_BLOCK`` rollouts,
-    one ``rng.random((n, H))`` call each; row i holds the doubles of the i-th
-    ``rng.random(H)`` call, so every rollout, ledger record and guess is that
-    of one draw per rollout, and an exhausted budget leaves ``rng`` in the
-    same state before the coin flip. An informative rollout returns with the
-    rest of its block drawn as well: ``rng`` is not meant to be read after.
+    The rollouts are asked in blocks of at most ``ROLLOUT_BLOCK``, one
+    ``session.query_pathfull_block`` each, whose row i holds the doubles of
+    the i-th ``rng.random(H)`` call: every rollout, record and guess is that of
+    one draw per rollout, and an exhausted budget leaves ``rng`` in the same
+    state before the coin flip. An informative rollout returns with the rest
+    of its block drawn but not asked: ``rng`` is not meant to be read after.
     """
     if not isinstance(model_a, HiddenPathModel) or not isinstance(model_b, HiddenPathModel):
         raise ValueError("the tester needs two hidden-path models")
@@ -304,11 +301,7 @@ def distinguish_no_reset_baseline(
         raise ValueError("models must agree on the stem and differ in the final token")
     check_count(q, "rollout budget q", 0, MAX_BUDGET)
     for start in range(0, q, ROLLOUT_BLOCK):
-        n = min(q - start, ROLLOUT_BLOCK)
-        rows = iter(rng.random((n, H)))
-        block = SimpleNamespace(random=lambda size: next(rows))
-        for _ in range(n):
-            reply = session.query_pathfull(block)
+        for reply in session.query_pathfull_block(rng, min(q - start, ROLLOUT_BLOCK)):
             if reply.y[: H - 1] == stem:
                 mu = reply.mus[H - 1]
                 return 0 if mu[model_a.z[-1] - 1] > mu[model_b.z[-1] - 1] else 1

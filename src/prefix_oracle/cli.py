@@ -153,6 +153,12 @@ def _cmd_run(args) -> int:
 
 def _cmd_analyze(args) -> int:
     reads, given = _ANALYZE_READS[args.what].split(), vars(args)
+    if args.what == "reach" and given.get("family", "hidden-path") != "hidden-path":
+        if given.get("U") == "tip":
+            raise ValueError(f"--U tip needs a hidden path; --family {args.family} has none")
+        given.setdefault("U", "-")  # the root: a family without a hidden path has no tip
+        if args.family == "leader-trie":
+            given.setdefault("K", 3)  # as recover-trie-* read
     for flag, kw in _FLAGS.items():  # in table order, so a reach-only flag is named first
         dest = kw.get("dest", flag[2:])
         if flag in reads:

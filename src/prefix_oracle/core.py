@@ -657,28 +657,36 @@ def trajectory_prob(model, y: Completion) -> float:
     return math.exp(trajectory_logprob(model, y))
 
 
-def rollout(model, rng: np.random.Generator) -> tuple:
-    """Root-to-leaf rollout ``(y, mus)`` with ``mus[t]`` the probabilities at
-    ``y[:t]``. Each step reads the cache at the prefix's class key, unchecked
-    (prefixes hold sampled tokens); a draw u picks ``bisect_right(edges, u)``.
-    Past the off entry, the remaining draws are mapped through it in one pass.
-    ``rng`` is read once, as ``rng.random(H).tolist()``: any stand-in whose
-    ``random(H)`` returns an array of H doubles with ``.tolist()`` serves."""
+def rollouts(model, U: np.ndarray) -> Iterator[tuple]:
+    """Root-to-leaf rollouts ``(y, mus)``, one per row of the ``(n, H)``
+    uniform array ``U``, with ``mus[t]`` the probabilities at ``y[:t]``. Each
+    step reads the cache at the prefix's class key, unchecked (prefixes hold
+    sampled tokens); a draw u picks ``bisect_right(edges, u)``. When the model
+    has an off entry, every draw of the block is first mapped through it in
+    one ``np.searchsorted(edges, U, side="right")``, which picks the same
+    token on the same doubles, +inf edges included. Each ``next`` then walks
+    only its row's on-structure head and slices the tail from that map."""
     cache, key, off = model._dist_cache, model._keys.get, model._off_entry()
-    draws = rng.random(model.vocab.H).tolist()  # same doubles as H scalar draws
-    y, mus = (), []
-    for u in draws:
-        entry = cache[key(y, 0)]
-        probs, edges, _ = entry
-        if entry is off:
-            t = len(y)
-            mus.extend((probs,) * (len(draws) - t))
-            # through a list: a bare tuple(map(...)) raised the peak RSS
-            tail = list(map(bisect_right, itertools.repeat(edges), draws[t:]))
-            return y + tuple(tail), tuple(mus)
-        mus.append(probs)
-        y += (bisect_right(edges, u),)
-    return y, tuple(mus)
+    rows = U.tolist()  # a model with no off entry never reads its tails
+    tails = rows if off is None else np.searchsorted(np.array(off[1]), U, side="right").tolist()
+    for draws, tail in zip(rows, tails):
+        y, mus = (), []
+        for u in draws:
+            entry = cache[key(y, 0)]
+            probs, edges, _ = entry
+            if entry is off:
+                t = len(y)
+                mus.extend((probs,) * (len(draws) - t))
+                y += tuple(tail[t:])
+                break
+            mus.append(probs)
+            y += (bisect_right(edges, u),)
+        yield y, tuple(mus)
+
+
+def rollout(model, rng: np.random.Generator) -> tuple:
+    """``rollouts`` over one ``rng.random((1, H))`` draw, the same doubles as H scalar draws."""
+    return next(rollouts(model, rng.random((1, model.vocab.H))))
 
 
 def sample_trajectory(model, rng: np.random.Generator) -> Completion:

@@ -16,7 +16,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import compress, groupby
 from operator import countOf, indexOf, itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .core import (
     check_real,
     format_prefix,
     leader_trie_params,
-    rollout,
+    rollouts,
     shown,
     trajectory_logprob,
 )
@@ -51,6 +51,10 @@ TOP_TIE_RTOL = 1e-12
 
 NOISE_RANDOM = "random"
 NOISE_ADVERSARIAL = "adversarial-threshold"
+
+# Most root-start rollouts whose uniforms one block query draws in one call:
+# 64*H doubles, at most 724 KB at the largest horizon the caps allow (H = 1414).
+ROLLOUT_BLOCK = 64
 
 
 class DisciplineViolationError(RuntimeError):
@@ -266,25 +270,39 @@ class OracleSession:
 
     # -- no-reset interfaces ------------------------------------------------
 
-    def query_no_reset(self, rng: np.random.Generator, post: Callable, kind: str):
-        """Generic no-reset query of ``kind``: one fresh rollout, then a
-        post-processing of its ``(y, mus)`` pair, the canonical reply."""
-        out = post(rollout(self.model, rng))
+    def query_no_reset(self, pairs: Iterator, post: Callable, kind: str):
+        """Generic no-reset query of ``kind``: one rollout, the next ``(y, mus)``
+        pair of the ``core.rollouts`` iterator ``pairs``, post-processed; one record."""
+        out = post(next(pairs))
         self.ledger.records.append((kind, None, out))
         return out
 
+    def _rollout(self, rng: np.random.Generator) -> Iterator:
+        """The rollout of one scalar no-reset query: one ``rng.random((1, H))`` row."""
+        return rollouts(self.model, rng.random((1, self.vocab.H)))
+
     def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
-        return self.query_no_reset(rng, PathFullReply._make, PATHFULL)
+        return self.query_no_reset(self._rollout(rng), PathFullReply._make, PATHFULL)
 
     def query_output_only(self, rng: np.random.Generator) -> Completion:
-        return self.query_no_reset(rng, postprocess_output_only, OUTPUT_ONLY)
+        return self.query_no_reset(self._rollout(rng), postprocess_output_only, OUTPUT_ONLY)
 
     def query_output_with_logprobs(self, rng: np.random.Generator):
-        return self.query_no_reset(rng, postprocess_logprobs, OUTPUT_LOGPROBS)
+        return self.query_no_reset(self._rollout(rng), postprocess_logprobs, OUTPUT_LOGPROBS)
 
     def query_output_with_topk(self, rng: np.random.Generator, k: int):
         check_count(k, "top-k size k", 1, self.vocab.K)  # before the rollout is drawn
-        return self.query_no_reset(rng, lambda r: postprocess_topk(r, k), OUTPUT_TOPK)
+        return self.query_no_reset(self._rollout(rng), lambda r: postprocess_topk(r, k),
+                                   OUTPUT_TOPK)
+
+    def query_pathfull_block(self, rng: np.random.Generator, n: int) -> Iterator:
+        """``n`` PathFull queries over one ``rng.random((n, H))`` draw, row i
+        the doubles of the i-th scalar query, checked and drawn at call time.
+        The returned iterator answers each row by its own ``query_no_reset``
+        call: one query per rollout, recorded as its reply is taken."""
+        check_count(n, "rollout block size n", 1, ROLLOUT_BLOCK)
+        pairs = rollouts(self.model, rng.random((n, self.vocab.H)))
+        return (self.query_no_reset(pairs, PathFullReply._make, PATHFULL) for _ in range(n))
 
     # -- chosen-prefix interfaces -------------------------------------------
 

@@ -161,6 +161,27 @@ def test_analyze_reach_defaults_to_the_hidden_path_tip(capsys):
     assert _run(capsys, [*argv, "--family", "hidden-path", "--U", "tip"]) == (code, record)
 
 
+@pytest.mark.parametrize("family, explicit", [
+    ("leader-trie", ["--K", "3", "--U", "-"]),
+    ("uniform", ["--K", "2", "--U", "-"]),
+])
+def test_analyze_reach_defaults_of_a_family_without_a_hidden_path(capsys, family, explicit):
+    # the root by default, and K=3 for a leader trie as in recover-trie-*
+    argv = ["analyze", "reach", "--family", family, "--H", "4", "--seed", "7"]
+    code, record = _run(capsys, argv)
+    assert code == 0 and record["reachability"] == 1.0
+    assert record["model"].startswith(f"{explicit[1]} 4 {family}")
+    assert _run(capsys, [*argv, *explicit]) == (code, record)
+
+
+@pytest.mark.parametrize("family", ["leader-trie", "uniform"])
+def test_analyze_reach_refuses_tip_without_a_hidden_path(capsys, family):
+    code = main(["analyze", "reach", "--family", family, "--K", "3", "--U", "tip"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == f"error: --U tip needs a hidden path; --family {family} has none\n"
+
+
 def test_experiment_rejects_negative_seed_and_q(capsys):
     for argv, field in [(["no-reset-hardness", "--q", "-1"], "q"),
                         (["hidden-path-scaling", "--seed", "-1"], "seed")]:

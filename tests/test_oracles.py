@@ -3,6 +3,9 @@ collapse, and the local-reset discipline auditor."""
 
 import math
 import tracemalloc
+from bisect import bisect_right
+from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from prefix_oracle.core import (
     random_hidden_path_model,
     random_leader_trie,
     rollout,
+    rollouts,
     sample_trajectory,
     trajectory_logprob,
     trajectory_prob,
@@ -36,6 +40,7 @@ from prefix_oracle.oracles import (
     PREFIX_LOGIT,
     PREFIX_SAMPLE,
     PREFIX_TOP,
+    ROLLOUT_BLOCK,
     SEQSCORE,
     TOP_TIE_RTOL,
     DisciplineAudit,
@@ -144,6 +149,105 @@ def test_pathfull_matches_scalar_reference_rollout(family, K, H, model_seed, see
     assert (reply.y, reply.mus) == _reference_rollout(model, ref_rng)
     assert rng.random() == ref_rng.random()  # same generator state afterwards
     assert sample_trajectory(model, RNG(seed)) == reply.y
+
+
+def _last_zero(vocab):
+    # token K has probability 0, so the edges end in +inf
+    probs = [1.0 / (vocab.K - 1)] * (vocab.K - 1) + [0.0]
+    return CallableModel(vocab, lambda p: probs)
+
+
+class _OffLastZero(UniformModel):
+    """Every prefix is off the structure, and the off entry's token K has
+    probability 0: the block map reads edges that end in +inf."""
+
+    def _build(self, key):
+        return [1.0 / (self.vocab.K - 1)] * (self.vocab.K - 1) + [0.0]
+
+
+BLOCK_FAMILIES = {
+    **ROLLOUT_FAMILIES,
+    "callable-last-zero": lambda vocab, rng: _last_zero(vocab),
+    "off-last-zero": lambda vocab, rng: _OffLastZero(vocab),
+}
+
+
+def _row_stream(row):
+    return SimpleNamespace(random=iter(row).__next__)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(BLOCK_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(1, 7),
+    n=st.integers(1, ROLLOUT_BLOCK),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_rollouts_match_scalar_reference_rollout(family, K, H, n, model_seed, seed):
+    """Each row of a block is the scalar reference rollout on that row's
+    doubles, whether its tail comes from the block map or the step walk."""
+    assume(family != "leader-trie" or K >= 3)
+    assume(family != "bridge-hard" or H >= 3)
+    model = BLOCK_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    U = RNG(seed).random((n, H))
+    pairs = list(rollouts(model, U))
+    assert len(pairs) == n
+    for pair, row in zip(pairs, U.tolist()):
+        assert pair == _reference_rollout(model, _row_stream(row))
+
+
+def test_block_map_agrees_with_bisect_on_edges_and_the_last_double():
+    vocab = VocabSpec(4, 6)
+    edges = _OffLastZero(vocab)._off_entry()[1]
+    assert edges == (0.0, 1 / 3, 1 / 3 + 1 / 3, math.inf)
+    below = [math.nextafter(e, 0.0) for e in edges[1:3]]
+    U = np.array([[*edges[:3], 1 - 2**-53, *below]])
+    expected = tuple(bisect_right(edges, u) for u in U[0].tolist())
+    assert expected == (1, 2, 3, 3, 1, 2)
+    # the block map (every prefix off) and the step walk (no off entry)
+    for model in (_OffLastZero(vocab), _last_zero(vocab)):
+        (pair,) = rollouts(model, U)
+        assert pair[0] == expected
+        assert pair == _reference_rollout(model, _row_stream(U[0].tolist()))
+
+
+@pytest.mark.parametrize("n", [0, ROLLOUT_BLOCK + 1, 2.5, True])
+def test_pathfull_block_refuses_a_bad_size_before_any_draw(n):
+    session, rng = OracleSession(UniformModel(VocabSpec(2, 3))), RNG(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        session.query_pathfull_block(rng, n)
+    assert str(info.value) == f"rollout block size n must be an integer in 1..{ROLLOUT_BLOCK}, got {n}"
+    assert rng.bit_generator.state == state and session.ledger.records == []
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(ROLLOUT_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(3, 6),
+    n=st.integers(1, ROLLOUT_BLOCK),
+    j=st.integers(0, ROLLOUT_BLOCK),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pathfull_block_records_only_the_replies_taken(family, K, H, n, j, model_seed, seed):
+    """Taking the first j replies of a block leaves exactly j records, those
+    of j scalar PathFull queries on the same doubles."""
+    assume(family != "leader-trie" or K >= 3)
+    j = min(j, n)
+    model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    block, scalar = OracleSession(model), OracleSession(model)
+    replies = block.query_pathfull_block(RNG(seed), n)
+    assert block.ledger.records == []  # drawn, not yet asked
+    taken = list(islice(replies, j))
+    rng = RNG(seed)
+    assert taken == [scalar.query_pathfull(rng) for _ in range(j)]
+    assert all(type(reply) is PathFullReply for reply in taken)
+    assert block.ledger.records == scalar.ledger.records
+    assert len(block.ledger.records) == j
 
 
 @settings(max_examples=80, deadline=None, database=None)
