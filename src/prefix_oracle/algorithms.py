@@ -2,8 +2,10 @@
 oracle interface and leaving an auditable prefix trail in the session ledger.
 
 Every procedure asks queries of one kind and reports its exact query usage:
-the number of ledger records it appended. Majority-vote sample sizes come
-from the Hoeffding-style budgets below.
+the number of ledger records it appended. A path is recovered by one walk,
+``_recover_path``, and a trie by one other, ``_recover_trie``, each handed a
+statistic of what the queries observe at a prefix. Vote sample sizes come from
+one Hoeffding rule, ``_stage_samples``.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     HiddenPathModel,
     LeaderTrie,
     check_count,
+    check_real,
     leader_trie_params,
     shown,
     walk_trie,
@@ -62,7 +65,18 @@ class BridgeOutput:
 MAX_STAGE_SAMPLES = 10**7
 
 
-def _stage_samples(m: float) -> int:
+def _stage_samples(margin: float, what: str, tests: int, delta: float, share: int = 1) -> int:
+    """The one Hoeffding rule of both vote budgets: ceil(log(tests/delta) /
+    (2*eps^2)) samples keep each of ``tests`` empirical frequencies within
+    eps = margin/share of its mean with joint probability 1 - delta. ``what``
+    names the caller's margin in its refusal; a stage over MAX_STAGE_SAMPLES
+    is refused."""
+    check_failure_budget(delta)
+    check_real(margin, what)
+    if not 0.0 < margin < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {shown(margin)}")
+    scale = 2.0 * (margin / share) ** 2
+    m = 1.0 / scale * math.log(tests / delta) if scale else math.inf
     if not m <= MAX_STAGE_SAMPLES:
         raise ValueError(f"vote stage of {m:.4g} samples exceeds cap {MAX_STAGE_SAMPLES}")
     return math.ceil(m)
@@ -70,6 +84,7 @@ def _stage_samples(m: float) -> int:
 
 def check_failure_budget(delta: float) -> None:
     """The failure-budget rule of every success guarantee: 0 < delta < 1."""
+    check_real(delta, "failure budget delta")
     if not 0.0 < delta < 1.0:
         raise ValueError(f"failure budget must be in (0, 1), got {shown(delta)}")
 
@@ -78,18 +93,17 @@ def majority_budget(gap: float, rounds: int, K: int, delta: float) -> int:
     """Samples per stage so that all ``rounds`` majority votes over K tokens
     with per-sample advantage ``gap`` jointly succeed with probability
     1 - delta: ceil((2/gap^2) * log(rounds*(K-1)/delta))."""
-    check_failure_budget(delta)
-    if gap <= 0.0:
-        raise ValueError(f"per-sample advantage must be positive, got {gap}")
-    return _stage_samples(2.0 / gap**2 * math.log(rounds * (K - 1) / delta))
+    check_count(rounds, "vote rounds", 1, MAX_BUDGET)
+    check_count(K, "vocabulary size K", 2, MAX_BUDGET)
+    return _stage_samples(gap, "per-sample advantage", rounds * (K - 1), delta, share=2)
 
 
 def trie_sample_budget(prob_margin: float, K: int, S: int, delta: float) -> int:
     """Samples per node for threshold tests at up to S nodes:
     ceil((1/(2*margin^2)) * log(2*(K-1)*S/delta))."""
-    check_failure_budget(delta)
+    check_count(K, "vocabulary size K", 2, MAX_BUDGET)
     check_count(S, "node budget S", 1, MAX_BUDGET)
-    return _stage_samples(1.0 / (2.0 * prob_margin**2) * math.log(2.0 * (K - 1) * S / delta))
+    return _stage_samples(prob_margin, "probability margin", 2 * (K - 1) * S, delta)
 
 
 def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
@@ -107,15 +121,16 @@ def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
     return counts
 
 
-def _majority_walk(session: OracleSession, start, stages: int, m: int, rng) -> tuple:
-    """Extend ``start`` by ``stages`` tokens, each the majority of m samples
-    at the prefix built so far (ties go to the smallest token, for
-    reproducibility)."""
-    prefix = start
+def _recover_path(session: OracleSession, start, stages: int,
+                  statistic: Callable) -> RecoveryResult:
+    """Extend ``start`` by ``stages`` tokens, each the first argmax of the K
+    entries of ``statistic(prefix)`` at the prefix built so far: ties, and a
+    stage whose entries are all -inf, go to the smallest token."""
+    mark, prefix = len(session.ledger.records), start
     for _ in range(stages):
-        counts = _sample_counts(session, prefix, m, rng)
-        prefix = prefix + (counts.index(max(counts)) + 1,)
-    return prefix
+        stat = statistic(prefix)
+        prefix = prefix + (stat.index(max(stat)) + 1,)
+    return RecoveryResult(prefix, len(session.ledger.records) - mark)
 
 
 def recover_hidden_path(
@@ -128,11 +143,11 @@ def recover_hidden_path(
     where m is the Hoeffding budget for the model's per-step advantage.
     Uses exactly H*m queries and obeys the local-reset discipline.
     """
+    if not isinstance(session.model, HiddenPathModel):
+        raise ValueError("hidden-path recovery needs a hidden-path model")
     H, K = session.vocab.H, session.vocab.K
     m = majority_budget(session.model.delta, H, K, delta)
-    start = len(session.ledger.records)
-    path = _majority_walk(session, ROOT, H, m, rng)
-    return RecoveryResult(path, len(session.ledger.records) - start)
+    return _recover_path(session, ROOT, H, lambda p: _sample_counts(session, p, m, rng))
 
 
 def _recover_trie(session: OracleSession, statistic: Callable, threshold: float,
@@ -198,29 +213,24 @@ def recover_hidden_path_seqscore(
     """Reconstruct a hidden path from exact sequence scores.
 
     At stage t the K one-token extensions of the current prefix are padded to
-    full length by ``suffix_rule(stage, length)`` and scored; the argmax
-    token is kept. Correct for any padding rule, deterministic, and uses
-    exactly H*K queries.
+    full length by ``suffix_rule(stage, length)`` and scored; the first argmax
+    token is kept. Correct for any padding rule on a hidden path, deterministic,
+    and uses exactly H*K queries on every model.
     """
     if session.xi != 0:
         raise ValueError("sequence-score recovery needs exact scores (xi = 0)")
-    vocab = session.vocab
-    H, K = vocab.H, vocab.K
+    H, K = session.vocab.H, session.vocab.K
     if suffix_rule is None:
         suffix_rule = constant_suffix_rule(1)
-    start = len(session.ledger.records)
-    prefix = ROOT
-    for t in range(1, H + 1):
+
+    def scores(prefix):
+        t = len(prefix) + 1
         pad = tuple(suffix_rule(t, H - t))
         if len(pad) != H - t:
             raise ValueError(f"padding rule returned length {len(pad)} at stage {t}")
-        best_token, best_score = None, -math.inf
-        for a in range(1, K + 1):
-            score = session.query_seqscore(prefix + (a,) + pad)
-            if score > best_score:
-                best_token, best_score = a, score
-        prefix = prefix + (best_token,)
-    return RecoveryResult(prefix, len(session.ledger.records) - start)
+        return [session.query_seqscore(prefix + (a,) + pad) for a in range(1, K + 1)]
+
+    return _recover_path(session, ROOT, H, scores)
 
 
 def bridge_posttrain(
@@ -234,8 +244,8 @@ def bridge_posttrain(
 
     Only the public part of the instance is used: the scaffold is walked down
     one token at a time (D+1 discipline-legal queries whose replies are
-    discarded), the hidden suffix is recovered by the majority-vote stage
-    loop below the scaffold, and a single reward query with the point-mass
+    discarded), the hidden suffix is recovered by the majority-vote path
+    walk below the scaffold, and a single reward query with the point-mass
     policy on scaffold+suffix+tau0 identifies the reward bit. The output
     carries the exact Gibbs optimizer of the identified instance.
 
@@ -247,7 +257,8 @@ def bridge_posttrain(
     start = len(gen_session.ledger.records)
     for i in range(D + 1):
         gen_session.query_prefix_sample(inst.scaffold[:i], rng)
-    suffix = _majority_walk(gen_session, inst.scaffold, L, m, rng)[D:]
+    suffix = _recover_path(gen_session, inst.scaffold, L,
+                           lambda p: _sample_counts(gen_session, p, m, rng)).recovered[D:]
     generator_queries = len(gen_session.ledger.records) - start
     probe = inst.scaffold + suffix + (inst.tau0,)
     observed = reward_query(HARD, {probe: 1.0}, rng)

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .core import MAX_BUDGET, PROB_ATOL, BridgeInstance, check_count, completion_distribution, shown
+from .core import (MAX_BUDGET, PROB_ATOL, BridgeInstance, check_count, check_real,
+                   completion_distribution, shown)
 
 MU_QUANTUM = 1e-12
 
@@ -144,6 +145,8 @@ def kl_divergence(p: Mapping, q: Mapping) -> float:
 
 def binary_kl(m: float, q: float) -> float:
     """Two-point divergence kl(m || q) of Bernoulli distributions."""
+    check_real(m, "binary_kl mean m")
+    check_real(q, "binary_kl mean q")
     if not (0.0 <= m <= 1.0 and 0.0 <= q <= 1.0):
         raise ValueError("binary_kl needs arguments in [0, 1]")
     total = 0.0

@@ -260,6 +260,38 @@ def test_both_budgets_refuse_a_failure_budget_by_one_rule():
             majority_budget(0.5, 3, 2, bad)
         with pytest.raises(ValueError, match=message):
             trie_sample_budget(0.1, 3, 7, bad)
+    for bad, shown in [("0.1", "str 0.1"), (None, "NoneType None"), (1j, "complex 1j"),
+                       (True, "bool True")]:
+        message = rf"^failure budget delta must be a real number, got {re.escape(shown)}$"
+        with pytest.raises(ValueError, match=message):
+            majority_budget(0.5, 3, 2, bad)
+        with pytest.raises(ValueError, match=message):
+            trie_sample_budget(0.1, 3, 7, bad)
+
+
+def test_both_budgets_refuse_their_other_arguments_naming_them():
+    gap, margin = "per-sample advantage", "probability margin"
+    real = "must be a real number, got"
+    positive = "must be positive and finite, got"
+    count = "must be an integer in {}..9007199254740992, got {}"
+    capped = "vote stage of inf samples exceeds cap 10000000"
+    for call, message in [
+        (lambda: trie_sample_budget(0.0, 3, 7, 0.1), f"{margin} {positive} 0.0"),
+        (lambda: trie_sample_budget(-0.1, 3, 7, 0.1), f"{margin} {positive} -0.1"),
+        (lambda: trie_sample_budget(math.nan, 3, 7, 0.1), f"{margin} {positive} nan"),
+        (lambda: trie_sample_budget(True, 3, 7, 0.1), f"{margin} {real} bool True"),
+        (lambda: majority_budget(math.inf, 3, 2, 0.1), f"{gap} {positive} inf"),
+        (lambda: majority_budget(math.nan, 3, 2, 0.1), f"{gap} {positive} nan"),
+        (lambda: majority_budget("0.5", 3, 2, 0.1), f"{gap} {real} str 0.5"),
+        (lambda: majority_budget(0.5, 0, 2, 0.1), "vote rounds " + count.format(1, 0)),
+        (lambda: majority_budget(0.5, 3, 1, 0.1), "vocabulary size K " + count.format(2, 1)),
+        (lambda: trie_sample_budget(0.1, 1, 7, 0.1), "vocabulary size K " + count.format(2, 1)),
+        # a margin whose square underflows asks for infinitely many samples
+        (lambda: majority_budget(1e-200, 3, 2, 0.1), capped),
+        (lambda: trie_sample_budget(1e-200, 3, 7, 0.1), capped),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_majority_budget_delta_ratio():
@@ -702,6 +734,73 @@ def test_seqscore_refuses_a_padding_rule_of_the_wrong_length():
     with pytest.raises(ValueError, match="^padding rule returned length 3 at stage 1$"):
         recover_hidden_path_seqscore(session, lambda stage, length: (1,) * (length + 1))
     assert session.ledger.records == []
+
+
+def test_seqscore_recovery_of_a_model_with_all_zero_stage_scores():
+    # at every stage both extensions of the padding (1, ..., 1) have
+    # probability 0, so both scores are -inf and the smallest token is kept
+    session = OracleSession(CallableModel(VocabSpec(2, 3), lambda p: [0.0, 1.0]))
+    result = recover_hidden_path_seqscore(session)
+    assert result.recovered == (1, 1, 1)
+    assert result.queries_used == len(session.ledger.records) == 3 * 2
+    assert all(score == -math.inf for _, _, score in session.ledger.records)
+
+
+def _random_callable_model(vocab, seed, zero_rate):
+    """Every prefix's distribution drawn from its own stream, with each entry
+    zero at rate ``zero_rate`` (at least one entry stays positive)."""
+    def fn(p):
+        rng = RNG([seed, len(p), *map(int, p)])
+        w = rng.random(vocab.K) * (rng.random(vocab.K) >= zero_rate)
+        if not w.any():
+            w[rng.integers(vocab.K)] = 1.0
+        return w / w.sum()
+
+    return CallableModel(vocab, fn)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    K=st.integers(2, 4),
+    H=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    zero_rate=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    pad=st.one_of(st.tuples(st.just("constant"), st.integers(1, 4)),
+                  st.tuples(st.just("random"), st.integers(0, 2**32 - 1))),
+    earlier=st.integers(0, 2),
+)
+def test_seqscore_keeps_the_first_argmax_of_each_stage_on_any_model(K, H, seed, zero_rate, pad,
+                                                                     earlier):
+    vocab = VocabSpec(K, H)
+    session = _session(_random_callable_model(vocab, seed, zero_rate), earlier, False)
+    if pad[0] == "constant":
+        rule = constant_suffix_rule(min(pad[1], K))
+    else:
+        def rule(stage, length):
+            return tuple(int(a) for a in RNG([pad[1], stage]).integers(1, K + 1, size=length))
+    result = recover_hidden_path_seqscore(session, rule)
+    records = session.ledger.records[earlier:]
+    assert result.queries_used == len(records) == H * K
+    assert all(kind == SEQSCORE for kind, _, _ in records)
+    path = result.recovered
+    assert len(path) == H and all(1 <= a <= K for a in path)
+    for t in range(H):
+        stage = records[t * K:(t + 1) * K]
+        assert [y[: t + 1] for _, y, _ in stage] == [path[:t] + (a,) for a in range(1, K + 1)]
+        scores = [score for _, _, score in stage]
+        assert path[t] == scores.index(max(scores)) + 1
+
+
+def test_hidden_path_recovery_refuses_a_model_that_is_not_a_hidden_path():
+    vocab = VocabSpec(3, 2)
+    for model in (UniformModel(vocab), LeaderTrieModel(random_leader_trie(vocab, RNG(0))),
+                  CallableModel(vocab, lambda p: [0.2, 0.3, 0.5])):
+        session, rng = OracleSession(model), RNG(1)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^hidden-path recovery needs a hidden-path model$"):
+            recover_hidden_path(session, 0.1, rng)
+        assert session.ledger.records == []
+        assert rng.bit_generator.state == state
 
 
 def test_tester_refuses_a_model_that_is_not_a_hidden_path():

@@ -316,6 +316,11 @@ def test_binary_kl_two_term_formula():
     assert binary_kl(0.3, 0.0) == math.inf
     with pytest.raises(ValueError):
         binary_kl(1.2, 0.5)
+    for bad in (True, "0.5", None):
+        with pytest.raises(ValueError, match="^binary_kl mean m must be a real number, got "):
+            binary_kl(bad, 0.5)
+        with pytest.raises(ValueError, match="^binary_kl mean q must be a real number, got "):
+            binary_kl(0.5, bad)
 
 
 def test_kl_data_processing_vs_target_indicator():

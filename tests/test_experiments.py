@@ -67,7 +67,9 @@ def test_config_validation():
                          (dict(xi=math.nan), "xi must be finite"),
                          (dict(xi=1e308), "xi must be finite"),
                          (dict(K=2, H="3,2000"), "prefix tokens exceed cap"),
-                         (dict(K=1, H=()), "sweep H is empty")]:
+                         (dict(K=1, H=()), "sweep H is empty"),
+                         (dict(delta="0.1"), "delta must be a real number, got str"),
+                         (dict(delta=True), "delta must be a real number, got bool")]:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(name="x", **bad)
     edge = ExperimentConfig(name="x", S=1, qr=0, noise="adversarial-threshold")
@@ -178,6 +180,9 @@ COUNT_ENTRY_POINTS = {
     "bridge_vocab D": (lambda n: bridge_vocab(2, n, 1), 1, math.inf),
     "bridge_vocab L": (lambda n: bridge_vocab(2, 1, n), 1, math.inf),
     "trie_sample_budget S": (lambda n: trie_sample_budget(0.1, 3, n, 0.1), 1, MAX_BUDGET),
+    "trie_sample_budget K": (lambda n: trie_sample_budget(0.1, n, 7, 0.1), 2, MAX_BUDGET),
+    "majority_budget rounds": (lambda n: majority_budget(0.5, n, 2, 0.1), 1, MAX_BUDGET),
+    "majority_budget K": (lambda n: majority_budget(0.5, 3, n, 0.1), 2, MAX_BUDGET),
     "lower_bound_certificate q_g": (lambda n: lower_bound_certificate(_INST, n, 1), 0, MAX_BUDGET),
     "lower_bound_certificate q_r": (lambda n: lower_bound_certificate(_INST, 1, n), 0, 3),
     "ExperimentConfig trials": (lambda n: ExperimentConfig(name="x", trials=n), 1, math.inf),
