@@ -719,7 +719,7 @@ def parse_prefix(text: str) -> Prefix:
 
 
 def serialize_model(model) -> str:
-    """Render a family model in the golden-file text format."""
+    """Render a family model as text; ``analyze reach`` prints it in its record."""
     if isinstance(model, HiddenPathModel):
         lines = [
             f"{model.vocab.K} {model.vocab.H} hidden-path",
@@ -751,94 +751,3 @@ def serialize_model(model) -> str:
     else:
         raise TypeError(f"cannot serialize {type(model).__name__}")
     return "\n".join(lines) + "\n"
-
-
-def _tokens(value: str, n=None) -> tuple:
-    """The space-separated tokens of ``value``: exactly ``n`` of them if given."""
-    toks = tuple(int(t) for t in value.split())
-    if n is not None and len(toks) != n:
-        raise ValueError(f"expected {n} tokens, got {value!r}")
-    return toks
-
-
-def _header(line: str) -> tuple:
-    """The ``(vocab, family)`` of a ``K H family`` header."""
-    head = line.split()
-    if len(head) != 3:
-        raise ValueError(f"expected 'K H family', got {line!r}")
-    return VocabSpec(int(head[0]), int(head[1])), head[2]
-
-
-def _trie_node(line: str) -> tuple:
-    """The ``(prefix, hidden child)`` of a ``prefix:token`` leader-trie line."""
-    loc, colon, tok = line.partition(":")
-    if not colon:
-        raise ValueError("expected prefix:token")
-    return parse_prefix(loc), int(tok)
-
-
-_LINE_PARSERS = {"lambda": float, "path": _tokens, "D": int, "L": int, "scaffold": _tokens,
-                 "suffix": _tokens, "bit": int, "tau": lambda v: _tokens(v, 2), "eta": float,
-                 "beta": float, "reward": lambda v: None if v == "paper" else float(v)}
-
-
-def _read(where: str, parse: Callable, text: str):
-    """``parse(text)``, its ValueError raised again naming ``where`` it was read."""
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"model text {where}: {exc}") from None
-
-
-def _body_fields(body: list, names: tuple) -> dict:
-    """The values of the ``name value`` lines of a model body, each of
-    ``names`` present, no other name, none repeated, and each read by its
-    parser in ``_LINE_PARSERS``; a line with no value has the empty string as
-    value."""
-    fields = {}
-    for ln in body:
-        name, value = (*ln.split(None, 1), "")[:2]
-        if name not in names:
-            raise ValueError(f"model text has an unknown {name!r} line")
-        if name in fields:
-            raise ValueError(f"model text repeats the {name!r} line")
-        fields[name] = value
-    for name in names:
-        if name not in fields:
-            raise ValueError(f"model text has no {name!r} line")
-    return {name: _read(f"{name!r} line", _LINE_PARSERS[name], fields[name]) for name in names}
-
-
-def parse_model(text: str):
-    """Inverse of serialize_model. A line that does not parse is refused with
-    a ValueError naming it."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty model text")
-    vocab, family = _read("header", _header, lines[0])
-    body = lines[1:]
-    if family == "uniform":
-        _body_fields(body, ())  # a uniform model has no body lines
-        return UniformModel(vocab)
-    if family == "hidden-path":
-        fields = _body_fields(body, ("lambda", "path"))
-        return HiddenPathModel(vocab, fields["lambda"], fields["path"])
-    if family == "leader-trie":
-        branch = {}
-        for ln in body:
-            p, tok = _read(f"line {ln!r}", _trie_node, ln)
-            if p in branch:
-                raise ValueError(f"model text repeats node {p}")
-            branch[p] = tok
-        return LeaderTrieModel(LeaderTrie(vocab, branch))
-    if family == "bridge":
-        f = _body_fields(body, ("D", "L", "scaffold", "suffix", "bit", "tau", "lambda",
-                                "eta", "beta", "reward"))
-        D, L = f["D"], f["L"]
-        if vocab.H != D + L + 1:
-            raise ValueError(f"bridge header has H={vocab.H}, but D+L+1={D + L + 1}")
-        return BridgeInstance(K=vocab.K, D=D, L=L, scaffold=f["scaffold"], suffix=f["suffix"],
-                              bit=f["bit"], tau0=f["tau"][0], tau1=f["tau"][1],
-                              lam=f["lambda"], eta=f["eta"], beta=f["beta"],
-                              reward_scale=f["reward"])
-    raise ValueError(f"unknown family {family!r}")

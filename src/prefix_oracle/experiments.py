@@ -62,6 +62,7 @@ def binomial_margin(p: float, n: int) -> float:
 
 def trial_rng(master_seed: int, *stream) -> np.random.Generator:
     """Independent per-trial stream keyed by (master seed, cell, trial)."""
+    check_count(master_seed, "seed", 0)
     return np.random.default_rng([master_seed, *[int(s) for s in stream]])
 
 

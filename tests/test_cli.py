@@ -191,6 +191,22 @@ def test_experiment_rejects_negative_seed_and_q(capsys):
         assert "non-negative integer" not in err  # numpy's message
 
 
+@pytest.mark.parametrize("command", [
+    "recover-hidden-path", "recover-trie-logit", "recover-trie-sample", "recover-seqscore",
+    "bridge", *(f"analyze {what}" for what in ("reach", "tv", "gibbs", "objective", "certificate")),
+])
+def test_every_command_refuses_a_negative_seed_by_the_count_rule(command, tmp_path, capsys):
+    out = tmp_path / "ledger.csv"
+    argv = [*command.split(), "--seed", "-1"]
+    if not command.startswith("analyze"):  # analyze writes no ledger
+        argv += ["--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be an integer in 0..inf, got -1\n"
+    assert not out.exists()
+
+
 def test_experiment_repeated_sweep_value_is_one_error_line(capsys):
     argv = ["experiment", "no-reset-hardness", "--H", "4", "--q", "1,1", "--trials", "20"]
     assert main(argv) == 1
