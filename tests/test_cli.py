@@ -12,10 +12,18 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from prefix_oracle import experiments
+from prefix_oracle import analysis, experiments
 from prefix_oracle.algorithms import majority_budget
 from prefix_oracle.cli import build_parser, main, parse_number, parse_prefix_set
-from prefix_oracle.core import signal_probs
+from prefix_oracle.core import (
+    LeaderTrieModel,
+    UniformModel,
+    VocabSpec,
+    random_hidden_path_model,
+    random_leader_trie,
+    serialize_model,
+    signal_probs,
+)
 from prefix_oracle.experiments import CONFIG_KEYS, ENV_SEED, ExperimentConfig, ExperimentReport
 from prefix_oracle.oracles import DisciplineAudit
 
@@ -180,6 +188,21 @@ def test_analyze_reach_refuses_tip_without_a_hidden_path(capsys, family):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err == f"error: --U tip needs a hidden path; --family {family} has none\n"
+
+
+@pytest.mark.parametrize("family, build", [
+    ("hidden-path", lambda vocab, rng: random_hidden_path_model(vocab, 1.0, rng)),
+    ("leader-trie", lambda vocab, rng: LeaderTrieModel(random_leader_trie(vocab, rng))),
+    ("uniform", lambda vocab, rng: UniformModel(vocab)),
+], ids=["hidden-path", "leader-trie", "uniform"])
+def test_analyze_reach_model_field_is_the_model_it_analyzed(capsys, family, build):
+    # the model text with each newline written as "; ", as the README states
+    code, record = _run(capsys, ["analyze", "reach", "--family", family, "--K", "3", "--H", "3",
+                                 "--U", "1.2", "--seed", "11"])
+    assert code == 0
+    model = build(VocabSpec(3, 3), experiments.trial_rng(11, 0, 0))
+    assert record["model"].replace("; ", "\n") + "\n" == serialize_model(model)
+    assert record["reachability"] == analysis.reachability(model, {(1, 2)})
 
 
 def test_experiment_rejects_negative_seed_and_q(capsys):
