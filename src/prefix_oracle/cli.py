@@ -143,11 +143,12 @@ def _bridge(args, rng):
 
 
 def _cmd_run(args) -> int:
-    """Run one recover or bridge command: emit its record, write its ledger."""
+    """Run one recover or bridge command: write its ledger, then emit its
+    record, so a ledger that cannot be written leaves stdout empty."""
     session, ok, fields = args.build(args, trial_rng(args.seed, 0, 0))
-    _emit({"command": args.command, "success": ok, **fields})
     if args.out:
         write_ledger_csv(session.ledger, args.out)
+    _emit({"command": args.command, "success": ok, **fields})
     return 0 if ok else 1
 
 

@@ -153,6 +153,13 @@ def _dist_entry(probs) -> tuple:
     return probs, edges + (math.inf,) * (len(probs) - 1 - last), logs
 
 
+def _off_tokens(off, U: np.ndarray) -> np.ndarray:
+    """The token every draw of ``U`` picks through the entry ``off``, in one
+    ``np.searchsorted(edges, U, side="right")``: the same token as
+    ``bisect_right`` on the same doubles, +inf edges included."""
+    return np.searchsorted(np.array(off[1]), U, side="right")
+
+
 class _DistCache(dict):
     """Class key (a ``CallableModel``'s prefix) -> ``(probs, edges, logs)``
     entry, built on first use; the one place a model's cache is filled.
@@ -195,6 +202,29 @@ class _CachedDistModel:
     def _off_entry(self):
         """The entry of every prefix off the model's structure (key 0)."""
         return self._dist_cache[0]
+
+    def _rollouts(self, U: np.ndarray) -> Iterator[tuple]:
+        """``rollouts`` by the step walk. Each step reads the cache at the
+        prefix's class key, unchecked (prefixes hold sampled tokens); a draw
+        u picks ``bisect_right(edges, u)``. Once a row reads the off entry,
+        its tail is sliced from the block's ``_off_tokens`` map; a model with
+        no off entry walks every step."""
+        cache, key, off = self._dist_cache, self._keys.get, self._off_entry()
+        rows = U.tolist()  # a model with no off entry never reads its tails
+        tails = rows if off is None else _off_tokens(off, U).tolist()
+        for draws, tail in zip(rows, tails):
+            y, mus = (), []
+            for u in draws:
+                entry = cache[key(y, 0)]
+                probs, edges, _ = entry
+                if entry is off:
+                    t = len(y)
+                    mus.extend((probs,) * (len(draws) - t))
+                    y += tuple(tail[t:])
+                    break
+                mus.append(probs)
+                y += (bisect_right(edges, u),)
+            yield y, tuple(mus)
 
     def next_dist(self, p: Prefix) -> np.ndarray:
         """Next-token distribution at prefix ``p`` as a fresh vector."""
@@ -299,6 +329,49 @@ class _ChainModel(_CachedDistModel):
         if key == 0:
             return [1.0 / K] * K
         return _peaked(K, key, self.p_plus, self.p_minus)
+
+    def _rollouts(self, U: np.ndarray) -> Iterator[tuple]:
+        """``rollouts`` without a step walk. The one structure prefix at
+        depth t < len(z) is ``z[:t]``, so chain column t is mapped through the
+        entry keyed ``z[t]``, one ``np.searchsorted`` per distinct key. A row
+        leaves the chain one step past its first mismatch against ``z``, or
+        at ``len(z)``: its tokens come from the chain map before that depth
+        and from the off map after it, and its ``mus``, one tuple per
+        distinct exit depth, from the chain's entries and then the off one.
+
+        Columns are mapped in windows, so a block builds few more entries
+        (K floats each) than a walk would: the first,
+        ``2 log(2n) / log(1/p_plus)`` columns, holds every row's exit but with
+        probability at most 1/(4n), and each later one doubles the columns.
+        A block of one row, a scalar no-reset query, walks: its step walk
+        costs less than the block map's twenty-odd numpy calls."""
+        if len(U) == 1:
+            return super()._rollouts(U)
+        cache, z, off = self._dist_cache, self.z, self._off_entry()
+        n, H = U.shape
+        L, zs = len(z), np.array(z)
+        y = _off_tokens(off, U)
+        chain = np.empty((n, L), dtype=y.dtype)
+        p = self.p_plus
+        start, stop = 0, L if p == 1.0 else math.ceil(2 * math.log(2 * n) / -math.log(p))
+        while True:
+            stop = min(stop, L)
+            for k in set(z[start:stop]):
+                cols = start + np.flatnonzero(zs[start:stop] == k)
+                chain[:, cols] = np.searchsorted(np.array(cache[k][1]), U[:, cols], side="right")
+            miss = chain[:, :stop] != zs[:stop]
+            if stop == L:
+                miss[:, -1] = True  # matching all of z leaves at len(z), as missing its last token does
+                break
+            if miss.any(axis=1).all():
+                break
+            start, stop = stop, 2 * stop
+        heads = miss.argmax(axis=1) + 1
+        np.copyto(y[:, :stop], chain[:, :stop], where=np.arange(stop) < heads[:, None])
+        heads = heads.tolist()
+        probs = tuple(cache[k][0] for k in z[:max(heads)])
+        mus = {t: probs[:t] + (off[0],) * (H - t) for t in set(heads)}
+        return zip(map(tuple, y.tolist()), map(mus.__getitem__, heads))
 
 
 @dataclass(frozen=True)
@@ -659,29 +732,13 @@ def trajectory_prob(model, y: Completion) -> float:
 
 def rollouts(model, U: np.ndarray) -> Iterator[tuple]:
     """Root-to-leaf rollouts ``(y, mus)``, one per row of the ``(n, H)``
-    uniform array ``U``, with ``mus[t]`` the probabilities at ``y[:t]``. Each
-    step reads the cache at the prefix's class key, unchecked (prefixes hold
-    sampled tokens); a draw u picks ``bisect_right(edges, u)``. When the model
-    has an off entry, every draw of the block is first mapped through it in
-    one ``np.searchsorted(edges, U, side="right")``, which picks the same
-    token on the same doubles, +inf edges included. Each ``next`` then walks
-    only its row's on-structure head and slices the tail from that map."""
-    cache, key, off = model._dist_cache, model._keys.get, model._off_entry()
-    rows = U.tolist()  # a model with no off entry never reads its tails
-    tails = rows if off is None else np.searchsorted(np.array(off[1]), U, side="right").tolist()
-    for draws, tail in zip(rows, tails):
-        y, mus = (), []
-        for u in draws:
-            entry = cache[key(y, 0)]
-            probs, edges, _ = entry
-            if entry is off:
-                t = len(y)
-                mus.extend((probs,) * (len(draws) - t))
-                y += tuple(tail[t:])
-                break
-            mus.append(probs)
-            y += (bisect_right(edges, u),)
-        yield y, tuple(mus)
+    uniform array ``U``, with ``mus[t]`` the probabilities at ``y[:t]``: row
+    i is the rollout that draws ``U[i, t]`` at step t and picks token
+    ``bisect_right(edges, u)`` of the entry at ``y[:t]``. The model answers
+    through ``_rollouts``: a chain model maps a block of two or more rows in
+    numpy, and every other family walks each row's on-structure head step
+    by step."""
+    return model._rollouts(U)
 
 
 def rollout(model, rng: np.random.Generator) -> tuple:

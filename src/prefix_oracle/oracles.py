@@ -54,6 +54,9 @@ NOISE_ADVERSARIAL = "adversarial-threshold"
 
 # Most root-start rollouts whose uniforms one block query draws in one call:
 # 64*H doubles, at most 724 KB at the largest horizon the caps allow (H = 1414).
+# A block of hidden-path rollouts at that horizon peaks near 2.5 MB in all:
+# the uniforms' token maps and the rows' y tuples, with one mus tuple per
+# distinct exit depth, not per row.
 ROLLOUT_BLOCK = 64
 
 
@@ -404,5 +407,8 @@ def ledger_to_csv(ledger: QueryLedger) -> str:
 
 
 def write_ledger_csv(ledger: QueryLedger, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(ledger_to_csv(ledger))
+    try:
+        with open(path, "w") as fh:
+            fh.write(ledger_to_csv(ledger))
+    except OSError as exc:
+        raise OSError(f"cannot write ledger to {path}: {exc}") from exc

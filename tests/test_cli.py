@@ -320,6 +320,22 @@ def test_recover_trie_logit_record(capsys):
     assert record["discipline_ok"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ["recover-hidden-path", "--K", "2", "--H", "4", "--lambda", "1"],
+    ["recover-trie-logit", "--K", "3", "--H", "2"],
+    ["recover-trie-sample", "--K", "3", "--H", "2"],
+    ["recover-seqscore", "--K", "2", "--H", "3"],
+    ["bridge", "--K", "2", "--D", "1", "--L", "1", "--lambda", "1.5"],
+])
+def test_a_ledger_that_cannot_be_written_is_one_error_line_and_no_record(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "ledger.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write ledger to {out}: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 def test_recover_and_bridge_commands(capsys):
     code, record = _run(capsys, ["recover-hidden-path", "--K", "2", "--H", "6",
                                  "--lambda", "1", "--delta", "0.1", "--seed", "3"])

@@ -165,8 +165,19 @@ class _OffLastZero(UniformModel):
         return [1.0 / (self.vocab.K - 1)] * (self.vocab.K - 1) + [0.0]
 
 
+# Chains long and strong enough that rows follow z to its end (lambda 8), or
+# far enough to cross the first window of the block map (lambda 3); they
+# draw H up to 40, the other families up to 7.
+LONG_CHAINS = {
+    "hidden-path-strong": lambda vocab, rng: random_hidden_path_model(vocab, 8.0, rng),
+    "hidden-path-mid": lambda vocab, rng: random_hidden_path_model(vocab, 3.0, rng),
+    "bridge-hard-strong": lambda vocab, rng: random_bridge_instance(
+        vocab.K, 1, vocab.H - 2, 8.0, 0.5, 1.0, rng).hard_model(),
+}
+
 BLOCK_FAMILIES = {
     **ROLLOUT_FAMILIES,
+    **LONG_CHAINS,
     "callable-last-zero": lambda vocab, rng: _last_zero(vocab),
     "off-last-zero": lambda vocab, rng: _OffLastZero(vocab),
 }
@@ -180,16 +191,18 @@ def _row_stream(row):
 @given(
     family=st.sampled_from(sorted(BLOCK_FAMILIES)),
     K=st.integers(2, 4),
-    H=st.integers(1, 7),
+    data=st.data(),
     n=st.integers(1, ROLLOUT_BLOCK),
     model_seed=st.integers(0, 2**32 - 1),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_block_rollouts_match_scalar_reference_rollout(family, K, H, n, model_seed, seed):
+def test_block_rollouts_match_scalar_reference_rollout(family, K, data, n, model_seed, seed):
     """Each row of a block is the scalar reference rollout on that row's
-    doubles, whether its tail comes from the block map or the step walk."""
+    doubles, whether it comes from the chain map or the step walk, and its
+    tail from the off map or the walk."""
+    H = data.draw(st.integers(1, 40 if family in LONG_CHAINS else 7), label="H")
     assume(family != "leader-trie" or K >= 3)
-    assume(family != "bridge-hard" or H >= 3)
+    assume(not family.startswith("bridge-hard") or H >= 3)
     model = BLOCK_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     U = RNG(seed).random((n, H))
     pairs = list(rollouts(model, U))
@@ -211,6 +224,73 @@ def test_block_map_agrees_with_bisect_on_edges_and_the_last_double():
         (pair,) = rollouts(model, U)
         assert pair[0] == expected
         assert pair == _reference_rollout(model, _row_stream(U[0].tolist()))
+
+
+def _chain_row(model, depth, last=1 - 2**-53):
+    """Doubles that follow the chain of ``model`` and leave it by a mismatch
+    at step ``depth - 1``, or follow all of it when ``depth`` is None. Each
+    chain step draws its token's lower edge, or 1 - 2^-53 for token K; a
+    mismatch draws the upper edge, or the double below the lower one for
+    token K; every step off the chain draws ``last``."""
+    z, K = model.z, model.vocab.K
+    row = []
+    for t in range(model.vocab.H):
+        if t >= len(z) or (depth is not None and t >= depth):
+            row.append(last)
+            continue
+        cdf, k = model.next_cdf(z[:t]), z[t]
+        lower = 0.0 if k == 1 else cdf[k - 2]
+        if depth is None or t < depth - 1:
+            row.append(1 - 2**-53 if k == K else lower)
+        else:
+            row.append(math.nextafter(lower, 0.0) if k == K else cdf[k - 1])
+    return row
+
+
+@pytest.mark.parametrize("model", [
+    # K=3, lambda=3: a two-row block maps 30 chain columns first, then 60,
+    # then 70; a block of every row 67, then 70; a one-row block walks
+    random_hidden_path_model(VocabSpec(3, 70), 3.0, RNG(4)),
+    random_hidden_path_model(VocabSpec(2, 6), 0.0, RNG(5)),
+    random_bridge_instance(2, 3, 4, 1.0, 0.5, 1.0, RNG(6)).hard_model(),
+    random_bridge_instance(3, 2, 2, 0.0, 0.5, 1.0, RNG(7)).hard_model(),
+], ids=["hidden-path", "hidden-path-lambda-0", "bridge-hard", "bridge-hard-lambda-0"])
+def test_chain_block_edge_rows_match_the_reference_rollout(model):
+    """Rows that leave the chain at its first step, at each later step and
+    at the window bounds, or follow all of it (the bridge's D+L steps, then
+    its uniform last step), on doubles equal to an edge or 1 - 2^-53: each
+    is the reference rollout, in a block alone, with the next row, or with
+    every row."""
+    L = len(model.z)
+    exits = sorted({1, 2, 29, 30, 31, 59, 60, 61, L - 1, L} & set(range(1, L + 1)))
+    rows = [_chain_row(model, e) for e in exits] + [
+        _chain_row(model, None), _chain_row(model, None, last=0.5)]
+    blocks = [rows, *([row] for row in rows), *(rows[i:i + 2] for i in range(len(rows) - 1))]
+    for U in map(np.array, blocks):
+        pairs = list(rollouts(model, U))
+        for pair, row in zip(pairs, U.tolist()):
+            assert pair == _reference_rollout(model, _row_stream(row))
+    y = [pair[0] for pair in rollouts(model, np.array(rows))]
+    for e, got in zip(exits, y):  # each row leaves where it was built to
+        assert got[:e - 1] == model.z[:e - 1] and got[e - 1] != model.z[e - 1]
+    assert y[-1][:L] == y[-2][:L] == model.z
+
+
+@pytest.mark.parametrize("lam", [1.0, 8.0])
+def test_a_chain_block_at_the_largest_horizon_stays_small(lam):
+    # 64 rows at H = 1414, the largest horizon the caps allow: their y tuples
+    # hold 0.7 MB; a mus table built for every depth would add 16 MB
+    H = 1414
+    model = random_hidden_path_model(VocabSpec(2, H), lam, RNG(0))
+    U = RNG(1).random((ROLLOUT_BLOCK, H))
+    tracemalloc.start()
+    try:
+        pairs = list(rollouts(model, U))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == ROLLOUT_BLOCK
+    assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("n", [0, ROLLOUT_BLOCK + 1, 2.5, True])
