@@ -338,15 +338,12 @@ class _ChainModel(_CachedDistModel):
         at ``len(z)``: its tokens come from the chain map before that depth
         and from the off map after it, and its ``mus``, one tuple per
         distinct exit depth, from the chain's entries and then the off one.
+        Nothing is mapped before the first ``next``, as with the walk.
 
         Columns are mapped in windows, so a block builds few more entries
         (K floats each) than a walk would: the first,
         ``2 log(2n) / log(1/p_plus)`` columns, holds every row's exit but with
-        probability at most 1/(4n), and each later one doubles the columns.
-        A block of one row, a scalar no-reset query, walks: its step walk
-        costs less than the block map's twenty-odd numpy calls."""
-        if len(U) == 1:
-            return super()._rollouts(U)
+        probability at most 1/(4n), and each later one doubles the columns."""
         cache, z, off = self._dist_cache, self.z, self._off_entry()
         n, H = U.shape
         L, zs = len(z), np.array(z)
@@ -371,7 +368,7 @@ class _ChainModel(_CachedDistModel):
         heads = heads.tolist()
         probs = tuple(cache[k][0] for k in z[:max(heads)])
         mus = {t: probs[:t] + (off[0],) * (H - t) for t in set(heads)}
-        return zip(map(tuple, y.tolist()), map(mus.__getitem__, heads))
+        yield from zip(map(tuple, y.tolist()), map(mus.__getitem__, heads))
 
 
 @dataclass(frozen=True)
@@ -735,9 +732,9 @@ def rollouts(model, U: np.ndarray) -> Iterator[tuple]:
     uniform array ``U``, with ``mus[t]`` the probabilities at ``y[:t]``: row
     i is the rollout that draws ``U[i, t]`` at step t and picks token
     ``bisect_right(edges, u)`` of the entry at ``y[:t]``. The model answers
-    through ``_rollouts``: a chain model maps a block of two or more rows in
-    numpy, and every other family walks each row's on-structure head step
-    by step."""
+    through ``_rollouts``: a chain model maps the whole block in numpy on
+    the first ``next``, and every other family walks each row's
+    on-structure head step by step."""
     return model._rollouts(U)
 
 

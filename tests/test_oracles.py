@@ -248,8 +248,9 @@ def _chain_row(model, depth, last=1 - 2**-53):
 
 
 @pytest.mark.parametrize("model", [
-    # K=3, lambda=3: a two-row block maps 30 chain columns first, then 60,
-    # then 70; a block of every row 67, then 70; a one-row block walks
+    # K=3, lambda=3: a one-row block maps 15 chain columns first, then 30,
+    # 60 and 70; a two-row block 30, then 60 and 70; a block of every row
+    # all 70 at once
     random_hidden_path_model(VocabSpec(3, 70), 3.0, RNG(4)),
     random_hidden_path_model(VocabSpec(2, 6), 0.0, RNG(5)),
     random_bridge_instance(2, 3, 4, 1.0, 0.5, 1.0, RNG(6)).hard_model(),
@@ -262,7 +263,7 @@ def test_chain_block_edge_rows_match_the_reference_rollout(model):
     is the reference rollout, in a block alone, with the next row, or with
     every row."""
     L = len(model.z)
-    exits = sorted({1, 2, 29, 30, 31, 59, 60, 61, L - 1, L} & set(range(1, L + 1)))
+    exits = sorted({1, 2, 14, 15, 16, 29, 30, 31, 59, 60, 61, L - 1, L} & set(range(1, L + 1)))
     rows = [_chain_row(model, e) for e in exits] + [
         _chain_row(model, None), _chain_row(model, None, last=0.5)]
     blocks = [rows, *([row] for row in rows), *(rows[i:i + 2] for i in range(len(rows) - 1))]
@@ -291,6 +292,20 @@ def test_a_chain_block_at_the_largest_horizon_stays_small(lam):
         tracemalloc.stop()
     assert len(pairs) == ROLLOUT_BLOCK
     assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+@pytest.mark.parametrize("model", [
+    random_hidden_path_model(VocabSpec(2, 20), 1.0, RNG(0)),
+    random_bridge_instance(2, 3, 4, 1.0, 0.5, 1.0, RNG(1)).hard_model(),
+    UniformModel(VocabSpec(2, 20)),
+], ids=["hidden-path", "bridge-hard", "uniform"])
+def test_a_rollout_block_is_mapped_on_its_first_next(model):
+    # the block's work then runs inside the query_no_reset call that takes
+    # the first reply, where the tracer counts it
+    it = rollouts(model, RNG(2).random((ROLLOUT_BLOCK, model.vocab.H)))
+    assert not model._dist_cache
+    next(it)
+    assert model._dist_cache
 
 
 @pytest.mark.parametrize("n", [0, ROLLOUT_BLOCK + 1, 2.5, True])
