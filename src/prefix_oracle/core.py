@@ -75,7 +75,8 @@ def check_real(x, what: str) -> None:
 
 def check_enumeration(n: int, what: str) -> None:
     """The one size rule: refuse ``n`` items of ``what`` beyond the cap,
-    before anything is allocated."""
+    before anything is allocated. It bounds tokens, prefix tokens, prefixes,
+    completions and the cached probabilities of a chain or trie model."""
     if n > ENUMERATION_CAP:
         raise EnumerationCapError(f"{shown(n)} {what} exceed cap {ENUMERATION_CAP}")
 
@@ -192,6 +193,12 @@ class _CachedDistModel:
         """The K probabilities of distribution class ``key``."""
         raise NotImplementedError
 
+    def _check_cache_size(self) -> None:
+        """Refuse at construction a cache that could pass the cap: a class key
+        is a token, so ``min(K, len(_keys))`` keys and the off key, K floats each."""
+        K = self.vocab.K
+        check_enumeration((min(K, len(self._keys)) + 1) * K, "cached probabilities")
+
     @cached_property
     def _dist_cache(self) -> _DistCache:
         return _DistCache(self._build)
@@ -261,7 +268,8 @@ class CallableModel(_CachedDistModel):
     Intended for tests and user-supplied models. The callable may tell every
     prefix apart, so ``_keys`` maps each prefix to itself. ``fn`` must be
     a pure function of the prefix: the model calls it once per distinct
-    prefix and reuses the answer; an invalid answer is never stored.
+    prefix and reuses the answer; an invalid answer is never stored. No
+    cache size rule applies: every prefix asked is its own key.
     """
 
     vocab: VocabSpec
@@ -319,6 +327,7 @@ class _ChainModel(_CachedDistModel):
         object.__setattr__(self, "p_minus", p_minus)
         # a proper prefix of z is keyed by the chain token that follows it
         object.__setattr__(self, "_keys", {self.z[:t]: self.z[t] for t in range(len(self.z))})
+        self._check_cache_size()
 
     @property
     def delta(self) -> float:
@@ -338,36 +347,22 @@ class _ChainModel(_CachedDistModel):
         at ``len(z)``: its tokens come from the chain map before that depth
         and from the off map after it, and its ``mus``, one tuple per
         distinct exit depth, from the chain's entries and then the off one.
-        Nothing is mapped before the first ``next``, as with the walk.
-
-        Columns are mapped in windows, so a block builds few more entries
-        (K floats each) than a walk would: the first,
-        ``2 log(2n) / log(1/p_plus)`` columns, holds every row's exit but with
-        probability at most 1/(4n), and each later one doubles the columns."""
+        Nothing is mapped before the first ``next``, as with the walk; every
+        key of ``z`` is read, and ``_check_cache_size`` bounds their entries."""
         cache, z, off = self._dist_cache, self.z, self._off_entry()
-        n, H = U.shape
         L, zs = len(z), np.array(z)
         y = _off_tokens(off, U)
-        chain = np.empty((n, L), dtype=y.dtype)
-        p = self.p_plus
-        start, stop = 0, L if p == 1.0 else math.ceil(2 * math.log(2 * n) / -math.log(p))
-        while True:
-            stop = min(stop, L)
-            for k in set(z[start:stop]):
-                cols = start + np.flatnonzero(zs[start:stop] == k)
-                chain[:, cols] = np.searchsorted(np.array(cache[k][1]), U[:, cols], side="right")
-            miss = chain[:, :stop] != zs[:stop]
-            if stop == L:
-                miss[:, -1] = True  # matching all of z leaves at len(z), as missing its last token does
-                break
-            if miss.any(axis=1).all():
-                break
-            start, stop = stop, 2 * stop
+        chain = np.empty((len(U), L), dtype=y.dtype)
+        for k in set(z):
+            cols = np.flatnonzero(zs == k)
+            chain[:, cols] = np.searchsorted(np.array(cache[k][1]), U[:, cols], side="right")
+        miss = chain != zs
+        miss[:, -1] = True  # matching all of z leaves at len(z), as missing its last token does
         heads = miss.argmax(axis=1) + 1
-        np.copyto(y[:, :stop], chain[:, :stop], where=np.arange(stop) < heads[:, None])
+        np.copyto(y[:, :L], chain, where=np.arange(L) < heads[:, None])
         heads = heads.tolist()
         probs = tuple(cache[k][0] for k in z[:max(heads)])
-        mus = {t: probs[:t] + (off[0],) * (H - t) for t in set(heads)}
+        mus = {t: probs[:t] + (off[0],) * (U.shape[1] - t) for t in set(heads)}
         yield from zip(map(tuple, y.tolist()), map(mus.__getitem__, heads))
 
 
@@ -489,6 +484,7 @@ class LeaderTrieModel(_CachedDistModel):
 
     def __post_init__(self):
         object.__setattr__(self, "_keys", self.trie.branch)  # internal node -> hidden child
+        self._check_cache_size()
 
     @property
     def vocab(self) -> VocabSpec:

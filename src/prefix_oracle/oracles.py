@@ -54,9 +54,9 @@ NOISE_ADVERSARIAL = "adversarial-threshold"
 
 # Most root-start rollouts whose uniforms one block query draws in one call:
 # 64*H doubles, at most 724 KB at the largest horizon the caps allow (H = 1414).
-# A block of hidden-path rollouts at that horizon peaks near 3 MB in all:
-# the uniforms' token maps and the rows' y tuples, with one mus tuple per
-# distinct exit depth, not per row.
+# A block of hidden-path rollouts at that horizon peaks near 3 MB: the uniforms'
+# token maps and the rows' y tuples, with one mus tuple per exit depth. The
+# cache entries it reads come on top, bounded when the model is built.
 ROLLOUT_BLOCK = 64
 
 

@@ -311,6 +311,27 @@ def test_recover_trie_over_node_cap_is_one_error_line(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["recover-hidden-path", "--K", "1000000", "--H", "6", "--lambda", "20"], 7_000_000),
+    (["recover-trie-logit", "--K", "100000", "--H", "4"], 1_600_000),
+    (["bridge", "--K", "100000", "--D", "5", "--L", "5"], 1_100_000),
+    (["analyze", "reach", "--family", "leader-trie", "--K", "100000", "--H", "4"], 1_600_000),
+    # without --lambda 20 the vote-stage cap refuses this config first
+    (["experiment", "hidden-path-scaling", "--K", "100000", "--H", "12", "--lambda", "20",
+      "--trials", "1"], 1_300_000),
+])
+def test_a_model_cache_over_cap_is_one_error_line_and_no_output(argv, n, tmp_path, capsys):
+    # (min(K, class keys) + 1) * K cached floats, refused when the model is built
+    out = tmp_path / "out.txt"
+    if argv[0] != "analyze":  # analyze has no --out
+        argv = [*argv, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {n} cached probabilities exceed cap 1000000\n"
+    assert not out.exists()
+
+
 def test_recover_trie_logit_record(capsys):
     code, record = _run(capsys, ["recover-trie-logit", "--K", "3", "--H", "3",
                                  "--xi", "0", "--seed", "7"])

@@ -8,11 +8,13 @@ import sys
 from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from prefix_oracle import core
 from prefix_oracle.core import (
     PROB_ATOL,
     ROOT,
@@ -28,6 +30,7 @@ from prefix_oracle.core import (
     VocabSpec,
     HARD,
     EASY,
+    ENUMERATION_CAP,
     _dist_entry,
     completion_distribution,
     format_prefix,
@@ -37,6 +40,7 @@ from prefix_oracle.core import (
     random_hidden_path_model,
     random_leader_trie,
     rollout,
+    rollouts,
     sample_trajectory,
     serialize_model,
     shown,
@@ -604,7 +608,11 @@ def test_sample_trajectory_matches_trajectory_prob():
     target_p = trajectory_prob(model, model.z)
     n = 100_000
     rng = RNG(123)
-    hits = sum(sample_trajectory(model, rng) == model.z for _ in range(n))
+    # one block of n rows: the same doubles as n one-row sample_trajectory calls
+    ys = [y for y, _ in rollouts(model, rng.random((n, model.vocab.H)))]
+    hits = ys.count(model.z)
+    rng = RNG(123)
+    assert [sample_trajectory(model, rng) for _ in range(1000)] == ys[:1000]
     margin = 3 * math.sqrt(target_p * (1 - target_p) / n)
     assert abs(hits / n - target_p) <= margin
 
@@ -634,6 +642,42 @@ def test_one_enumeration_rule_bounds_tokens_and_prefixes():
     assert VocabSpec(2, 1414).H == 1414  # 998991 prefix tokens
     with pytest.raises(EnumerationCapError, match="^1000405 prefix tokens exceed cap"):
         VocabSpec(2, 1415)
+
+
+def _built_exactly_when_the_cache_fits(build, K, H, keys):
+    """``build`` makes a model of ``keys`` class keys at (K, H) exactly when
+    its (min(K, keys) + 1) * K cached floats fit the cap, and a refused
+    model raises before any cache exists."""
+    n = (min(K, keys) + 1) * K
+    with mock.patch.object(core, "_DistCache", side_effect=AssertionError("cache built")):
+        if n <= ENUMERATION_CAP:
+            assert "_dist_cache" not in vars(build(VocabSpec(K, H), RNG(0)))
+        else:
+            with pytest.raises(EnumerationCapError,
+                               match=f"^{n} cached probabilities exceed cap 1000000$"):
+                build(VocabSpec(K, H), RNG(0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(2, 2000), st.integers(2, 10**6)), st.integers(1, 1414))
+@example(1000, 999)  # 1,000,000 floats: the cap itself
+@example(1000, 1000)
+@example(500_000, 1)  # one chain key and the off key
+@example(500_001, 1)
+def test_a_hidden_path_is_built_exactly_when_its_cache_fits(K, H):
+    _built_exactly_when_the_cache_fits(
+        lambda vocab, rng: random_hidden_path_model(vocab, 1.0, rng), K, H, H)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(3, 2000), st.integers(3, 10**6)), st.integers(1, 10))
+@example(999, 10)  # 1023 nodes: (999 + 1) * 999 floats
+@example(1000, 10)
+@example(250_000, 2)  # 3 nodes: the cap itself
+@example(250_001, 2)
+def test_a_leader_trie_model_is_built_exactly_when_its_cache_fits(K, H):
+    _built_exactly_when_the_cache_fits(
+        lambda vocab, rng: LeaderTrieModel(random_leader_trie(vocab, rng)), K, H, 2**H - 1)
 
 
 @settings(max_examples=50, deadline=None)

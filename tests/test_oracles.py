@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from prefix_oracle.algorithms import recover_hidden_path
 from prefix_oracle.core import (
     ROOT,
     CallableModel,
@@ -166,8 +167,8 @@ class _OffLastZero(UniformModel):
 
 
 # Chains long and strong enough that rows follow z to its end (lambda 8), or
-# far enough to cross the first window of the block map (lambda 3); they
-# draw H up to 40, the other families up to 7.
+# leave it at depths from the first step to past the thirtieth (lambda 3);
+# they draw H up to 40, the other families up to 7.
 LONG_CHAINS = {
     "hidden-path-strong": lambda vocab, rng: random_hidden_path_model(vocab, 8.0, rng),
     "hidden-path-mid": lambda vocab, rng: random_hidden_path_model(vocab, 3.0, rng),
@@ -248,9 +249,7 @@ def _chain_row(model, depth, last=1 - 2**-53):
 
 
 @pytest.mark.parametrize("model", [
-    # K=3, lambda=3: a one-row block maps 15 chain columns first, then 30,
-    # 60 and 70; a two-row block 30, then 60 and 70; a block of every row
-    # all 70 at once
+    # K=3, lambda=3: a 70-token chain, left at early, middle and late depths
     random_hidden_path_model(VocabSpec(3, 70), 3.0, RNG(4)),
     random_hidden_path_model(VocabSpec(2, 6), 0.0, RNG(5)),
     random_bridge_instance(2, 3, 4, 1.0, 0.5, 1.0, RNG(6)).hard_model(),
@@ -258,8 +257,8 @@ def _chain_row(model, depth, last=1 - 2**-53):
 ], ids=["hidden-path", "hidden-path-lambda-0", "bridge-hard", "bridge-hard-lambda-0"])
 def test_chain_block_edge_rows_match_the_reference_rollout(model):
     """Rows that leave the chain at its first step, at each later step and
-    at the window bounds, or follow all of it (the bridge's D+L steps, then
-    its uniform last step), on doubles equal to an edge or 1 - 2^-53: each
+    at depths 14-16, 29-31 and 59-61, or follow all of it (the bridge's D+L
+    steps, then its uniform last step), on doubles equal to an edge or 1 - 2^-53: each
     is the reference rollout, in a block alone, with the next row, or with
     every row."""
     L = len(model.z)
@@ -292,6 +291,22 @@ def test_a_chain_block_at_the_largest_horizon_stays_small(lam):
         tracemalloc.stop()
     assert len(pairs) == ROLLOUT_BLOCK
     assert peak < 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_a_model_admitted_at_the_cache_cap_stays_within_it():
+    # K = 10^5, H = 9: (9 + 1) * 10^5 cached floats, the cap itself. A block
+    # and a recovery share the entries of the 9 chain keys and the off key,
+    # about 69 MB, and the bound leaves room for little else
+    model = random_hidden_path_model(VocabSpec(10**5, 9), 20.0, RNG(0))
+    tracemalloc.start()
+    try:
+        pairs = list(rollouts(model, RNG(1).random((ROLLOUT_BLOCK, 9))))
+        result = recover_hidden_path(OracleSession(model), 0.1, RNG(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == ROLLOUT_BLOCK and result.recovered == model.z
+    assert peak < 120 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 @pytest.mark.parametrize("model", [
