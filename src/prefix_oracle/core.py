@@ -154,11 +154,11 @@ def _dist_entry(probs) -> tuple:
     return probs, edges + (math.inf,) * (len(probs) - 1 - last), logs
 
 
-def _off_tokens(off, U: np.ndarray) -> np.ndarray:
-    """The token every draw of ``U`` picks through the entry ``off``, in one
-    ``np.searchsorted(edges, U, side="right")``: the same token as
+def _off_tokens(edges, U: np.ndarray) -> np.ndarray:
+    """The token every draw of ``U`` picks through the off entry's ``edges``,
+    in one ``np.searchsorted(edges, U, side="right")``: the same token as
     ``bisect_right`` on the same doubles, +inf edges included."""
-    return np.searchsorted(np.array(off[1]), U, side="right")
+    return np.searchsorted(edges, U, side="right")
 
 
 class _DistCache(dict):
@@ -218,7 +218,7 @@ class _CachedDistModel:
         no off entry walks every step."""
         cache, key, off = self._dist_cache, self._keys.get, self._off_entry()
         rows = U.tolist()  # a model with no off entry never reads its tails
-        tails = rows if off is None else _off_tokens(off, U).tolist()
+        tails = rows if off is None else _off_tokens(off[1], U).tolist()
         for draws, tail in zip(rows, tails):
             y, mus = (), []
             for u in draws:
@@ -339,31 +339,43 @@ class _ChainModel(_CachedDistModel):
             return [1.0 / K] * K
         return _peaked(K, key, self.p_plus, self.p_minus)
 
+    @cached_property
+    def _chain_map(self) -> tuple:
+        """What the block map reads, built once, in the model's first block:
+        ``zs``, the off edges, the bounds ``[lo_t, hi_t)`` of token ``z[t]``
+        in the entry keyed ``z[t]`` (``hi_t`` +inf for token K), and those
+        entries' probabilities and edges, bounded by ``_check_cache_size``."""
+        K, z = self.vocab.K, self.z
+        probs, edges, _ = zip(*map(self._dist_cache.__getitem__, z))
+        lo = np.array([e[k - 1] for e, k in zip(edges, z)])
+        hi = np.array([e[k] if k < K else math.inf for e, k in zip(edges, z)])
+        return np.array(z), np.array(self._off_entry()[1]), lo, hi, probs, edges
+
     def _rollouts(self, U: np.ndarray) -> Iterator[tuple]:
         """``rollouts`` without a step walk. The one structure prefix at
-        depth t < len(z) is ``z[:t]``, so chain column t is mapped through the
-        entry keyed ``z[t]``, one ``np.searchsorted`` per distinct key. A row
-        leaves the chain one step past its first mismatch against ``z``, or
-        at ``len(z)``: its tokens come from the chain map before that depth
-        and from the off map after it, and its ``mus``, one tuple per
-        distinct exit depth, from the chain's entries and then the off one.
-        Nothing is mapped before the first ``next``, as with the walk; every
-        key of ``z`` is read, and ``_check_cache_size`` bounds their entries."""
-        cache, z, off = self._dist_cache, self.z, self._off_entry()
-        L, zs = len(z), np.array(z)
-        y = _off_tokens(off, U)
-        chain = np.empty((len(U), L), dtype=y.dtype)
-        for k in set(z):
-            cols = np.flatnonzero(zs == k)
-            chain[:, cols] = np.searchsorted(np.array(cache[k][1]), U[:, cols], side="right")
-        miss = chain != zs
-        miss[:, -1] = True  # matching all of z leaves at len(z), as missing its last token does
-        heads = miss.argmax(axis=1) + 1
-        np.copyto(y[:, :L], chain, where=np.arange(L) < heads[:, None])
-        heads = heads.tolist()
-        probs = tuple(cache[k][0] for k in z[:max(heads)])
-        mus = {t: probs[:t] + (off[0],) * (U.shape[1] - t) for t in set(heads)}
-        yield from zip(map(tuple, y.tolist()), map(mus.__getitem__, heads))
+        depth t < len(z) is ``z[:t]``, and ``bisect_right(edges, u) == z[t]``
+        holds exactly when ``lo_t <= u < hi_t``: two compares over the chain
+        columns and one ``argmin`` find each row's exit, its first mismatch
+        or else its last chain column. A row's tokens are ``z`` before its
+        exit, ``bisect_right`` on the exit double and the off map after it;
+        its ``mus``, one tuple per distinct exit in the block, are the
+        chain's probabilities through the exit and then the off entry's.
+        Nothing is mapped before the first ``next``, as with the walk."""
+        zs, off_edges, lo, hi, probs, edges = self._chain_map
+        L, H = len(zs), U.shape[1]
+        y = _off_tokens(off_edges, U)
+        head = U[:, :L]
+        hit = (lo <= head) & (head < hi)
+        hit[:, -1] = False  # a row that matches all of z leaves at len(z), past its last column
+        exits = hit.argmin(axis=1)
+        np.copyto(y[:, :L], zs, where=np.arange(L) < exits[:, None])
+        us = U[np.arange(len(U)), exits].tolist()
+        exits = exits.tolist()
+        off = self._off_entry()[0]
+        mus = {e: probs[:e + 1] + (off,) * (H - 1 - e) for e in set(exits)}
+        for row, e, u in zip(y.tolist(), exits, us):
+            row[e] = bisect_right(edges[e], u)
+            yield tuple(row), mus[e]
 
 
 @dataclass(frozen=True)
@@ -696,12 +708,14 @@ def trajectory_logprob(model, y: Completion, prefix_scores=None) -> float:
     take every call off CPython's specialized path."""
     if prefix_scores is None:
         model.vocab.check_completion(y)  # so every y[:t] below is a valid prefix
-    lookup, off = model._lookup, model._off_entry()
     n = len(y)
     t = n - 1 if prefix_scores is not None else 0
     while t and (prefix_scores[t] is None or prefix_scores[t][0] != y[:t]):
         t -= 1
-    _, total, entry = prefix_scores[t] if t else (ROOT, 0.0, lookup(ROOT))
+    _, total, entry = prefix_scores[t] if t else (ROOT, 0.0, model._lookup(ROOT))
+    if t == n - 1:  # one step left: total + -inf is -inf, and no slot is filled
+        return total + entry[2][y[t] - 1]
+    lookup, off = model._lookup, model._off_entry()
     while True:  # entry is the one at y[:t]
         lp = entry[2][y[t] - 1]
         if lp == -math.inf:
@@ -728,9 +742,10 @@ def rollouts(model, U: np.ndarray) -> Iterator[tuple]:
     uniform array ``U``, with ``mus[t]`` the probabilities at ``y[:t]``: row
     i is the rollout that draws ``U[i, t]`` at step t and picks token
     ``bisect_right(edges, u)`` of the entry at ``y[:t]``. The model answers
-    through ``_rollouts``: a chain model maps the whole block in numpy on
-    the first ``next``, and every other family walks each row's
-    on-structure head step by step."""
+    through ``_rollouts``, on the first ``next``: a chain model finds every
+    row's exit from the chain with two compares against its chain tokens'
+    bounds and searches only the exit double, and every other family walks
+    each row's on-structure head step by step."""
     return model._rollouts(U)
 
 

@@ -14,6 +14,7 @@ import math
 import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import compress, groupby
 from operator import countOf, indexOf, itemgetter
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -54,9 +55,9 @@ NOISE_ADVERSARIAL = "adversarial-threshold"
 
 # Most root-start rollouts whose uniforms one block query draws in one call:
 # 64*H doubles, at most 724 KB at the largest horizon the caps allow (H = 1414).
-# A block of hidden-path rollouts at that horizon peaks near 3 MB: the uniforms'
-# token maps and the rows' y tuples, with one mus tuple per exit depth. The
-# cache entries it reads come on top, bounded when the model is built.
+# A block of hidden-path rollouts at that horizon peaks near 2.4 MB, all rows
+# kept (tracemalloc): the uniforms' token map and the rows' y tuples, with one
+# mus tuple per exit. The cache entries come on top, bounded at model build.
 ROLLOUT_BLOCK = 64
 
 
@@ -70,6 +71,11 @@ class PathFullReply(NamedTuple):
 
     y: Completion
     mus: tuple  # H tuples of K floats
+
+
+# A PathFullReply from a (y, mus) pair in one C call: what ``_make`` does,
+# without its Python frame and its length check (every pair has two items).
+_pathfull_reply = partial(tuple.__new__, PathFullReply)
 
 
 @dataclass(frozen=True)
@@ -285,7 +291,7 @@ class OracleSession:
         return rollouts(self.model, rng.random((1, self.vocab.H)))
 
     def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
-        return self.query_no_reset(self._rollout(rng), PathFullReply._make, PATHFULL)
+        return self.query_no_reset(self._rollout(rng), _pathfull_reply, PATHFULL)
 
     def query_output_only(self, rng: np.random.Generator) -> Completion:
         return self.query_no_reset(self._rollout(rng), postprocess_output_only, OUTPUT_ONLY)
@@ -305,7 +311,7 @@ class OracleSession:
         call: one query per rollout, recorded as its reply is taken."""
         check_count(n, "rollout block size n", 1, ROLLOUT_BLOCK)
         pairs = rollouts(self.model, rng.random((n, self.vocab.H)))
-        return (self.query_no_reset(pairs, PathFullReply._make, PATHFULL) for _ in range(n))
+        return (self.query_no_reset(pairs, _pathfull_reply, PATHFULL) for _ in range(n))
 
     # -- chosen-prefix interfaces -------------------------------------------
 

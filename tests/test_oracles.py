@@ -276,6 +276,49 @@ def test_chain_block_edge_rows_match_the_reference_rollout(model):
     assert y[-1][:L] == y[-2][:L] == model.z
 
 
+CHAIN_FAMILIES = {
+    "hidden-path": lambda vocab, lam, rng: random_hidden_path_model(vocab, lam, rng),
+    "bridge-hard": lambda vocab, lam, rng: random_bridge_instance(
+        vocab.K, 1, vocab.H - 2, lam, 0.5, 1.0, rng).hard_model(),
+}
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(CHAIN_FAMILIES)),
+    lam=st.sampled_from([0.0, 1.0, 3.0, 8.0]),
+    K=st.integers(2, 6),
+    data=st.data(),
+    follow=st.sampled_from([0.25, 0.9, 0.99]),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_chain_block_on_edge_doubles_matches_the_reference_rollout(
+        family, lam, K, data, follow, model_seed, seed):
+    """Every cell of a chain block is its column's lower bound ``lo`` (the
+    chain token's first double), its upper bound ``hi`` (the next token's
+    first), the double below ``lo`` or 1 - 2^-53, so the block's two
+    compares meet each bound from both sides; n <= K is drawn often, so the
+    rows of a block may leave the chain on as many distinct keys. Each row
+    is the reference rollout on its doubles."""
+    H = data.draw(st.integers(3 if family == "bridge-hard" else 1, 40), label="H")
+    n = data.draw(st.integers(1, K) | st.integers(1, ROLLOUT_BLOCK), label="n")
+    model = CHAIN_FAMILIES[family](VocabSpec(K, H), lam, RNG(model_seed))
+    z, off = model.z, model._off_entry()[1]
+    cells = []
+    for t in range(H):
+        k, edges = (z[t], model._dist_cache[z[t]][1]) if t < len(z) else (1 + t % K, off)
+        lo, hi = edges[k - 1], edges[k] if k < K else 1 - 2**-53  # token k is [lo, hi)
+        cells.append([lo, hi, math.nextafter(lo, 0.0), 1 - 2**-53])
+    pick = RNG(seed).choice(4, size=(n, H), p=[follow, *[(1 - follow) / 3] * 3])
+    U = np.array(cells)[np.arange(H), pick]
+    assert ((U >= 0.0) & (U < 1.0)).all()
+    pairs = list(rollouts(model, U))
+    assert len(pairs) == n
+    for pair, row in zip(pairs, U.tolist()):
+        assert pair == _reference_rollout(model, _row_stream(row))
+
+
 @pytest.mark.parametrize("lam", [1.0, 8.0])
 def test_a_chain_block_at_the_largest_horizon_stays_small(lam):
     # 64 rows at H = 1414, the largest horizon the caps allow: their y tuples
@@ -358,6 +401,30 @@ def test_pathfull_block_records_only_the_replies_taken(family, K, H, n, j, model
     assert all(type(reply) is PathFullReply for reply in taken)
     assert block.ledger.records == scalar.ledger.records
     assert len(block.ledger.records) == j
+
+
+@pytest.mark.parametrize("family", ["hidden-path", "bridge-hard", "uniform"])
+@pytest.mark.parametrize("j", [0, 1, 17, ROLLOUT_BLOCK])
+def test_block_replies_are_counted_pathfull_queries(monkeypatch, family, j):
+    """Under a counting ``query_no_reset`` patched on the class, where the
+    tracer wraps it, j replies taken from a block are j calls and j records;
+    each is a ``PathFullReply`` equal to a scalar PathFull query's."""
+    model = ROLLOUT_FAMILIES[family](VocabSpec(2, 20), RNG(3))
+    calls, query = [], OracleSession.query_no_reset
+
+    def counted(self, *args):
+        calls.append(args[2])
+        return query(self, *args)
+
+    monkeypatch.setattr(OracleSession, "query_no_reset", counted)
+    session = OracleSession(model)
+    taken = list(islice(session.query_pathfull_block(RNG(4), ROLLOUT_BLOCK), j))
+    assert calls == [PATHFULL] * j and len(session.ledger.records) == j
+    assert all(type(reply) is PathFullReply for reply in taken)
+    scalar, rng = OracleSession(model), RNG(4)
+    assert taken == [scalar.query_pathfull(rng) for _ in range(j)]
+    assert all(type(record[2]) is PathFullReply for record in scalar.ledger.records)
+    assert [record[2] for record in session.ledger.records] == taken
 
 
 @settings(max_examples=80, deadline=None, database=None)
