@@ -31,6 +31,7 @@ from .core import (
     random_hidden_path_model,
     random_leader_trie,
     serialize_model,
+    shown,
     twin_hidden_path_models,
 )
 from .experiments import CONFIG_KEYS, KEY_ALIASES, config_from_mapping, parse_number, trial_rng
@@ -67,7 +68,7 @@ def parse_prefix_set(text: str, z=None):
         try:
             prefixes.add(parse_prefix(piece.strip()))
         except ValueError as exc:
-            raise ValueError(f"--U cannot read the prefix {piece!r}: {exc}") from None
+            raise ValueError(f"--U cannot read the prefix {shown(piece)}: {exc}") from None
     return frozenset(prefixes)
 
 

@@ -50,8 +50,12 @@ class EnumerationCapError(ValueError):
 
 
 def shown(n) -> str:
-    """``n`` for an error line: as written, or an int of more than 20 digits
-    by its digit count (``<401 digits>``), so the line stays short."""
+    """``n`` for an error line: as written (a str quoted), or by its size so
+    that the line stays short: an int of more than 20 digits by its digit
+    count (``<401 digits>``), a str of more than 40 characters by its length
+    (``<3000 characters>``)."""
+    if type(n) is str:
+        return repr(n) if len(n) <= 40 else f"<{len(n)} characters>"
     if type(n) is not int or -10**20 < n < 10**20:
         return str(n)
     m = abs(n)
@@ -100,14 +104,18 @@ class VocabSpec:
         if len(p) >= self.H:
             raise InvalidPrefixError(f"prefix of length {len(p)} with horizon {self.H}")
         if not self._all_tokens(p):
-            raise InvalidPrefixError(f"prefix {p} has tokens that are not integers in 1..{self.K}")
+            raise InvalidPrefixError(self._bad_token("prefix", p))
 
     def check_completion(self, y: Completion) -> None:
         if len(y) != self.H:
             raise InvalidCompletionError(f"completion of length {len(y)}, expected {self.H}")
         if not self._all_tokens(y):
-            raise InvalidCompletionError(
-                f"completion {y} has tokens that are not integers in 1..{self.K}")
+            raise InvalidCompletionError(self._bad_token("completion", y))
+
+    def _bad_token(self, what: str, seq) -> str:
+        """The error line for the first entry of ``seq`` that is not a token."""
+        i, a = next((i, a) for i, a in enumerate(seq) if not self._all_tokens((a,)))
+        return f"{what} token {shown(a)} at index {i} is not an integer in 1..{self.K}"
 
     def _all_tokens(self, seq) -> bool:
         """Every entry is an int or numpy integer in 1..K; bools and floats
@@ -152,13 +160,6 @@ def _dist_entry(probs) -> tuple:
     last = max((i for i, p in enumerate(probs) if p > 0.0), default=len(probs) - 1)
     edges = (0.0, *itertools.accumulate(probs[:last]))
     return probs, edges + (math.inf,) * (len(probs) - 1 - last), logs
-
-
-def _off_tokens(edges, U: np.ndarray) -> np.ndarray:
-    """The token every draw of ``U`` picks through the off entry's ``edges``,
-    in one ``np.searchsorted(edges, U, side="right")``: the same token as
-    ``bisect_right`` on the same doubles, +inf edges included."""
-    return np.searchsorted(edges, U, side="right")
 
 
 class _DistCache(dict):
@@ -210,15 +211,19 @@ class _CachedDistModel:
         """The entry of every prefix off the model's structure (key 0)."""
         return self._dist_cache[0]
 
-    def _rollouts(self, U: np.ndarray) -> Iterator[tuple]:
-        """``rollouts`` by the step walk. Each step reads the cache at the
-        prefix's class key, unchecked (prefixes hold sampled tokens); a draw
-        u picks ``bisect_right(edges, u)``. Once a row reads the off entry,
-        its tail is sliced from the block's ``_off_tokens`` map; a model with
-        no off entry walks every step."""
+    def rollouts(self, U: np.ndarray) -> Iterator[tuple]:
+        """Root-to-leaf rollouts ``(y, mus)``, one per row of the ``(n, H)``
+        uniform array ``U``, mapped from the first ``next``: row i draws
+        ``U[i, t]`` at step t and picks token ``bisect_right(edges, u)`` of the
+        entry at ``y[:t]``, whose probabilities are ``mus[t]``. This is the step
+        walk, over cache entries read unchecked (prefixes hold sampled tokens);
+        a chain model overrides it with a block map. Once a row reads the off
+        entry, its tail is sliced from ``np.searchsorted(edges, U, side="right")``
+        over the block: the same tokens as ``bisect_right`` on the same doubles,
+        +inf edges included. A model with no off entry walks every step."""
         cache, key, off = self._dist_cache, self._keys.get, self._off_entry()
         rows = U.tolist()  # a model with no off entry never reads its tails
-        tails = rows if off is None else _off_tokens(off[1], U).tolist()
+        tails = rows if off is None else np.searchsorted(off[1], U, side="right").tolist()
         for draws, tail in zip(rows, tails):
             y, mus = (), []
             for u in draws:
@@ -351,19 +356,18 @@ class _ChainModel(_CachedDistModel):
         hi = np.array([e[k] if k < K else math.inf for e, k in zip(edges, z)])
         return np.array(z), np.array(self._off_entry()[1]), lo, hi, probs, edges
 
-    def _rollouts(self, U: np.ndarray) -> Iterator[tuple]:
-        """``rollouts`` without a step walk. The one structure prefix at
+    def rollouts(self, U: np.ndarray) -> Iterator[tuple]:
+        """The base ``rollouts`` without a step walk. The one structure prefix at
         depth t < len(z) is ``z[:t]``, and ``bisect_right(edges, u) == z[t]``
         holds exactly when ``lo_t <= u < hi_t``: two compares over the chain
         columns and one ``argmin`` find each row's exit, its first mismatch
         or else its last chain column. A row's tokens are ``z`` before its
         exit, ``bisect_right`` on the exit double and the off map after it;
         its ``mus``, one tuple per distinct exit in the block, are the
-        chain's probabilities through the exit and then the off entry's.
-        Nothing is mapped before the first ``next``, as with the walk."""
+        chain's probabilities through the exit and then the off entry's."""
         zs, off_edges, lo, hi, probs, edges = self._chain_map
         L, H = len(zs), U.shape[1]
-        y = _off_tokens(off_edges, U)
+        y = np.searchsorted(off_edges, U, side="right")
         head = U[:, :L]
         hit = (lo <= head) & (head < hi)
         hit[:, -1] = False  # a row that matches all of z leaves at len(z), past its last column
@@ -737,28 +741,6 @@ def trajectory_prob(model, y: Completion) -> float:
     return math.exp(trajectory_logprob(model, y))
 
 
-def rollouts(model, U: np.ndarray) -> Iterator[tuple]:
-    """Root-to-leaf rollouts ``(y, mus)``, one per row of the ``(n, H)``
-    uniform array ``U``, with ``mus[t]`` the probabilities at ``y[:t]``: row
-    i is the rollout that draws ``U[i, t]`` at step t and picks token
-    ``bisect_right(edges, u)`` of the entry at ``y[:t]``. The model answers
-    through ``_rollouts``, on the first ``next``: a chain model finds every
-    row's exit from the chain with two compares against its chain tokens'
-    bounds and searches only the exit double, and every other family walks
-    each row's on-structure head step by step."""
-    return model._rollouts(U)
-
-
-def rollout(model, rng: np.random.Generator) -> tuple:
-    """``rollouts`` over one ``rng.random((1, H))`` draw, the same doubles as H scalar draws."""
-    return next(rollouts(model, rng.random((1, model.vocab.H))))
-
-
-def sample_trajectory(model, rng: np.random.Generator) -> Completion:
-    """Draw a root-to-leaf rollout; deterministic given the generator state."""
-    return rollout(model, rng)[0]
-
-
 def completion_distribution(model) -> dict:
     """Exact trajectory distribution as a completion -> probability map: the exp of
     each ``trajectory_logprob``, all calls sharing one ``prefix_scores``."""
@@ -777,10 +759,17 @@ def format_prefix(p: Prefix) -> str:
 
 
 def parse_prefix(text: str) -> Prefix:
-    """Inverse of format_prefix; '-' is the root too."""
+    """Inverse of format_prefix; '-' is the root too. A piece that is not an
+    integer is named in the error."""
     if text in ("", "-"):
         return ROOT
-    return tuple(int(t) for t in text.split("."))
+    p = []
+    for t in text.split("."):
+        try:
+            p.append(int(t))
+        except ValueError:
+            raise ValueError(f"token {shown(t)} is not an integer") from None
+    return tuple(p)
 
 
 def serialize_model(model) -> str:

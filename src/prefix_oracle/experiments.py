@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
@@ -115,8 +116,9 @@ class ExperimentConfig:
             if not sweep:
                 raise ValueError(f"sweep {key} is empty")
             if len(set(sweep)) < len(sweep):
-                raise ValueError(
-                    f"sweep {key} repeats a value, got ({', '.join(map(shown, sweep))})")
+                counts = Counter(sweep)
+                again = next(v for v in sweep if counts[v] > 1)
+                raise ValueError(f"sweep {key} repeats a value: {shown(again)}")
         check_count(self.trials, "trial count", 1)
         check_count(self.seed, "seed", 0)
         for q in self.q:

@@ -31,7 +31,6 @@ from .core import (
     check_real,
     format_prefix,
     leader_trie_params,
-    rollouts,
     shown,
     trajectory_logprob,
 )
@@ -66,8 +65,8 @@ class DisciplineViolationError(RuntimeError):
 
 
 class PathFullReply(NamedTuple):
-    """One canonical rollout, the ``(y, mus)`` pair of ``core.rollout``: the
-    trajectory and every visited distribution, ``mus[t]`` the one at ``y[:t]``."""
+    """One canonical rollout, a ``(y, mus)`` pair of the model's ``rollouts``:
+    the trajectory and every visited distribution, ``mus[t]`` the one at ``y[:t]``."""
 
     y: Completion
     mus: tuple  # H tuples of K floats
@@ -281,36 +280,37 @@ class OracleSession:
 
     def query_no_reset(self, pairs: Iterator, post: Callable, kind: str):
         """Generic no-reset query of ``kind``: one rollout, the next ``(y, mus)``
-        pair of the ``core.rollouts`` iterator ``pairs``, post-processed; one record."""
+        pair of the model's ``rollouts`` iterator ``pairs``, post-processed; one record."""
         out = post(next(pairs))
         self.ledger.records.append((kind, None, out))
         return out
 
-    def _rollout(self, rng: np.random.Generator) -> Iterator:
-        """The rollout of one scalar no-reset query: one ``rng.random((1, H))`` row."""
-        return rollouts(self.model, rng.random((1, self.vocab.H)))
+    def _rollouts(self, rng: np.random.Generator, n: int) -> Iterator:
+        """The rollouts of ``n`` no-reset queries over one ``rng.random((n, H))``
+        draw, the one draw site: row i holds the doubles of the i-th scalar query."""
+        return self.model.rollouts(rng.random((n, self.vocab.H)))
 
     def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
-        return self.query_no_reset(self._rollout(rng), _pathfull_reply, PATHFULL)
+        return self.query_no_reset(self._rollouts(rng, 1), _pathfull_reply, PATHFULL)
 
     def query_output_only(self, rng: np.random.Generator) -> Completion:
-        return self.query_no_reset(self._rollout(rng), postprocess_output_only, OUTPUT_ONLY)
+        return self.query_no_reset(self._rollouts(rng, 1), postprocess_output_only, OUTPUT_ONLY)
 
     def query_output_with_logprobs(self, rng: np.random.Generator):
-        return self.query_no_reset(self._rollout(rng), postprocess_logprobs, OUTPUT_LOGPROBS)
+        return self.query_no_reset(self._rollouts(rng, 1), postprocess_logprobs, OUTPUT_LOGPROBS)
 
     def query_output_with_topk(self, rng: np.random.Generator, k: int):
         check_count(k, "top-k size k", 1, self.vocab.K)  # before the rollout is drawn
-        return self.query_no_reset(self._rollout(rng), lambda r: postprocess_topk(r, k),
+        return self.query_no_reset(self._rollouts(rng, 1), lambda r: postprocess_topk(r, k),
                                    OUTPUT_TOPK)
 
     def query_pathfull_block(self, rng: np.random.Generator, n: int) -> Iterator:
-        """``n`` PathFull queries over one ``rng.random((n, H))`` draw, row i
-        the doubles of the i-th scalar query, checked and drawn at call time.
-        The returned iterator answers each row by its own ``query_no_reset``
-        call: one query per rollout, recorded as its reply is taken."""
+        """``n`` PathFull queries over one ``_rollouts`` draw, checked and
+        drawn at call time. The returned iterator answers each row by its own
+        ``query_no_reset`` call: one query per rollout, recorded as its reply
+        is taken."""
         check_count(n, "rollout block size n", 1, ROLLOUT_BLOCK)
-        pairs = rollouts(self.model, rng.random((n, self.vocab.H)))
+        pairs = self._rollouts(rng, n)
         return (self.query_no_reset(pairs, _pathfull_reply, PATHFULL) for _ in range(n))
 
     # -- chosen-prefix interfaces -------------------------------------------

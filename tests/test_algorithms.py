@@ -260,7 +260,7 @@ def test_both_budgets_refuse_a_failure_budget_by_one_rule():
             majority_budget(0.5, 3, 2, bad)
         with pytest.raises(ValueError, match=message):
             trie_sample_budget(0.1, 3, 7, bad)
-    for bad, shown in [("0.1", "str 0.1"), (None, "NoneType None"), (1j, "complex 1j"),
+    for bad, shown in [("0.1", "str '0.1'"), (None, "NoneType None"), (1j, "complex 1j"),
                        (True, "bool True")]:
         message = rf"^failure budget delta must be a real number, got {re.escape(shown)}$"
         with pytest.raises(ValueError, match=message):
@@ -282,7 +282,7 @@ def test_both_budgets_refuse_their_other_arguments_naming_them():
         (lambda: trie_sample_budget(True, 3, 7, 0.1), f"{margin} {real} bool True"),
         (lambda: majority_budget(math.inf, 3, 2, 0.1), f"{gap} {positive} inf"),
         (lambda: majority_budget(math.nan, 3, 2, 0.1), f"{gap} {positive} nan"),
-        (lambda: majority_budget("0.5", 3, 2, 0.1), f"{gap} {real} str 0.5"),
+        (lambda: majority_budget("0.5", 3, 2, 0.1), f"{gap} {real} str '0.5'"),
         (lambda: majority_budget(0.5, 0, 2, 0.1), "vote rounds " + count.format(1, 0)),
         (lambda: majority_budget(0.5, 3, 1, 0.1), "vocabulary size K " + count.format(2, 1)),
         (lambda: trie_sample_budget(0.1, 1, 7, 0.1), "vocabulary size K " + count.format(2, 1)),

@@ -42,6 +42,7 @@ from prefix_oracle.core import (
     trajectory_prob,
     twin_hidden_path_models,
 )
+from prefix_oracle.oracles import postprocess_logprobs, postprocess_output_only, postprocess_topk
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -276,6 +277,39 @@ def test_tv_of_twin_hidden_paths_is_bounded_by_reaching_the_stem(K, H, lam, seed
     last_a, last_b = data.draw(st.lists(st.integers(1, K), min_size=2, max_size=2, unique=True))
     a, b = twin_hidden_path_models(VocabSpec(K, H), lam, stem, last_a, last_b)
     assert tv_distance(pathfull_law(a), pathfull_law(b)) <= reachability(a, {stem}) + 1e-10
+
+
+def _reply_law(model, post) -> dict:
+    """The one-query reply law of a root-start interface: ``post`` applied to
+    each completion's exact ``(y, mus)`` pair, weighted by its probability."""
+    law, H = {}, model.vocab.H
+    for y, prob in completion_distribution(model).items():
+        reply = post((y, tuple(model.next_probs(y[:t]) for t in range(H))))
+        law[reply] = law.get(reply, 0.0) + prob
+    return law
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    K=st.integers(2, 4),
+    H=st.integers(1, 4),
+    lam=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_every_root_start_interface_is_a_post_processing_of_pathfull(K, H, lam, seed, data):
+    """The reduction: each root-start reply is a function of the PathFull
+    reply, so no interface tells the twins apart better than PathFull, which
+    tells them apart no better than the chance of reaching their stem."""
+    stem = tuple(int(t) for t in RNG(seed).integers(1, K + 1, size=H - 1))
+    last_a, last_b = data.draw(st.lists(st.integers(1, K), min_size=2, max_size=2, unique=True))
+    a, b = twin_hidden_path_models(VocabSpec(K, H), lam, stem, last_a, last_b)
+    pathfull_tv = tv_distance(pathfull_law(a), pathfull_law(b))
+    assert pathfull_tv <= reachability(a, {stem}) + 1e-10
+    posts = [postprocess_output_only, postprocess_logprobs]
+    posts += [lambda r, k=k: postprocess_topk(r, k) for k in range(1, K + 1)]
+    for post in posts:
+        assert tv_distance(_reply_law(a, post), _reply_law(b, post)) <= pathfull_tv + 1e-12
 
 
 def test_tv_bounded_by_reachability_on_random_agreeing_pairs():

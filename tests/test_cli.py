@@ -136,6 +136,22 @@ def test_analyze_reach_names_a_prefix_it_cannot_read(capsys):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["analyze", "reach", "--U", "1" * 4000], "prefix token <4000 digits> at index 0"),
+    (["analyze", "reach", "--U", "x" * 3000], "the prefix <3000 characters>"),
+    (["analyze", "reach", "--H", "1000", "--U", ".".join(["7"] * 999)],
+     "prefix token 7 at index 0"),
+    (["experiment", "no-reset-hardness", "--H", "3", "--q",
+      ",".join(map(str, range(1, 2001))) + ",1"], "sweep q repeats a value: 1"),
+], ids=["long-token", "long-piece", "long-prefix", "long-sweep"])
+def test_long_text_input_gives_one_short_error_line(capsys, argv, named):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == "" and line.startswith("error: ") and len(line) < 200
+    assert named in line
+
+
 def test_analyze_tv_at_horizon_one_is_at_most_one(capsys):
     # each law sums slightly above 1 in floating point; TV is clamped to 1
     code, record = _run(capsys, ["analyze", "tv", "--H", "1"])
@@ -235,7 +251,7 @@ def test_experiment_repeated_sweep_value_is_one_error_line(capsys):
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: sweep q repeats a value, got (1, 1)\n"
+    assert captured.err == "error: sweep q repeats a value: 1\n"
 
 
 @pytest.mark.parametrize("argv", [

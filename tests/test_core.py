@@ -39,9 +39,6 @@ from prefix_oracle.core import (
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
-    rollout,
-    rollouts,
-    sample_trajectory,
     serialize_model,
     shown,
     signal_probs,
@@ -430,6 +427,12 @@ def test_shown_names_a_long_int_by_its_digit_count():
         assert shown(other) == str(other)
 
 
+def test_shown_quotes_a_str_and_names_a_long_one_by_its_length():
+    assert shown("1.x") == "'1.x'" and shown("x" * 40) == repr("x" * 40)
+    assert shown("x" * 41) == "<41 characters>"
+    assert shown("1" * 4000) == "<4000 characters>"
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_non_finite_floats_rejected_naming_the_field(bad):
     with pytest.raises(ValueError, match="lambda"):
@@ -495,9 +498,9 @@ def test_trajectory_logprob_length_check():
 def test_sample_trajectory_point_mass_and_determinism():
     vocab = VocabSpec(3, 4)
     point = CallableModel(vocab, lambda p: [0.0, 1.0, 0.0])
-    assert sample_trajectory(point, RNG(0)) == (2, 2, 2, 2)
-    model = random_hidden_path_model(vocab, 1.0, RNG(1))
-    assert sample_trajectory(model, RNG(9)) == sample_trajectory(model, RNG(9))
+    assert OracleSession(point).query_output_only(RNG(0)) == (2, 2, 2, 2)
+    session = OracleSession(random_hidden_path_model(vocab, 1.0, RNG(1)))
+    assert session.query_output_only(RNG(9)) == session.query_output_only(RNG(9))
 
 
 def _linear_scan_token(cdf, u, weights):
@@ -573,7 +576,7 @@ def test_callable_model_refuses_negative_or_non_finite_probabilities(probs):
     with pytest.raises(ValueError, match=r"distribution at \(2,\) has negative or non-finite"):
         model.next_probs((2,))
     with pytest.raises(ValueError, match="negative or non-finite"):
-        sample_trajectory(model, RNG(0))
+        OracleSession(model).query_output_only(RNG(0))
 
 
 @pytest.mark.parametrize("probs", [
@@ -585,7 +588,7 @@ def test_callable_model_refuses_probabilities_off_one(probs):
     with pytest.raises(ValueError, match=r"distribution at \(2,\) sums to .*, not 1"):
         model.next_probs((2,))
     with pytest.raises(ValueError, match=r"distribution at \(\) sums to"):
-        rollout(model, RNG(0))
+        next(model.rollouts(RNG(0).random((1, 2))))
     session, rng = OracleSession(model), RNG(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=r"distribution at \(1,\) sums to"):
@@ -608,11 +611,11 @@ def test_sample_trajectory_matches_trajectory_prob():
     target_p = trajectory_prob(model, model.z)
     n = 100_000
     rng = RNG(123)
-    # one block of n rows: the same doubles as n one-row sample_trajectory calls
-    ys = [y for y, _ in rollouts(model, rng.random((n, model.vocab.H)))]
+    # one block of n rows: the same doubles as n one-row OutputOnly queries
+    ys = [y for y, _ in model.rollouts(rng.random((n, model.vocab.H)))]
     hits = ys.count(model.z)
-    rng = RNG(123)
-    assert [sample_trajectory(model, rng) for _ in range(1000)] == ys[:1000]
+    rng, session = RNG(123), OracleSession(model)
+    assert [session.query_output_only(rng) for _ in range(1000)] == ys[:1000]
     margin = 3 * math.sqrt(target_p * (1 - target_p) / n)
     assert abs(hits / n - target_p) <= margin
 

@@ -27,9 +27,6 @@ from prefix_oracle.core import (
     random_bridge_instance,
     random_hidden_path_model,
     random_leader_trie,
-    rollout,
-    rollouts,
-    sample_trajectory,
     trajectory_logprob,
     trajectory_prob,
 )
@@ -149,7 +146,7 @@ def test_pathfull_matches_scalar_reference_rollout(family, K, H, model_seed, see
     reply = OracleSession(model).query_pathfull(rng)
     assert (reply.y, reply.mus) == _reference_rollout(model, ref_rng)
     assert rng.random() == ref_rng.random()  # same generator state afterwards
-    assert sample_trajectory(model, RNG(seed)) == reply.y
+    assert OracleSession(model).query_output_only(RNG(seed)) == reply.y
 
 
 def _last_zero(vocab):
@@ -206,7 +203,7 @@ def test_block_rollouts_match_scalar_reference_rollout(family, K, data, n, model
     assume(not family.startswith("bridge-hard") or H >= 3)
     model = BLOCK_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     U = RNG(seed).random((n, H))
-    pairs = list(rollouts(model, U))
+    pairs = list(model.rollouts(U))
     assert len(pairs) == n
     for pair, row in zip(pairs, U.tolist()):
         assert pair == _reference_rollout(model, _row_stream(row))
@@ -222,7 +219,7 @@ def test_block_map_agrees_with_bisect_on_edges_and_the_last_double():
     assert expected == (1, 2, 3, 3, 1, 2)
     # the block map (every prefix off) and the step walk (no off entry)
     for model in (_OffLastZero(vocab), _last_zero(vocab)):
-        (pair,) = rollouts(model, U)
+        (pair,) = model.rollouts(U)
         assert pair[0] == expected
         assert pair == _reference_rollout(model, _row_stream(U[0].tolist()))
 
@@ -267,10 +264,10 @@ def test_chain_block_edge_rows_match_the_reference_rollout(model):
         _chain_row(model, None), _chain_row(model, None, last=0.5)]
     blocks = [rows, *([row] for row in rows), *(rows[i:i + 2] for i in range(len(rows) - 1))]
     for U in map(np.array, blocks):
-        pairs = list(rollouts(model, U))
+        pairs = list(model.rollouts(U))
         for pair, row in zip(pairs, U.tolist()):
             assert pair == _reference_rollout(model, _row_stream(row))
-    y = [pair[0] for pair in rollouts(model, np.array(rows))]
+    y = [pair[0] for pair in model.rollouts(np.array(rows))]
     for e, got in zip(exits, y):  # each row leaves where it was built to
         assert got[:e - 1] == model.z[:e - 1] and got[e - 1] != model.z[e - 1]
     assert y[-1][:L] == y[-2][:L] == model.z
@@ -313,7 +310,7 @@ def test_chain_block_on_edge_doubles_matches_the_reference_rollout(
     pick = RNG(seed).choice(4, size=(n, H), p=[follow, *[(1 - follow) / 3] * 3])
     U = np.array(cells)[np.arange(H), pick]
     assert ((U >= 0.0) & (U < 1.0)).all()
-    pairs = list(rollouts(model, U))
+    pairs = list(model.rollouts(U))
     assert len(pairs) == n
     for pair, row in zip(pairs, U.tolist()):
         assert pair == _reference_rollout(model, _row_stream(row))
@@ -328,7 +325,7 @@ def test_a_chain_block_at_the_largest_horizon_stays_small(lam):
     U = RNG(1).random((ROLLOUT_BLOCK, H))
     tracemalloc.start()
     try:
-        pairs = list(rollouts(model, U))
+        pairs = list(model.rollouts(U))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -343,7 +340,7 @@ def test_a_model_admitted_at_the_cache_cap_stays_within_it():
     model = random_hidden_path_model(VocabSpec(10**5, 9), 20.0, RNG(0))
     tracemalloc.start()
     try:
-        pairs = list(rollouts(model, RNG(1).random((ROLLOUT_BLOCK, 9))))
+        pairs = list(model.rollouts(RNG(1).random((ROLLOUT_BLOCK, 9))))
         result = recover_hidden_path(OracleSession(model), 0.1, RNG(2))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -360,7 +357,7 @@ def test_a_model_admitted_at_the_cache_cap_stays_within_it():
 def test_a_rollout_block_is_mapped_on_its_first_next(model):
     # the block's work then runs inside the query_no_reset call that takes
     # the first reply, where the tracer counts it
-    it = rollouts(model, RNG(2).random((ROLLOUT_BLOCK, model.vocab.H)))
+    it = model.rollouts(RNG(2).random((ROLLOUT_BLOCK, model.vocab.H)))
     assert not model._dist_cache
     next(it)
     assert model._dist_cache
@@ -498,7 +495,7 @@ def test_trajectory_logprob_matches_reference_sum(family, K, H, model_seed, roll
     model = LOGPROB_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     ys = []
     for seed, edits in rollouts:
-        y = list(sample_trajectory(model, RNG(seed)))
+        y = list(OracleSession(model).query_output_only(RNG(seed)))
         for i, a in edits:
             if i < H and a <= K:
                 y[i] = a
@@ -632,13 +629,13 @@ def test_no_reset_replies_reconstruct_from_pathfull():
     seed=st.integers(0, 2**32 - 1),
 )
 def test_pathfull_reply_is_the_rollout_pair(family, K, H, model_seed, seed):
-    """A PathFull reply is the ``(y, mus)`` pair that ``rollout`` draws from
+    """A PathFull reply is the ``(y, mus)`` pair that ``rollouts`` draws from
     the same stream, named and without an instance dict, and every
     post-processor answers the same for it as for a plain pair."""
     assume(family != "leader-trie" or K >= 3)
     model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     reply = OracleSession(model).query_pathfull(RNG(seed))
-    pair = rollout(model, RNG(seed))
+    pair = next(model.rollouts(RNG(seed).random((1, H))))
     assert type(reply) is PathFullReply and type(pair) is tuple and reply == pair
     y, mus = reply
     assert (y, mus) == (reply.y, reply.mus) and len(y) == len(mus) == H
@@ -1153,8 +1150,9 @@ def test_one_model_call_per_distinct_prefix_per_session():
     assert calls == [(1, 2), (1, 3)]
     assert trajectory_logprob(model, (1, 2, 3, 1)) == other.query_seqscore((1, 2, 3, 1))
     assert calls == [(1, 2), (1, 3), ROOT, (1,), (1, 2, 3)]
+    sampler = OracleSession(model)
     for _ in range(20):  # rollouts, scores and sessions alike
-        y = sample_trajectory(model, rng)
+        y = sampler.query_output_only(rng)
         assert other.query_seqscore(y) == trajectory_logprob(model, y)
         assert set(calls) >= {y[:t] for t in range(len(y))}
     assert len(calls) == len(set(calls))
@@ -1166,7 +1164,7 @@ def test_one_model_call_per_distinct_prefix_per_session():
                 lambda: bad_session.query_prefix_top(ROOT),
                 lambda: OracleSession(bad).query_prefix_logit(ROOT),
                 lambda: bad.next_probs(ROOT),
-                lambda: sample_trajectory(bad, rng),
+                lambda: OracleSession(bad).query_output_only(rng),
                 lambda: trajectory_logprob(bad, (1, 1, 1, 1))):
         with pytest.raises(ValueError, match="sums to"):
             ask()
