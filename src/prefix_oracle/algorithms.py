@@ -111,14 +111,15 @@ def _sample_counts(session: OracleSession, p, m: int, rng) -> list:
     each. The first query draws from ``rng`` itself, so an invalid or refused
     prefix raises before any draw; the other m - 1 doubles come from one
     ``rng.random(m - 1)`` call, the same doubles and end state as m - 1
-    scalar draws, served in order by a stand-in stream's ``random()``."""
-    counts = [0] * session.vocab.K
+    scalar draws. A stand-in stream serves them in order: its ``random`` is
+    the ``pop`` of the reversed list."""
+    counts = [0] * (session.vocab.K + 1)  # indexed by token; slot 0 stays 0
     sample = session.query_prefix_sample
-    counts[sample(p, rng) - 1] += 1
-    draws = SimpleNamespace(random=iter(rng.random(m - 1).tolist()).__next__)
+    counts[sample(p, rng)] += 1
+    draws = SimpleNamespace(random=rng.random(m - 1)[::-1].tolist().pop)
     for _ in range(m - 1):
-        counts[sample(p, draws) - 1] += 1
-    return counts
+        counts[sample(p, draws)] += 1
+    return counts[1:]
 
 
 def _recover_path(session: OracleSession, start, stages: int,

@@ -46,14 +46,16 @@ def _flag_type(parse, takes: str):
         try:
             return parse(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected {takes}, got {text!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {takes}, got {shown(text)}") from None
 
     return convert
 
 
+_INT = _flag_type(int, "an integer")
 _NUMBER = _flag_type(parse_number, "a number or log:X with X > 0")
 _SWEEP = _flag_type(experiments.parse_sweep, "integers separated by commas")
-_FLAG_TYPES = {parse_number: _NUMBER, experiments.parse_sweep: _SWEEP}  # by config-key parser
+_FLAG_TYPES = {int: _INT, parse_number: _NUMBER,
+               experiments.parse_sweep: _SWEEP}  # by config-key parser
 
 
 def parse_prefix_set(text: str, z=None):
@@ -223,8 +225,12 @@ def _cmd_analyze(args) -> int:
 def _cmd_experiment(args) -> int:
     mapping = {}
     if args.config:
-        with open(args.config) as fh:
-            mapping = experiments.parse_config_text(fh.read())
+        try:
+            with open(args.config) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise OSError(f"cannot read config {args.config}: {exc}") from exc
+        mapping = experiments.parse_config_text(text)
     cfg = config_from_mapping(mapping, **{key: getattr(args, key) for key in CONFIG_KEYS})
     report = experiments.run_experiment(cfg)
     record = {
@@ -249,21 +255,21 @@ _FLAGS = {
                      help="reach only: model family (default hidden-path)"),
     "--U": dict(default="tip", help="reach only: prefix set, 'tip' (the default) or "
                 "comma-separated dot-joined prefixes ('-' = root)"),
-    "--K": dict(type=int, default=2, help="vocabulary size"),
-    "--H": dict(type=int, default=5, help="horizon"),
+    "--K": dict(type=_INT, default=2, help="vocabulary size"),
+    "--H": dict(type=_INT, default=5, help="horizon"),
     "--lambda": dict(dest="lam", type=_NUMBER, default=1.0,
                      help="signal strength (accepts log:X)"),
-    "--seed": dict(type=int, default=0, help="master seed"),
-    "--D": dict(type=int, default=3, help="scaffold length"),
-    "--L": dict(type=int, default=4, help="hidden suffix length"),
+    "--seed": dict(type=_INT, default=0, help="master seed"),
+    "--D": dict(type=_INT, default=3, help="scaffold length"),
+    "--L": dict(type=_INT, default=4, help="hidden suffix length"),
     "--eta": dict(type=_NUMBER, default=0.5, help="hard-prompt mass"),
     "--beta": dict(type=_NUMBER, default=1.0, help="KL coefficient"),
-    "--qg": dict(type=int, default=1, help="generator-query budget"),
-    "--qr": dict(type=int, default=1, help="reward-query budget"),
+    "--qg": dict(type=_INT, default=1, help="generator-query budget"),
+    "--qr": dict(type=_INT, default=1, help="reward-query budget"),
     "--delta": dict(type=_NUMBER, default=0.1),
     "--xi": dict(type=_NUMBER, default=0.0, help="logit noise radius"),
     "--noise": dict(choices=["random", "adversarial-threshold"], default="random"),
-    "--S": dict(type=int, default=None, help="node budget (default |I(T)|)"),
+    "--S": dict(type=_INT, default=None, help="node budget (default |I(T)|)"),
     "--out": dict(help="write the query ledger CSV here"),
 }
 

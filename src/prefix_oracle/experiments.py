@@ -154,11 +154,11 @@ def parse_config_text(text: str) -> dict:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"line {ln_no}: expected key=value, got {raw!r}")
+            raise ValueError(f"line {ln_no}: expected key=value, got {shown(raw)}")
         key, _, value = line.partition("=")
         key = key.strip()
         if key in out:
-            raise ValueError(f"line {ln_no}: config key {key!r} is given twice")
+            raise ValueError(f"line {ln_no}: config key {shown(key)} is given twice")
         out[key] = value.strip()
     return out
 
@@ -180,11 +180,12 @@ def config_from_mapping(mapping: dict, **overrides) -> ExperimentConfig:
     kwargs = {}
     for source, key, value in entries:
         if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {shown(key)}")
         try:
             kwargs[key] = CONFIG_KEYS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"{source}: {exc}") from None
+        except ValueError as exc:  # a long text is named by its length, not quoted
+            reason = exc if shown(value) == repr(value) else f"cannot read {shown(value)}"
+            raise ValueError(f"{source}: {reason}") from None
     kwargs.update((key, value) for key, value in overrides.items() if value is not None)
     if "name" not in kwargs:
         raise ValueError("config needs an experiment name")

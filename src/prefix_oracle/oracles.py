@@ -93,7 +93,7 @@ def check_noise(xi: float, mode: str) -> None:
     if not 0.0 <= xi <= sys.float_info.max / 2:
         raise ValueError(f"noise radius xi must be finite, >= 0 and 2*xi finite, got {shown(xi)}")
     if mode not in (NOISE_RANDOM, NOISE_ADVERSARIAL):
-        raise ValueError(f"unknown noise mode {mode!r}")
+        raise ValueError(f"unknown noise mode {shown(mode)}")
 
 
 @dataclass(frozen=True)
@@ -246,10 +246,12 @@ class OracleSession:
     before the model is asked and before the query is recorded or draws from
     its stream. For strict mode as for the audit, a prefix counts as visited
     once a query there is answered, not when it is admitted.
-    Admitting a prefix also starts its token -> record map, so equal samples
+    Admission keeps the entry and its ``edges`` tuple, which a sample reads
+    directly, and starts the prefix's token -> record map, so equal samples
     there append one shared record tuple; the ledger still holds one record
-    per answered query. PrefixLogit replies with ``logs``, and SeqScore reads
-    it through ``trajectory_logprob``.
+    per answered query. Every query appends through the ledger's records
+    list, bound once at construction. PrefixLogit replies with ``logs``, and
+    SeqScore reads it through ``trajectory_logprob``.
     """
 
     def __init__(
@@ -264,9 +266,12 @@ class OracleSession:
         self.model = model
         self.noise = NoisePolicy(xi, noise, target)
         self.ledger = QueryLedger()
+        # every query appends here; nothing rebinds a session's ledger or its list
+        self._records = self.ledger.records
         self._seen = set() if strict_discipline else None  # None: not strict
-        # the last admitted tuple, its model entry and its token -> sample record map
-        self._last_prefix = self._last_entry = self._last_records = None
+        # the last admitted tuple, its model entry, that entry's edges and its
+        # token -> sample record map
+        self._last_prefix = self._last_entry = self._last_edges = self._last_records = None
 
     @property
     def vocab(self):
@@ -282,7 +287,7 @@ class OracleSession:
         """Generic no-reset query of ``kind``: one rollout, the next ``(y, mus)``
         pair of the model's ``rollouts`` iterator ``pairs``, post-processed; one record."""
         out = post(next(pairs))
-        self.ledger.records.append((kind, None, out))
+        self._records.append((kind, None, out))
         return out
 
     def _rollouts(self, rng: np.random.Generator, n: int) -> Iterator:
@@ -320,13 +325,16 @@ class OracleSession:
         it: check ``p``, refuse it in strict mode unless the local-reset rule
         allows it, then look it up. A query at the very tuple the last
         admitted query used skips all three; an equal tuple such as ``(1.0,)``
-        for ``(1,)`` is checked, and refused on every ask. Samples read
-        ``edges``, PrefixTop ``probs`` and PrefixLogit ``logs``."""
+        for ``(1,)`` is checked, and refused on every ask. A new prefix sets
+        the entry, its ``edges`` (which samples read), the tuple and an empty
+        token -> record map together. PrefixTop reads ``probs`` and
+        PrefixLogit ``logs`` from the returned entry."""
         if p is not self._last_prefix:
             self.model.vocab.check_prefix(p)
             if self._seen is not None and not _reset_legal(self._seen, p):
                 raise DisciplineViolationError(f"prefix {p} breaks the local-reset discipline")
-            self._last_entry = self.model._lookup(p)
+            self._last_entry = entry = self.model._lookup(p)
+            self._last_edges = entry[1]
             self._last_prefix = p
             self._last_records = {}
         return self._last_entry
@@ -345,13 +353,12 @@ class OracleSession:
         so such a later draw allocates nothing but its ledger slot."""
         if p is not self._last_prefix:  # else the same-tuple path of _admit, without the call
             self._admit(tuple(p))
-        tok = bisect_right(self._last_entry[1], rng.random())
-        shared = self._last_records
-        record = shared.get(tok)
+        tok = bisect_right(self._last_edges, rng.random())
+        record = self._last_records.get(tok)
         if record is None:
-            record = shared[tok] = (PREFIX_SAMPLE, self._last_prefix, tok)
+            record = self._last_records[tok] = (PREFIX_SAMPLE, self._last_prefix, tok)
             self._visit(self._last_prefix)
-        self.ledger.records.append(record)
+        self._records.append(record)
         return tok
 
     def query_prefix_top(self, p: Prefix) -> Optional[Token]:
@@ -363,7 +370,7 @@ class OracleSession:
         winners = [i for i, q in enumerate(probs) if q >= cutoff]
         tok = winners[0] + 1 if len(winners) == 1 else None
         self._visit(p)
-        self.ledger.records.append((PREFIX_TOP, p, tok))
+        self._records.append((PREFIX_TOP, p, tok))
         return tok
 
     def query_prefix_logit(self, p: Prefix, rng=None) -> tuple:
@@ -373,7 +380,7 @@ class OracleSession:
         p = tuple(p)
         out = self.noise.perturb_logits(self._admit(p)[2], rng)
         self._visit(p)
-        self.ledger.records.append((PREFIX_LOGIT, p, out))
+        self._records.append((PREFIX_LOGIT, p, out))
         return out
 
     # -- chosen-completion interface ----------------------------------------
@@ -382,7 +389,7 @@ class OracleSession:
         y = tuple(y)
         exact = trajectory_logprob(self.model, y)
         out = self.noise.perturb_score(exact, rng)
-        self.ledger.records.append((SEQSCORE, y, out))
+        self._records.append((SEQSCORE, y, out))
         return out
 
 

@@ -143,7 +143,9 @@ def test_analyze_reach_names_a_prefix_it_cannot_read(capsys):
      "prefix token 7 at index 0"),
     (["experiment", "no-reset-hardness", "--H", "3", "--q",
       ",".join(map(str, range(1, 2001))) + ",1"], "sweep q repeats a value: 1"),
-], ids=["long-token", "long-piece", "long-prefix", "long-sweep"])
+    (["experiment", "hidden-path-scaling", "--noise", "x" * 3000],
+     "unknown noise mode <3000 characters>"),
+], ids=["long-token", "long-piece", "long-prefix", "long-sweep", "long-noise"])
 def test_long_text_input_gives_one_short_error_line(capsys, argv, named):
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -445,6 +447,40 @@ def test_a_config_value_that_does_not_parse_names_its_key(line, message, tmp_pat
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("text, env, named", [
+    ("lambda=" + "x" * 3000, None, "config key 'lambda': cannot read <3000 characters>"),
+    ("lambda=log:" + "x" * 3000, None, "config key 'lambda': cannot read <3004 characters>"),
+    ("trials=" + "x" * 3000, None, "config key 'trials': cannot read <3000 characters>"),
+    ("z" * 3000, None, "line 1: expected key=value, got <3000 characters>"),
+    ("y" * 3000 + "=1", None, "unknown config key <3000 characters>"),
+    ("K=2", "s" * 3000, f"{ENV_SEED}: cannot read <3000 characters>"),
+], ids=["float", "log", "int", "no-equals", "key", "env-seed"])
+def test_a_long_config_or_environment_text_is_named_by_its_length(text, env, named, tmp_path,
+                                                                 capsys, monkeypatch):
+    monkeypatch.delenv(ENV_SEED, raising=False)
+    if env is not None:
+        monkeypatch.setenv(ENV_SEED, env)
+    config = tmp_path / "exp.cfg"
+    config.write_text(text + "\n")
+    assert main(["experiment", "hidden-path-scaling", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == "" and line == f"error: {named}" and len(line) < 200
+
+
+@pytest.mark.parametrize("kind", ["invalid-utf8", "directory"])
+def test_a_config_file_that_cannot_be_read_is_named(kind, tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    if kind == "directory":
+        config.mkdir()
+    else:
+        config.write_bytes(b"K=2\n\xff\xfe\n")
+    assert main(["experiment", "hidden-path-scaling", "--config", str(config)]) == 1
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert captured.out == "" and line.startswith(f"error: cannot read config {config}: ")
+
+
 @pytest.mark.parametrize("text, message", [
     ("K=2\ntrials=1\nK=5\n", "line 3: config key 'K' is given twice"),
     ("lam=0.5\ntrials=1\nlambda=2\n", "config keys 'lam' and 'lambda' both set lam"),
@@ -476,6 +512,9 @@ def test_a_usage_error_says_what_a_flag_takes(head, flag, capsys):
     assert main([*head, flag, "x"]) == 2
     line = capsys.readouterr().err.splitlines()[-1]
     assert f"argument {flag}: " in line and "parse_" not in line, line
+    assert main([*head, flag, "x" * 3000]) == 2  # a long value is named by its length
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert f"argument {flag}: " in line and "<3000 characters>" in line and len(line) < 200
 
 
 def test_an_environment_seed_that_does_not_parse_names_the_variable(capsys, monkeypatch):

@@ -8,7 +8,9 @@ other versions the tests skip and name both versions.
 """
 
 import hashlib
+import json
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,3 +139,19 @@ def test_analyze_digests(what, capsys):
     argv, expected = ANALYZE_CASES[what]
     code = main(["analyze", what, *argv])
     assert (code, _sha(capsys.readouterr().out)) == expected
+
+
+# the benchmark's workloads and the report digests it pins for them at seed 0
+BENCH_DESIGN = json.loads((Path(__file__).parents[1] / "perfbench" / "design.json").read_text())
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_DESIGN["workloads"]))
+def test_benchmark_workload_digest(workload, tmp_path, capsys):
+    spec = BENCH_DESIGN["workloads"][workload]
+    config, csv = tmp_path / "bench.cfg", tmp_path / "report.csv"
+    config.write_text("".join(f"{key}={value}\n" for key, value in spec["config"].items()))
+    code = main(["experiment", spec["experiment"], "--config", str(config), "--seed", "0",
+                 "--out", str(csv)])
+    capsys.readouterr()
+    assert code == 0
+    assert _sha(csv.read_bytes()) == BENCH_DESIGN["pinned"]["digests"][workload]
