@@ -296,8 +296,20 @@ _ANALYZE_READS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Names a rejected choice with ``shown``, so a long value keeps the usage
+    error short; any other gets argparse's own line. Subparsers inherit it."""
+
+    def _check_value(self, action, value):
+        if action.choices is None or value in action.choices or shown(value) == repr(value):
+            return super()._check_value(action, value)
+        choices = ", ".join(map(repr, action.choices))
+        raise argparse.ArgumentError(
+            action, f"invalid choice: {shown(value)} (choose from {choices})")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prefix-oracle",
         description="Oracle-access simulation laboratory for prefix-tree generators.",
     )

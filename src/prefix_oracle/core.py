@@ -184,8 +184,8 @@ class _CachedDistModel:
 
     Each family holds its structure as one mapping ``_keys`` from prefix to
     class key; a prefix it does not hold has key 0, which means "off the
-    model's structure". Every extension of a key-0 prefix has key 0 too;
-    walks rely on this to stop classifying once they read the off entry."""
+    model's structure". Every extension of a key-0 prefix has key 0 too; the
+    chain map and ``trajectory_logprob`` rely on this past the off entry."""
 
     vocab: VocabSpec
     _keys: Mapping
@@ -213,27 +213,15 @@ class _CachedDistModel:
 
     def rollouts(self, U: np.ndarray) -> Iterator[tuple]:
         """Root-to-leaf rollouts ``(y, mus)``, one per row of the ``(n, H)``
-        uniform array ``U``, mapped from the first ``next``: row i draws
-        ``U[i, t]`` at step t and picks token ``bisect_right(edges, u)`` of the
-        entry at ``y[:t]``, whose probabilities are ``mus[t]``. This is the step
-        walk, over cache entries read unchecked (prefixes hold sampled tokens);
-        a chain model overrides it with a block map. Once a row reads the off
-        entry, its tail is sliced from ``np.searchsorted(edges, U, side="right")``
-        over the block: the same tokens as ``bisect_right`` on the same doubles,
-        +inf edges included. A model with no off entry walks every step."""
-        cache, key, off = self._dist_cache, self._keys.get, self._off_entry()
-        rows = U.tolist()  # a model with no off entry never reads its tails
-        tails = rows if off is None else np.searchsorted(off[1], U, side="right").tolist()
-        for draws, tail in zip(rows, tails):
+        uniform array ``U``, mapped from the first ``next``: the step walk. Row
+        i picks token ``bisect_right(edges, U[i, t])`` of the entry at ``y[:t]``,
+        read unchecked (prefixes hold sampled tokens), whose probabilities are
+        ``mus[t]``. A chain model overrides it with a block map."""
+        cache, key = self._dist_cache, self._keys.get
+        for draws in U.tolist():
             y, mus = (), []
             for u in draws:
-                entry = cache[key(y, 0)]
-                probs, edges, _ = entry
-                if entry is off:
-                    t = len(y)
-                    mus.extend((probs,) * (len(draws) - t))
-                    y += tuple(tail[t:])
-                    break
+                probs, edges, _ = cache[key(y, 0)]
                 mus.append(probs)
                 y += (bisect_right(edges, u),)
             yield y, tuple(mus)
@@ -362,9 +350,10 @@ class _ChainModel(_CachedDistModel):
         holds exactly when ``lo_t <= u < hi_t``: two compares over the chain
         columns and one ``argmin`` find each row's exit, its first mismatch
         or else its last chain column. A row's tokens are ``z`` before its
-        exit, ``bisect_right`` on the exit double and the off map after it;
-        its ``mus``, one tuple per distinct exit in the block, are the
-        chain's probabilities through the exit and then the off entry's."""
+        exit, ``bisect_right`` on the exit double and the off map after it,
+        numpy's right-side ``searchsorted``: the same tokens on the same
+        doubles, +inf edges included. Its ``mus``, one tuple per distinct exit,
+        are the chain's probabilities through the exit, then the off entry's."""
         zs, off_edges, lo, hi, probs, edges = self._chain_map
         L, H = len(zs), U.shape[1]
         y = np.searchsorted(off_edges, U, side="right")
@@ -459,7 +448,7 @@ class LeaderTrie:
                 raise ValueError(f"node {p} at depth {len(p)} < {H} has no branch entry")
             b = branch[p]
             if not (self.vocab._all_tokens((b,)) and 2 <= b):
-                raise ValueError(f"hidden child {b!r} at {p} outside 2..{K}")
+                raise ValueError(f"hidden child {shown(b)} at {p} outside 2..{K}")
             return (b,)
 
         reachable, _, _ = walk_trie(self.vocab, hidden_child)

@@ -522,7 +522,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     try:
         runner = RUNNERS[cfg.name]
     except KeyError:
-        raise ValueError(f"unknown experiment {cfg.name!r}; known: {sorted(RUNNERS)}")
+        raise ValueError(f"unknown experiment {shown(cfg.name)}; known: {sorted(RUNNERS)}")
     report = runner(cfg)
     if cfg.out:
         emit_report(report, cfg.out)

@@ -42,6 +42,18 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("head", [
+    [], ["analyze"], ["analyze", "reach", "--family"], ["recover-trie-logit", "--noise"],
+    ["experiment"]], ids=["command", "analyze", "family", "noise", "experiment"])
+def test_a_long_rejected_choice_is_named_by_its_length(head, capsys):
+    assert main([*head, "bogus"]) == 2
+    short = capsys.readouterr().err.splitlines()[-1]
+    assert main([*head, "x" * 3000]) == 2
+    line = capsys.readouterr().err.splitlines()[-1]
+    assert "'bogus'" in short
+    assert line == short.replace("'bogus'", "<3000 characters>")
+
+
 def test_parse_number_log_prefix():
     assert parse_number("0.25") == 0.25
     assert parse_number("log:3") == pytest.approx(math.log(3))

@@ -301,6 +301,16 @@ def test_leader_trie_reports_each_single_fault(K, H, seed, fault, data):
     assert str(excinfo.value) == message
 
 
+def test_a_hidden_child_past_the_digit_limit_is_named_by_its_digit_count():
+    # str() refuses an int of more than 4300 digits; the message still names it
+    vocab = VocabSpec(3, 3)
+    branch = dict(random_leader_trie(vocab, RNG(0)).branch)
+    branch[ROOT] = 10**4999
+    with pytest.raises(ValueError) as excinfo:
+        LeaderTrie(vocab, branch)
+    assert str(excinfo.value) == "hidden child <5000 digits> at () outside 2..3"
+
+
 def test_bridge_dist_piecewise():
     inst = BridgeInstance(K=2, D=2, L=2, scaffold=(1, 2), suffix=(2, 2), bit=0,
                           lam=1.0, eta=0.5, beta=1.0)

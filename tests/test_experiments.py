@@ -512,6 +512,12 @@ def test_run_experiment_dispatch(tmp_path):
         run_experiment(ExperimentConfig(name="not-an-experiment"))
 
 
+def test_a_long_unknown_experiment_name_is_named_by_its_length():
+    with pytest.raises(ValueError) as excinfo:
+        run_experiment(ExperimentConfig(name="x" * 3000))
+    assert str(excinfo.value) == f"unknown experiment <3000 characters>; known: {sorted(RUNNERS)}"
+
+
 def _sweep(lo, hi):
     return st.lists(st.integers(lo, hi), min_size=1, max_size=2, unique=True).map(tuple)
 

@@ -157,7 +157,7 @@ def _last_zero(vocab):
 
 class _OffLastZero(UniformModel):
     """Every prefix is off the structure, and the off entry's token K has
-    probability 0: the block map reads edges that end in +inf."""
+    probability 0: the step walk reads edges that end in +inf."""
 
     def _build(self, key):
         return [1.0 / (self.vocab.K - 1)] * (self.vocab.K - 1) + [0.0]
@@ -196,8 +196,7 @@ def _row_stream(row):
 )
 def test_block_rollouts_match_scalar_reference_rollout(family, K, data, n, model_seed, seed):
     """Each row of a block is the scalar reference rollout on that row's
-    doubles, whether it comes from the chain map or the step walk, and its
-    tail from the off map or the walk."""
+    doubles, whether it comes from the chain map or the step walk."""
     H = data.draw(st.integers(1, 40 if family in LONG_CHAINS else 7), label="H")
     assume(family != "leader-trie" or K >= 3)
     assume(not family.startswith("bridge-hard") or H >= 3)
@@ -217,11 +216,45 @@ def test_block_map_agrees_with_bisect_on_edges_and_the_last_double():
     U = np.array([[*edges[:3], 1 - 2**-53, *below]])
     expected = tuple(bisect_right(edges, u) for u in U[0].tolist())
     assert expected == (1, 2, 3, 3, 1, 2)
-    # the block map (every prefix off) and the step walk (no off entry)
+    # the step walk, on a model with every prefix off and on one with no off entry
     for model in (_OffLastZero(vocab), _last_zero(vocab)):
         (pair,) = model.rollouts(U)
         assert pair[0] == expected
         assert pair == _reference_rollout(model, _row_stream(U[0].tolist()))
+
+
+STEP_WALK_FAMILIES = {f: BLOCK_FAMILIES[f] for f in (
+    "leader-trie", "uniform", "callable", "off-last-zero")}
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(
+    family=st.sampled_from(sorted(STEP_WALK_FAMILIES)),
+    K=st.integers(2, 4),
+    H=st.integers(1, 5),
+    n=st.integers(1, 4) | st.integers(1, ROLLOUT_BLOCK),
+    model_seed=st.integers(0, 2**32 - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_step_walk_on_edge_doubles_matches_the_reference_rollout(
+        family, K, H, n, model_seed, seed):
+    """Every cell in column t of a step-walk block is an edge below 1 of an
+    entry at some depth-t prefix, the double below such an edge, or
+    1 - 2^-53, so each step's bisect meets the edges of the entry it reads
+    from both sides. Each row is the reference rollout on its doubles."""
+    assume(family != "leader-trie" or K >= 3)
+    model = STEP_WALK_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
+    cells = [set() for _ in range(H)]
+    for p in model.vocab.prefixes():
+        edges = [e for e in model._lookup(p)[1] if e < 1.0]
+        cells[len(p)].update(edges, (math.nextafter(e, 0.0) for e in edges if e > 0.0))
+    rng = RNG(seed)
+    U = np.array([[rng.choice(sorted(c | {1 - 2**-53})) for c in cells] for _ in range(n)])
+    assert ((U >= 0.0) & (U < 1.0)).all()
+    pairs = list(model.rollouts(U))
+    assert len(pairs) == n
+    for pair, row in zip(pairs, U.tolist()):
+        assert pair == _reference_rollout(model, _row_stream(row))
 
 
 def _chain_row(model, depth, last=1 - 2**-53):
@@ -432,9 +465,9 @@ def test_block_replies_are_counted_pathfull_queries(monkeypatch, family, j):
     model_seed=st.integers(0, 2**32 - 1),
 )
 def test_key_zero_is_absorbing(family, K, H, model_seed):
-    """Rollouts and trajectory_logprob stop classifying at the off entry, so
-    every cached family must keep key 0 under extension and serve key 0, and
-    only key 0, as the off entry."""
+    """The chain map and trajectory_logprob stop classifying at the off entry,
+    so every cached family must keep key 0 under extension and serve key 0,
+    and only key 0, as the off entry."""
     assume(family != "leader-trie" or K >= 3)
     vocab = VocabSpec(K, H)
     model = ROLLOUT_FAMILIES[family](vocab, RNG(model_seed))
