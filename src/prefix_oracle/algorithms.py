@@ -296,8 +296,8 @@ def distinguish_no_reset_baseline(
     there then reveals the favored final token. Uninformative budgets end in
     a fair coin flip. Returns 0 for the first model, 1 for the second.
 
-    The rollouts are asked in blocks of at most ``ROLLOUT_BLOCK``, one
-    ``session.query_pathfull_block`` each, whose row i holds the doubles of
+    The rollouts are asked in PathFull blocks of at most ``ROLLOUT_BLOCK``,
+    one ``session.query_rollouts`` call each, whose row i holds the doubles of
     the i-th ``rng.random(H)`` call: every rollout, record and guess is that of
     one draw per rollout, and an exhausted budget leaves ``rng`` in the same
     state before the coin flip. An informative rollout returns with the rest
@@ -313,7 +313,7 @@ def distinguish_no_reset_baseline(
         raise ValueError("models must agree on the stem and differ in the final token")
     check_count(q, "rollout budget q", 0, MAX_BUDGET)
     for start in range(0, q, ROLLOUT_BLOCK):
-        for reply in session.query_pathfull_block(rng, min(q - start, ROLLOUT_BLOCK)):
+        for reply in session.query_rollouts(rng, min(q - start, ROLLOUT_BLOCK)):
             if reply.y[: H - 1] == stem:
                 mu = reply.mus[H - 1]
                 return 0 if mu[model_a.z[-1] - 1] > mu[model_b.z[-1] - 1] else 1

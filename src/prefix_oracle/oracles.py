@@ -3,9 +3,9 @@
 A session enforces one access regime and logs every answered query, in
 order, as one record of its ledger. Per-kind counts, rollouts and the prefix
 trail needed to audit the local-reset discipline are views of that log. All
-root-start (no-reset) interfaces are implemented as post-processings of a
-single canonical rollout reply, so their ledger records each consume exactly
-one rollout.
+root-start (no-reset) interfaces are post-processings of a single canonical
+rollout reply, listed in one table, ``NO_RESET``, and answered by one method,
+``OracleSession.query_rollouts``; each of their records consumes one rollout.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ PREFIX_TOP = "PrefixTop"
 PREFIX_LOGIT = "PrefixLogit"
 SEQSCORE = "SeqScore"
 
-NO_RESET_KINDS = frozenset({PATHFULL, OUTPUT_ONLY, OUTPUT_LOGPROBS, OUTPUT_TOPK})
 PREFIX_KINDS = frozenset({PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT})
 
 TOP_TIE_RTOL = 1e-12
@@ -81,10 +80,6 @@ _pathfull_reply = partial(tuple.__new__, PathFullReply)
 class DisciplineAudit:
     ok: bool
     offending_index: Optional[int] = None  # 1-based position in the trail
-
-    @property
-    def verdict(self) -> str:
-        return "ok" if self.ok else "violation"
 
 
 def check_noise(xi: float, mode: str) -> None:
@@ -212,10 +207,6 @@ def audit_discipline(ledger: QueryLedger) -> DisciplineAudit:
     return DisciplineAudit(True, None)
 
 
-def postprocess_output_only(reply: PathFullReply) -> Completion:
-    return reply[0]
-
-
 def postprocess_logprobs(reply: PathFullReply):
     """Generated-token log probabilities along the sampled trajectory."""
     y, mus = reply
@@ -232,6 +223,16 @@ def postprocess_topk(reply: PathFullReply, k: int):
         steps.append(tuple((i + 1, math.log(mu[i]) if mu[i] > 0.0 else -math.inf)
                            for i in order))
     return y, tuple(steps)
+
+
+# Each no-reset record kind's post-processing of the canonical (y, mus) rollout
+NO_RESET = {
+    PATHFULL: _pathfull_reply,
+    OUTPUT_ONLY: itemgetter(0),
+    OUTPUT_LOGPROBS: postprocess_logprobs,
+    OUTPUT_TOPK: postprocess_topk,
+}
+NO_RESET_KINDS = frozenset(NO_RESET)
 
 
 class OracleSession:
@@ -292,31 +293,25 @@ class OracleSession:
 
     def _rollouts(self, rng: np.random.Generator, n: int) -> Iterator:
         """The rollouts of ``n`` no-reset queries over one ``rng.random((n, H))``
-        draw, the one draw site: row i holds the doubles of the i-th scalar query."""
+        draw, the one draw site: row i holds the doubles of the i-th ``rng.random(H)``."""
         return self.model.rollouts(rng.random((n, self.vocab.H)))
 
-    def query_pathfull(self, rng: np.random.Generator) -> PathFullReply:
-        return self.query_no_reset(self._rollouts(rng, 1), _pathfull_reply, PATHFULL)
-
-    def query_output_only(self, rng: np.random.Generator) -> Completion:
-        return self.query_no_reset(self._rollouts(rng, 1), postprocess_output_only, OUTPUT_ONLY)
-
-    def query_output_with_logprobs(self, rng: np.random.Generator):
-        return self.query_no_reset(self._rollouts(rng, 1), postprocess_logprobs, OUTPUT_LOGPROBS)
-
-    def query_output_with_topk(self, rng: np.random.Generator, k: int):
-        check_count(k, "top-k size k", 1, self.vocab.K)  # before the rollout is drawn
-        return self.query_no_reset(self._rollouts(rng, 1), lambda r: postprocess_topk(r, k),
-                                   OUTPUT_TOPK)
-
-    def query_pathfull_block(self, rng: np.random.Generator, n: int) -> Iterator:
-        """``n`` PathFull queries over one ``_rollouts`` draw, checked and
-        drawn at call time. The returned iterator answers each row by its own
-        ``query_no_reset`` call: one query per rollout, recorded as its reply
-        is taken."""
+    def query_rollouts(self, rng: np.random.Generator, n: int, kind: str = PATHFULL,
+                       k=None) -> Iterator:
+        """``n`` no-reset queries of ``kind`` over one ``_rollouts`` draw. The
+        kind, then top-k's ``k`` in 1..K, then ``n`` in 1..ROLLOUT_BLOCK are
+        checked before the draw. The returned iterator answers each row by its
+        own ``query_no_reset`` call with the kind's ``NO_RESET`` post-processing:
+        one query per rollout, recorded as its reply is taken."""
+        if kind not in NO_RESET:
+            raise ValueError(f"unknown no-reset kind {shown(kind)}")
+        post = NO_RESET[kind]
+        if kind == OUTPUT_TOPK:
+            check_count(k, "top-k size k", 1, self.vocab.K)
+            post = partial(post, k=k)
         check_count(n, "rollout block size n", 1, ROLLOUT_BLOCK)
         pairs = self._rollouts(rng, n)
-        return (self.query_no_reset(pairs, _pathfull_reply, PATHFULL) for _ in range(n))
+        return (self.query_no_reset(pairs, post, kind) for _ in range(n))
 
     # -- chosen-prefix interfaces -------------------------------------------
 

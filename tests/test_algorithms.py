@@ -41,8 +41,7 @@ from prefix_oracle.core import (
     twin_hidden_path_models,
 )
 from prefix_oracle.oracles import (
-    OUTPUT_ONLY,
-    PATHFULL,
+    NO_RESET,
     PREFIX_LOGIT,
     PREFIX_SAMPLE,
     PREFIX_TOP,
@@ -599,8 +598,7 @@ def test_procedures_report_the_records_they_appended(name):
     session, rng = new_session(), RNG(26)
     K, H = session.vocab.K, session.vocab.H
     earlier = {
-        PATHFULL: lambda: session.query_pathfull(rng),
-        OUTPUT_ONLY: lambda: session.query_output_only(rng),
+        **{kd: lambda kd=kd: next(session.query_rollouts(rng, 1, kd, K)) for kd in NO_RESET},
         PREFIX_SAMPLE: lambda: session.query_prefix_sample((K,), rng),
         PREFIX_LOGIT: lambda: session.query_prefix_logit((K, 1)),
         PREFIX_TOP: lambda: session.query_prefix_top(ROOT),
@@ -645,11 +643,11 @@ def test_distinguisher_refuses_a_bad_budget_before_any_rollout(q):
 
 
 def _scalar_tester(session, model_a, model_b, q, rng):
-    # one query_pathfull per rollout, each drawing from the stream itself;
+    # one one-row query_rollouts call per rollout, each drawing from the stream itself;
     # returns the guess and whether a rollout reached the stem
     H = model_a.vocab.H
     for _ in range(q):
-        reply = session.query_pathfull(rng)
+        reply = next(session.query_rollouts(rng, 1))
         if reply.y[: H - 1] == model_a.z[: H - 1]:
             mu = reply.mus[H - 1]
             return (0 if mu[model_a.z[-1] - 1] > mu[model_b.z[-1] - 1] else 1), True

@@ -2,6 +2,7 @@
 objective evaluation, and the no-reset certificate."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -42,7 +43,7 @@ from prefix_oracle.core import (
     trajectory_prob,
     twin_hidden_path_models,
 )
-from prefix_oracle.oracles import postprocess_logprobs, postprocess_output_only, postprocess_topk
+from prefix_oracle.oracles import NO_RESET, OUTPUT_TOPK
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -306,10 +307,9 @@ def test_every_root_start_interface_is_a_post_processing_of_pathfull(K, H, lam, 
     a, b = twin_hidden_path_models(VocabSpec(K, H), lam, stem, last_a, last_b)
     pathfull_tv = tv_distance(pathfull_law(a), pathfull_law(b))
     assert pathfull_tv <= reachability(a, {stem}) + 1e-10
-    posts = [postprocess_output_only, postprocess_logprobs]
-    posts += [lambda r, k=k: postprocess_topk(r, k) for k in range(1, K + 1)]
-    for post in posts:
-        assert tv_distance(_reply_law(a, post), _reply_law(b, post)) <= pathfull_tv + 1e-12
+    for kind, post in NO_RESET.items():
+        for p in [partial(post, k=k) for k in range(1, K + 1)] if kind == OUTPUT_TOPK else [post]:
+            assert tv_distance(_reply_law(a, p), _reply_law(b, p)) <= pathfull_tv + 1e-12
 
 
 def test_tv_bounded_by_reachability_on_random_agreeing_pairs():

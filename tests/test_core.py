@@ -47,7 +47,7 @@ from prefix_oracle.core import (
     twin_hidden_path_models,
 )
 from prefix_oracle.analysis import GibbsPolicy
-from prefix_oracle.oracles import NoisePolicy, OracleSession
+from prefix_oracle.oracles import OUTPUT_ONLY, NoisePolicy, OracleSession
 
 RNG = lambda s: np.random.default_rng(s)
 
@@ -508,9 +508,10 @@ def test_trajectory_logprob_length_check():
 def test_sample_trajectory_point_mass_and_determinism():
     vocab = VocabSpec(3, 4)
     point = CallableModel(vocab, lambda p: [0.0, 1.0, 0.0])
-    assert OracleSession(point).query_output_only(RNG(0)) == (2, 2, 2, 2)
+    assert next(OracleSession(point).query_rollouts(RNG(0), 1, OUTPUT_ONLY)) == (2, 2, 2, 2)
     session = OracleSession(random_hidden_path_model(vocab, 1.0, RNG(1)))
-    assert session.query_output_only(RNG(9)) == session.query_output_only(RNG(9))
+    ask = lambda: next(session.query_rollouts(RNG(9), 1, OUTPUT_ONLY))
+    assert ask() == ask()
 
 
 def _linear_scan_token(cdf, u, weights):
@@ -586,7 +587,7 @@ def test_callable_model_refuses_negative_or_non_finite_probabilities(probs):
     with pytest.raises(ValueError, match=r"distribution at \(2,\) has negative or non-finite"):
         model.next_probs((2,))
     with pytest.raises(ValueError, match="negative or non-finite"):
-        OracleSession(model).query_output_only(RNG(0))
+        next(OracleSession(model).query_rollouts(RNG(0), 1, OUTPUT_ONLY))
 
 
 @pytest.mark.parametrize("probs", [
@@ -625,7 +626,7 @@ def test_sample_trajectory_matches_trajectory_prob():
     ys = [y for y, _ in model.rollouts(rng.random((n, model.vocab.H)))]
     hits = ys.count(model.z)
     rng, session = RNG(123), OracleSession(model)
-    assert [session.query_output_only(rng) for _ in range(1000)] == ys[:1000]
+    assert [next(session.query_rollouts(rng, 1, OUTPUT_ONLY)) for _ in range(1000)] == ys[:1000]
     margin = 3 * math.sqrt(target_p * (1 - target_p) / n)
     assert abs(hits / n - target_p) <= margin
 

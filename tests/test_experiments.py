@@ -47,7 +47,7 @@ from prefix_oracle.experiments import (
     run_leader_trie_matrix,
     run_no_reset_hardness,
 )
-from prefix_oracle.oracles import NOISE_ADVERSARIAL, NoisePolicy, OracleSession
+from prefix_oracle.oracles import NOISE_ADVERSARIAL, OUTPUT_TOPK, NoisePolicy, OracleSession
 
 
 def test_config_validation():
@@ -190,8 +190,9 @@ COUNT_ENTRY_POINTS = {
     "ExperimentConfig K": (lambda n: ExperimentConfig(name="x", K=n), 2, math.inf),
     "ExperimentConfig S": (lambda n: ExperimentConfig(name="x", S=n), 1, MAX_BUDGET),
     "ExperimentConfig qr": (lambda n: ExperimentConfig(name="x", qr=n), 0, math.inf),
-    "query_output_with_topk k": (
-        lambda n: OracleSession(UniformModel(VocabSpec(3, 2))).query_output_with_topk(RNG(0), n),
+    "query_rollouts k": (
+        lambda n: next(OracleSession(UniformModel(VocabSpec(3, 2))).query_rollouts(
+            RNG(0), 1, OUTPUT_TOPK, n)),
         1, 3),
     "distinguish_no_reset_baseline q": (
         lambda n: distinguish_no_reset_baseline(OracleSession(_TWINS[0]), *_TWINS, n, RNG(0)),
@@ -205,7 +206,7 @@ COUNT_ENTRY_POINTS = {
 @example("VocabSpec H", True)
 @example("lower_bound_certificate q_r", 0.5)
 @example("ExperimentConfig seed", 1.5)
-@example("query_output_with_topk k", 1.5)
+@example("query_rollouts k", 1.5)
 @example("distinguish_no_reset_baseline q", -3)
 def test_a_count_is_taken_only_as_an_integer_in_range(entry, n):
     call, lo, hi = COUNT_ENTRY_POINTS[entry]
@@ -551,7 +552,7 @@ def _rollout_past_budget(real, seen):
     def tester(session, model_a, model_b, q, rng):
         guess = real(session, model_a, model_b, q, rng)
         while session.ledger.rollouts <= q:
-            session.query_pathfull(rng)
+            next(session.query_rollouts(rng, 1))
         return guess
     return tester
 

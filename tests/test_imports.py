@@ -1,11 +1,15 @@
 """Every module of the package reads each name it imports: a stdlib ``ast``
 pass in place of a linter. ``__init__.py`` is left out, since it imports
-names only to export them."""
+names only to export them. Every package name README.md gives resolves."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
+
+from prefix_oracle.oracles import OracleSession
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "prefix_oracle"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -92,3 +96,36 @@ def test_the_pass_finds_an_unused_private_name():
               "def public():\n    return _Box()._read()\n")
     other = "from .mod import _typed\n"
     assert unread_private_names([source, other]) == ["_SPARE", "_dead", "_stranded"]
+
+
+# README drift: a backticked ``module.name`` of the package, and a backticked
+# ``query_*`` name, given bare or as ``OracleSession.query_*``, must each
+# resolve; ``query_index`` is a column of the ledger CSV, not a method.
+README = PACKAGE.parent.parent / "README.md"
+MODULE_NAME = re.compile(r"`(core|oracles|algorithms|analysis|experiments|cli)\.(\w+)")
+QUERY_NAME = re.compile(r"`(?:OracleSession\.)?(query_\w+)")
+CSV_COLUMNS = {"query_index"}
+
+
+def unresolved_names(text: str) -> list:
+    """The package and session-method names that ``text`` gives in backticks
+    and the package does not define, sorted."""
+    missing = {f"{module}.{name}" for module, name in MODULE_NAME.findall(text)
+               if not hasattr(importlib.import_module(f"prefix_oracle.{module}"), name)}
+    missing.update(f"OracleSession.{name}" for name in QUERY_NAME.findall(text)
+                   if name not in CSV_COLUMNS and not hasattr(OracleSession, name))
+    return sorted(missing)
+
+
+def test_every_package_name_the_readme_gives_resolves():
+    text = README.read_text()
+    assert MODULE_NAME.search(text) and QUERY_NAME.search(text)
+    assert unresolved_names(text) == []
+
+
+def test_the_drift_check_finds_a_stale_name():
+    text = ("`core.walk_trie`, `core.rollout(model)` and `cli._FLAGS`; a "
+            "`OracleSession.query_no_reset` call, `query_pathfull_block(rng, n)`,\n"
+            "`query_index,kind` and `oracles.verdict`")
+    assert unresolved_names(text) == [
+        "OracleSession.query_pathfull_block", "core.rollout", "oracles.verdict"]

@@ -43,6 +43,7 @@ from prefix_oracle.oracles import (
     TOP_TIE_RTOL,
     DisciplineAudit,
     DisciplineViolationError,
+    NO_RESET,
     NoisePolicy,
     OracleSession,
     PathFullReply,
@@ -50,14 +51,17 @@ from prefix_oracle.oracles import (
     audit_discipline,
     ledger_to_csv,
     postprocess_logprobs,
-    postprocess_output_only,
     postprocess_topk,
 )
 
 RNG = lambda s: np.random.default_rng(s)
 
-NO_RESET_KINDS = (PATHFULL, OUTPUT_ONLY, OUTPUT_LOGPROBS, OUTPUT_TOPK)
+NO_RESET_KINDS = tuple(NO_RESET)
 KINDS = NO_RESET_KINDS + (PREFIX_SAMPLE, PREFIX_TOP, PREFIX_LOGIT, SEQSCORE)
+
+
+def _one(session, rng, kind=PATHFULL, k=None):
+    return next(session.query_rollouts(rng, 1, kind, k))
 
 
 def _point_mass_model(vocab, token):
@@ -69,7 +73,7 @@ def _point_mass_model(vocab, token):
 def test_pathfull_point_mass_deterministic():
     vocab = VocabSpec(3, 3)
     session = OracleSession(_point_mass_model(vocab, 2))
-    reply = session.query_pathfull(RNG(0))
+    reply = _one(session, RNG(0))
     assert reply.y == (2, 2, 2)
     for mu in reply.mus:
         assert mu == (0.0, 1.0, 0.0)
@@ -84,7 +88,7 @@ def test_pathfull_reply_distribution_matches_trajectory_prob():
     n = 4000
     freq = {}
     for _ in range(n):
-        y = session.query_pathfull(rng).y
+        y = _one(session, rng).y
         freq[y] = freq.get(y, 0) + 1
     for y in model.vocab.completions():
         p = trajectory_prob(model, y)
@@ -98,7 +102,7 @@ def test_pathfull_first_mu_is_root_distribution():
     session = OracleSession(model)
     rng = RNG(5)
     for _ in range(20):
-        reply = session.query_pathfull(rng)
+        reply = _one(session, rng)
         assert reply.mus[0] == model.next_probs(ROOT)
 
 
@@ -143,10 +147,10 @@ def test_pathfull_matches_scalar_reference_rollout(family, K, H, model_seed, see
     assume(family != "leader-trie" or K >= 3)
     model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     rng, ref_rng = RNG(seed), RNG(seed)
-    reply = OracleSession(model).query_pathfull(rng)
+    reply = _one(OracleSession(model), rng)
     assert (reply.y, reply.mus) == _reference_rollout(model, ref_rng)
     assert rng.random() == ref_rng.random()  # same generator state afterwards
-    assert OracleSession(model).query_output_only(RNG(seed)) == reply.y
+    assert _one(OracleSession(model), RNG(seed), OUTPUT_ONLY) == reply.y
 
 
 def _last_zero(vocab):
@@ -396,16 +400,6 @@ def test_a_rollout_block_is_mapped_on_its_first_next(model):
     assert model._dist_cache
 
 
-@pytest.mark.parametrize("n", [0, ROLLOUT_BLOCK + 1, 2.5, True])
-def test_pathfull_block_refuses_a_bad_size_before_any_draw(n):
-    session, rng = OracleSession(UniformModel(VocabSpec(2, 3))), RNG(0)
-    state = rng.bit_generator.state
-    with pytest.raises(ValueError) as info:
-        session.query_pathfull_block(rng, n)
-    assert str(info.value) == f"rollout block size n must be an integer in 1..{ROLLOUT_BLOCK}, got {n}"
-    assert rng.bit_generator.state == state and session.ledger.records == []
-
-
 @settings(max_examples=60, deadline=None, database=None)
 @given(
     family=st.sampled_from(sorted(ROLLOUT_FAMILIES)),
@@ -423,11 +417,11 @@ def test_pathfull_block_records_only_the_replies_taken(family, K, H, n, j, model
     j = min(j, n)
     model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     block, scalar = OracleSession(model), OracleSession(model)
-    replies = block.query_pathfull_block(RNG(seed), n)
+    replies = block.query_rollouts(RNG(seed), n)
     assert block.ledger.records == []  # drawn, not yet asked
     taken = list(islice(replies, j))
     rng = RNG(seed)
-    assert taken == [scalar.query_pathfull(rng) for _ in range(j)]
+    assert taken == [_one(scalar, rng) for _ in range(j)]
     assert all(type(reply) is PathFullReply for reply in taken)
     assert block.ledger.records == scalar.ledger.records
     assert len(block.ledger.records) == j
@@ -448,11 +442,11 @@ def test_block_replies_are_counted_pathfull_queries(monkeypatch, family, j):
 
     monkeypatch.setattr(OracleSession, "query_no_reset", counted)
     session = OracleSession(model)
-    taken = list(islice(session.query_pathfull_block(RNG(4), ROLLOUT_BLOCK), j))
+    taken = list(islice(session.query_rollouts(RNG(4), ROLLOUT_BLOCK), j))
     assert calls == [PATHFULL] * j and len(session.ledger.records) == j
     assert all(type(reply) is PathFullReply for reply in taken)
     scalar, rng = OracleSession(model), RNG(4)
-    assert taken == [scalar.query_pathfull(rng) for _ in range(j)]
+    assert taken == [_one(scalar, rng) for _ in range(j)]
     assert all(type(record[2]) is PathFullReply for record in scalar.ledger.records)
     assert [record[2] for record in session.ledger.records] == taken
 
@@ -528,7 +522,7 @@ def test_trajectory_logprob_matches_reference_sum(family, K, H, model_seed, roll
     model = LOGPROB_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
     ys = []
     for seed, edits in rollouts:
-        y = list(OracleSession(model).query_output_only(RNG(seed)))
+        y = list(_one(OracleSession(model), RNG(seed), OUTPUT_ONLY))
         for i, a in edits:
             if i < H and a <= K:
                 y[i] = a
@@ -617,7 +611,7 @@ def test_refused_non_integer_prefix_leaves_session_untouched(bad):
 def test_logprobs_uniform_model():
     vocab = VocabSpec(4, 3)
     session = OracleSession(UniformModel(vocab))
-    y, lps = session.query_output_with_logprobs(RNG(0))
+    y, lps = _one(session, RNG(0), OUTPUT_LOGPROBS)
     assert lps == pytest.approx((-math.log(4),) * 3, abs=1e-15)
 
 
@@ -625,7 +619,7 @@ def test_logprobs_on_path_equal_log_p_plus():
     model = HiddenPathModel(VocabSpec(2, 3), 3.0, (1, 2, 1))
     for seed in range(21):
         session = OracleSession(model)
-        y, lps = session.query_output_with_logprobs(RNG(seed))
+        y, lps = _one(session, RNG(seed), OUTPUT_LOGPROBS)
         if y == model.z:
             for lp in lps:
                 assert lp == pytest.approx(math.log(model.p_plus), abs=1e-12)
@@ -638,7 +632,7 @@ def test_logprob_sum_equals_trajectory_logprob():
     session = OracleSession(model)
     rng = RNG(2)
     for _ in range(30):
-        y, lps = session.query_output_with_logprobs(rng)
+        y, lps = _one(session, rng, OUTPUT_LOGPROBS)
         assert sum(lps) == pytest.approx(math.log(trajectory_prob(model, y)), abs=1e-10)
 
 
@@ -647,10 +641,10 @@ def test_no_reset_replies_reconstruct_from_pathfull():
     # no-reset reply is exactly a post-processing of the canonical reply
     model = random_hidden_path_model(VocabSpec(3, 4), 1.1, RNG(0))
     for seed in range(5):
-        reply = OracleSession(model).query_pathfull(RNG(seed))
-        assert OracleSession(model).query_output_only(RNG(seed)) == postprocess_output_only(reply)
-        assert OracleSession(model).query_output_with_logprobs(RNG(seed)) == postprocess_logprobs(reply)
-        assert OracleSession(model).query_output_with_topk(RNG(seed), 2) == postprocess_topk(reply, 2)
+        reply = _one(OracleSession(model), RNG(seed))
+        assert _one(OracleSession(model), RNG(seed), OUTPUT_ONLY) == NO_RESET[OUTPUT_ONLY](reply)
+        assert _one(OracleSession(model), RNG(seed), OUTPUT_LOGPROBS) == postprocess_logprobs(reply)
+        assert _one(OracleSession(model), RNG(seed), OUTPUT_TOPK, 2) == postprocess_topk(reply, 2)
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -667,13 +661,13 @@ def test_pathfull_reply_is_the_rollout_pair(family, K, H, model_seed, seed):
     post-processor answers the same for it as for a plain pair."""
     assume(family != "leader-trie" or K >= 3)
     model = ROLLOUT_FAMILIES[family](VocabSpec(K, H), RNG(model_seed))
-    reply = OracleSession(model).query_pathfull(RNG(seed))
+    reply = _one(OracleSession(model), RNG(seed))
     pair = next(model.rollouts(RNG(seed).random((1, H))))
     assert type(reply) is PathFullReply and type(pair) is tuple and reply == pair
     y, mus = reply
     assert (y, mus) == (reply.y, reply.mus) and len(y) == len(mus) == H
     assert not hasattr(reply, "__dict__")
-    assert postprocess_output_only(reply) == postprocess_output_only(pair) == y
+    assert NO_RESET[OUTPUT_ONLY](reply) == NO_RESET[OUTPUT_ONLY](pair) == y
     assert postprocess_logprobs(reply) == postprocess_logprobs(pair)
     for k in range(1, K + 1):
         assert postprocess_topk(reply, k) == postprocess_topk(pair, k)
@@ -683,9 +677,9 @@ def test_no_reset_ledger_counts_one_rollout_per_query():
     model = UniformModel(VocabSpec(2, 2))
     session = OracleSession(model)
     rng = RNG(0)
-    session.query_output_only(rng)
-    session.query_output_with_logprobs(rng)
-    session.query_output_with_topk(rng, 1)
+    _one(session, rng, OUTPUT_ONLY)
+    _one(session, rng, OUTPUT_LOGPROBS)
+    _one(session, rng, OUTPUT_TOPK, 1)
     assert session.ledger.rollouts == 3
     assert session.ledger.count(OUTPUT_ONLY) == 1
     assert session.ledger.count(OUTPUT_LOGPROBS) == 1
@@ -698,27 +692,37 @@ def test_a_huge_int_noise_radius_is_refused_by_the_noise_rule():
             build()
 
 
-def test_topk_validates_k():
-    session = OracleSession(UniformModel(VocabSpec(2, 2)))
-    with pytest.raises(ValueError):
-        session.query_output_with_topk(RNG(0), 3)
+_BAD_KIND = "unknown no-reset kind {}"
+_BAD_K = "top-k size k must be an integer in 1..2, got {}"
+_BAD_N = f"rollout block size n must be an integer in 1..{ROLLOUT_BLOCK}, got {{}}"
 
 
-@pytest.mark.parametrize("k", [1.5, 2.0, True, 0, 3, 2**64, math.nan])
-def test_topk_refuses_a_k_that_is_not_an_integer_in_range_before_drawing(k):
+@pytest.mark.parametrize("kind, k, n, message", [
+    *[(kind, 2, 1, _BAD_KIND.format(text)) for kind, text in [
+        ("pathfull", "'pathfull'"), (PREFIX_SAMPLE, "'PrefixSample'"), (None, "None"),
+        ("x" * 41, "<41 characters>")]],
+    *[(OUTPUT_TOPK, k, 1, _BAD_K.format(text)) for k, text in [
+        (1.5, "1.5"), (2.0, "2.0"), (True, "True"), (0, "0"), (3, "3"),
+        (2**64, "18446744073709551616"), (math.nan, "nan"), (None, "None")]],
+    *[(PATHFULL, None, n, _BAD_N.format(n)) for n in [0, ROLLOUT_BLOCK + 1, 2.5, True]],
+    ("pathfull", 0, 0, _BAD_KIND.format("'pathfull'")),  # the kind is checked first,
+    (OUTPUT_TOPK, 0, 0, _BAD_K.format(0)),  # then top-k's k, then n
+])
+def test_query_rollouts_refuses_a_bad_kind_k_or_n_before_any_draw(kind, k, n, message):
     session, rng = OracleSession(UniformModel(VocabSpec(2, 2))), RNG(0)
-    with pytest.raises(ValueError, match=r"^top-k size k must be an integer in 1\.\.2, got "):
-        session.query_output_with_topk(rng, k)
+    with pytest.raises(ValueError) as info:
+        session.query_rollouts(rng, n, kind, k)
+    assert str(info.value) == message
     assert rng.bit_generator.state == RNG(0).bit_generator.state
     assert session.ledger.records == []
-    y, steps = session.query_output_with_topk(rng, np.int64(2))  # a numpy integer is a count
+    y, steps = _one(session, rng, OUTPUT_TOPK, np.int64(2))  # a numpy integer is a count
     assert len(steps) == 2 and all(len(step) == 2 for step in steps)
 
 
 def test_topk_reports_zero_probability_entries_as_minus_inf():
     # k exceeds the number of nonzero tokens at every prefix
     session = OracleSession(CallableModel(VocabSpec(3, 2), lambda p: [1.0, 0.0, 0.0]))
-    reply = session.query_output_with_topk(RNG(0), 2)
+    reply = _one(session, RNG(0), OUTPUT_TOPK, 2)
     assert reply == ((1, 1), (((1, 0.0), (2, -math.inf)),) * 2)
     assert session.ledger.records == [(OUTPUT_TOPK, None, reply)]
     assert ledger_to_csv(session.ledger).splitlines()[1] == "1,OutputWithTopK,,y=1.1"
@@ -867,7 +871,7 @@ def test_audit_discipline_examples():
     audit = audit_discipline(_trail_ledger([ROOT, (1, 2)]))
     assert not audit.ok
     assert audit.offending_index == 2
-    assert audit.verdict == "violation"
+    assert audit.ok is False
     assert audit_discipline(_trail_ledger([(1,)])).offending_index == 1
     # after revisits, and with a numpy-integer prefix equal to an int one
     revisits = [ROOT, (np.int64(1),), ROOT, (1,), (1, 2), (1,), (2, 1)]
@@ -1037,23 +1041,13 @@ def _reference_reply(model, noise, kind, payload, rng, k):
         return noise.perturb_score(_reference_logprob(model, payload), rng)
     if kind not in NO_RESET_KINDS:
         return _reference_prefix_query(model, noise, kind, payload, rng)
-    reply = PathFullReply(*_reference_rollout(model, rng))
-    if kind == OUTPUT_ONLY:
-        return postprocess_output_only(reply)
-    if kind == OUTPUT_LOGPROBS:
-        return postprocess_logprobs(reply)
-    return postprocess_topk(reply, k) if kind == OUTPUT_TOPK else reply
+    post, reply = NO_RESET[kind], _reference_rollout(model, rng)
+    return post(reply, k) if kind == OUTPUT_TOPK else post(reply)
 
 
 def _ask(session, kind, payload, rng, k):
-    if kind == PATHFULL:
-        return session.query_pathfull(rng)
-    if kind == OUTPUT_ONLY:
-        return session.query_output_only(rng)
-    if kind == OUTPUT_LOGPROBS:
-        return session.query_output_with_logprobs(rng)
-    if kind == OUTPUT_TOPK:
-        return session.query_output_with_topk(rng, k)
+    if kind in NO_RESET:
+        return _one(session, rng, kind, k)
     if kind == SEQSCORE:
         return session.query_seqscore(payload, rng)
     if kind == PREFIX_SAMPLE:
@@ -1185,7 +1179,7 @@ def test_one_model_call_per_distinct_prefix_per_session():
     assert calls == [(1, 2), (1, 3), ROOT, (1,), (1, 2, 3)]
     sampler = OracleSession(model)
     for _ in range(20):  # rollouts, scores and sessions alike
-        y = sampler.query_output_only(rng)
+        y = _one(sampler, rng, OUTPUT_ONLY)
         assert other.query_seqscore(y) == trajectory_logprob(model, y)
         assert set(calls) >= {y[:t] for t in range(len(y))}
     assert len(calls) == len(set(calls))
@@ -1197,7 +1191,7 @@ def test_one_model_call_per_distinct_prefix_per_session():
                 lambda: bad_session.query_prefix_top(ROOT),
                 lambda: OracleSession(bad).query_prefix_logit(ROOT),
                 lambda: bad.next_probs(ROOT),
-                lambda: OracleSession(bad).query_output_only(rng),
+                lambda: _one(OracleSession(bad), rng, OUTPUT_ONLY),
                 lambda: trajectory_logprob(bad, (1, 1, 1, 1))):
         with pytest.raises(ValueError, match="sums to"):
             ask()
@@ -1300,7 +1294,7 @@ def test_no_draw_picks_a_zero_probability_token():
     model = CallableModel(VocabSpec(3, 2), lambda p: [0.3, 0.7 - 1e-13, 0.0])
     session = OracleSession(model)
     assert session.query_prefix_sample(ROOT, _LastDouble()) == 2
-    y, logprobs = session.query_output_with_logprobs(_LastDouble())
+    y, logprobs = _one(session, _LastDouble(), OUTPUT_LOGPROBS)
     assert y == (2, 2) and logprobs == (math.log(0.7 - 1e-13),) * 2
     assert trajectory_logprob(model, y) == sum(logprobs)
     assert trajectory_logprob(model, (3, 1)) == -math.inf
@@ -1379,7 +1373,7 @@ def test_ledger_csv_export():
     session.query_prefix_top((1,))
     session.query_prefix_logit((1,))
     session.query_seqscore((1, 2))
-    session.query_pathfull(rng)
+    _one(session, rng)
     csv = ledger_to_csv(session.ledger)
     lines = csv.strip().splitlines()
     assert lines[0] == "query_index,kind,prefix_or_completion,reply_summary"
@@ -1395,8 +1389,8 @@ def test_no_reset_ledger_csv_rows_render_the_reply_completion():
     model = random_hidden_path_model(VocabSpec(3, 4), 1.0, RNG(0))
     session = OracleSession(model)
     rng = RNG(4)
-    ys = [session.query_pathfull(rng).y, session.query_output_only(rng),
-          session.query_output_with_logprobs(rng)[0], session.query_output_with_topk(rng, 2)[0]]
+    ys = [_one(session, rng).y, _one(session, rng, OUTPUT_ONLY),
+          _one(session, rng, OUTPUT_LOGPROBS)[0], _one(session, rng, OUTPUT_TOPK, 2)[0]]
     kinds = (PATHFULL, OUTPUT_ONLY, OUTPUT_LOGPROBS, OUTPUT_TOPK)
     assert ledger_to_csv(session.ledger).splitlines()[1:] == [
         f"{i},{kind},,y={format_prefix(y)}" for i, (kind, y) in enumerate(zip(kinds, ys), start=1)]
